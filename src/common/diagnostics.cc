@@ -37,7 +37,6 @@ to_string(DiagKind kind)
       case DiagKind::kInternal: return "internal";
       case DiagKind::kTimeout: return "timeout";
       case DiagKind::kOom: return "oom";
-      case DiagKind::kTransient: return "transient";
       case DiagKind::kCancelled: return "cancelled";
     }
     return "internal";
@@ -49,7 +48,7 @@ parse_diag_kind(const std::string& name)
     for (const DiagKind kind :
          {DiagKind::kUsage, DiagKind::kConfig, DiagKind::kInfeasible,
           DiagKind::kInternal, DiagKind::kTimeout, DiagKind::kOom,
-          DiagKind::kTransient, DiagKind::kCancelled}) {
+          DiagKind::kCancelled}) {
         if (name == to_string(kind)) {
             return kind;
         }
@@ -81,7 +80,6 @@ exit_code_for(DiagKind kind)
       case DiagKind::kInternal:
       case DiagKind::kTimeout:
       case DiagKind::kOom:
-      case DiagKind::kTransient:
         return 3;
       case DiagKind::kCancelled:
         return 5;
@@ -174,8 +172,6 @@ diagnostic_from_exception(const std::exception& e, DiagKind error_kind)
                    dynamic_cast<const FaultInjectedError*>(&e)) {
         diag.kind = error_kind;
         diag.probe_site = fault->site();
-    } else if (dynamic_cast<const TransientError*>(&e) != nullptr) {
-        diag.kind = DiagKind::kTransient;
     } else if (dynamic_cast<const Error*>(&e) != nullptr) {
         diag.kind = error_kind;
     } else if (dynamic_cast<const InternalError*>(&e) != nullptr) {

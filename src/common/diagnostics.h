@@ -50,7 +50,6 @@ enum class DiagKind {
     kInternal,   ///< violated library invariant (a bug)
     kTimeout,    ///< a work item exceeded its wall-clock deadline
     kOom,        ///< allocation failure while evaluating
-    kTransient,  ///< retryable failure (exhausted its retry budget)
     kCancelled,  ///< run cancelled (SIGINT/SIGTERM graceful drain)
 };
 
@@ -67,7 +66,7 @@ DiagSeverity parse_diag_severity(const std::string& name);
 /**
  * Process exit code contract (shared by flatsim and the sweep engine):
  * 0 success, 1 config/infeasible error, 2 usage, 3 internal/oom/
- * timeout/transient, 5 run cancelled by a SIGINT/SIGTERM drain.
+ * timeout, 5 run cancelled by a SIGINT/SIGTERM drain.
  * (Exit code 4 — sweep completed with failed points — is owned by the
  * sweep report, not by a single diagnostic; a cancelled sweep reports
  * 5 even when it also has failed points.)
@@ -118,8 +117,8 @@ std::vector<std::string> diagnostic_context();
 
 /**
  * Classifies a caught exception: UsageError -> usage, CancelledError ->
- * cancelled (or timeout when its reason is a deadline), TransientError
- * -> transient, InternalError -> internal, bad_alloc -> oom, other
+ * cancelled (or timeout when its reason is a deadline), InternalError
+ * -> internal, bad_alloc -> oom, other
  * std::exception -> internal, and plain flat::Error -> @p error_kind
  * (callers that already validated their configuration pass
  * kInfeasible). The current context stack and the last fired

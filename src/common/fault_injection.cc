@@ -24,11 +24,6 @@ struct ArmedFault {
     FaultSpec spec;
     /** Hits of this site outside any scope (scope-less firing rule). */
     std::uint64_t hits = 0;
-    /** kTransient: failing attempts so far per scope id. Lives here —
-     *  not in the thread-local scope — so a retry loop that rebuilds
-     *  its FaultScope per attempt still counts attempts cumulatively,
-     *  and the count is identical for any thread placement. */
-    std::map<std::uint64_t, std::uint64_t> transient_attempts;
 };
 
 std::map<std::string, ArmedFault>&
@@ -68,12 +63,6 @@ throw_fault(const std::string& site, const FaultSpec& spec)
         throw InternalError(msg);
       case FaultAction::kThrowBadAlloc:
         throw std::bad_alloc();
-      case FaultAction::kTransient:
-        throw TransientError(
-            strprintf("transient fault injected at probe '%s' "
-                      "(seed %llu)",
-                      site.c_str(),
-                      static_cast<unsigned long long>(spec.seed)));
       case FaultAction::kCrash:
         // Simulated hard crash: no unwinding, no flushing — exactly
         // what a power cut or SIGKILL leaves behind. Kill/resume tests
@@ -95,7 +84,7 @@ arm_fault(const std::string& site, const FaultSpec& spec)
 {
     std::lock_guard<std::mutex> lock(g_mutex);
     auto [it, inserted] = armed_faults().insert_or_assign(
-        site, ArmedFault{spec, 0, {}});
+        site, ArmedFault{spec, 0});
     (void)it;
     if (inserted) {
         g_armed_count.fetch_add(1, std::memory_order_relaxed);
@@ -157,23 +146,6 @@ parse_fault_spec(const std::string& text)
             FLAT_CHECK(delay.empty(),
                        "fault spec '" << text
                                       << "': crash takes no argument");
-        } else if (action == "transient") {
-            spec.action = FaultAction::kTransient;
-            spec.count = 1;
-            if (!delay.empty()) {
-                std::size_t pos = 0;
-                try {
-                    spec.count = std::stoull(delay, &pos);
-                } catch (const std::exception&) {
-                    pos = 0;
-                }
-                FLAT_CHECK(pos != 0 && pos == delay.size() &&
-                               spec.count > 0,
-                           "fault spec '"
-                               << text
-                               << "' has a bad transient count '"
-                               << delay << "'");
-            }
         } else if (action == "delay") {
             spec.action = FaultAction::kDelay;
             spec.delay_ms = 1000;
@@ -193,7 +165,7 @@ parse_fault_spec(const std::string& text)
             FLAT_FAIL("fault spec '"
                       << text << "' has unknown action '" << action
                       << "' (error | internal | oom | delay[=MS] | "
-                         "transient[=N] | crash)");
+                         "crash)");
         }
     }
     return {parts[0], spec};
@@ -254,30 +226,7 @@ hit(const char* site)
             return;
         }
         ArmedFault& armed = it->second;
-        if (armed.spec.action == FaultAction::kTransient) {
-            // Transient rule: fail the first `count` attempts of the
-            // targeted work item, then succeed forever. The attempt
-            // counter is keyed by scope id and persists across
-            // FaultScope re-construction (one scope per retry).
-            if (t_scope.active) {
-                if (t_scope.id != armed.spec.seed) {
-                    return;
-                }
-                std::uint64_t& attempts =
-                    armed.transient_attempts[t_scope.id];
-                if (attempts >= armed.spec.count) {
-                    return;
-                }
-                ++attempts;
-            } else {
-                // Scope-less: fail hits [seed, seed + count).
-                const std::uint64_t hit_no = armed.hits++;
-                if (hit_no < armed.spec.seed ||
-                    hit_no >= armed.spec.seed + armed.spec.count) {
-                    return;
-                }
-            }
-        } else if (t_scope.active) {
+        if (t_scope.active) {
             // Scoped rule: fire exactly in the work item whose id
             // matches the seed, at most once per (site, scope).
             if (t_scope.id != armed.spec.seed ||

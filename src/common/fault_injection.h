@@ -51,7 +51,6 @@ enum class FaultAction {
     kThrowInternal, ///< throw flat::InternalError
     kThrowBadAlloc, ///< throw std::bad_alloc (simulated OOM)
     kDelay,         ///< sleep delay_ms once per scope (deadline tests)
-    kTransient,     ///< throw TransientError the first `count` times
     kCrash,         ///< std::abort() mid-run (kill/resume tests)
 };
 
@@ -65,12 +64,6 @@ struct FaultSpec {
 
     /** Sleep duration for kDelay, in milliseconds. */
     std::uint64_t delay_ms = 0;
-
-    /** kTransient: failing attempts before the site succeeds. The
-     *  per-scope attempt counter survives FaultScope re-construction,
-     *  so a retrying driver that re-scopes each attempt still sees
-     *  exactly `count` failures, on any thread count. */
-    std::uint64_t count = 1;
 };
 
 /** Arms (or re-arms) @p site with @p spec. */
@@ -84,12 +77,10 @@ void disarm_all_faults();
 
 /**
  * Parses the CLI syntax SITE[:SEED][:ACTION[=N]], where ACTION is one
- * of error | internal | oom | delay[=MS] (default 1000) |
- * transient[=N] (fail the first N attempts, default 1) | crash
+ * of error | internal | oom | delay[=MS] (default 1000) | crash
  * (std::abort() mid-run, for kill/resume testing):
  *   "dse.search_attention:7"
  *   "sweep.point:3:delay=500"
- *   "sweep.point:3:transient=2"
  *   "sweep.point:5:crash"
  * Throws flat::Error on malformed specs.
  */

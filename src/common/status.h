@@ -24,18 +24,6 @@ class Error : public std::runtime_error
     explicit Error(const std::string& msg) : std::runtime_error(msg) {}
 };
 
-/**
- * Error from a transient condition that may succeed when the same work
- * item is retried (e.g. an injected flaky failure, a momentarily
- * unavailable resource). Batch drivers retry these with backoff; every
- * other Error is treated as deterministic and fails the item outright.
- */
-class TransientError : public Error
-{
-  public:
-    explicit TransientError(const std::string& msg) : Error(msg) {}
-};
-
 /** Error caused by a violated internal invariant (a library bug). */
 class InternalError : public std::logic_error
 {

@@ -23,8 +23,7 @@ struct DepthGuard {
  * use, grown to the largest helper count ever requested, and leaked on
  * purpose — parked workers hold no locks and touch only the (equally
  * leaked) pool internals, so process teardown is safe while static
- * destruction order stays a non-issue. Mirrors the EvalCache
- * leaked-singleton idiom.
+ * destruction order stays a non-issue.
  */
 ThreadPool&
 shared_pool(unsigned helpers)

@@ -166,22 +166,22 @@ golden_trace_json(const GoldenConfig& config)
 
     switch (config.style) {
       case GoldenStyle::kFlat:
-        return trace_flat_attention(accel, dims,
-                                    golden_dataflow(accel, dims, true))
+        return trace_attention(flat_execution_style(), accel, dims,
+                               golden_dataflow(accel, dims, true))
             .to_json();
       case GoldenStyle::kBaselineFull:
-        return trace_baseline_attention(
-                   accel, dims, golden_dataflow(accel, dims, false),
-                   BaselineOverlap::kFull)
+        return trace_attention(baseline_execution_style(), accel, dims,
+                               golden_dataflow(accel, dims, false),
+                               BaselineOverlap::kFull)
             .to_json();
       case GoldenStyle::kBaselineSerialized:
-        return trace_baseline_attention(
-                   accel, dims, golden_dataflow(accel, dims, false),
-                   BaselineOverlap::kSerialized)
+        return trace_attention(baseline_execution_style(), accel, dims,
+                               golden_dataflow(accel, dims, false),
+                               BaselineOverlap::kSerialized)
             .to_json();
       case GoldenStyle::kPipelined:
-        return trace_pipelined_attention(
-                   accel, dims, golden_dataflow(accel, dims, true))
+        return trace_attention(pipelined_execution_style(), accel, dims,
+                               golden_dataflow(accel, dims, true))
             .to_json();
       case GoldenStyle::kFlash:
         return trace_attention(flash_execution_style(), accel, dims,

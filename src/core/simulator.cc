@@ -1,5 +1,7 @@
 #include "core/simulator.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 #include "costmodel/attention_cost.h"
 #include "costmodel/execution_style.h"
@@ -123,19 +125,32 @@ attention_options(const AcceleratorSpec& spec, const SimOptions& options)
     return out;
 }
 
-Simulator::Simulator(AccelConfig accel)
-    : accel_(std::move(accel)), energy_table_(EnergyTable::for_accel(accel_))
+OperatorSearchOptions
+operator_options(const DataflowPolicy&, const SimOptions& options)
 {
-    accel_.validate();
+    OperatorSearchOptions out;
+    out.objective = options.objective;
+    out.quick = options.quick;
+    out.cancel = options.cancel;
+    return out;
 }
 
-AttentionSearchResult
-Simulator::attention(const Workload& workload, const DataflowPolicy& policy,
-                     const SimOptions& options) const
+OperatorSearchOptions
+operator_options(const AcceleratorSpec& spec, const SimOptions& options)
 {
-    const AttentionDims dims = AttentionDims::from_workload(workload);
-    return search_attention(accel_, dims,
-                            attention_options(policy, options));
+    OperatorSearchOptions out =
+        operator_options(spec.la_policy(), options);
+    out.allow_l3 = spec.allows_l3();
+    if (!spec.flexible()) {
+        out.candidates = fixed_policy_candidates();
+        out.allow_l3 = false;
+    }
+    return out;
+}
+
+Simulator::Simulator(AccelConfig accel) : accel_(std::move(accel))
+{
+    accel_.validate();
 }
 
 ScopeReport
@@ -143,100 +158,95 @@ Simulator::run(const Workload& workload, Scope scope,
                const DataflowPolicy& policy,
                const SimOptions& options) const
 {
-    return run_impl(workload, scope, attention_options(policy, options),
-                    /*flexible_ops=*/true, /*allow_l3=*/true,
-                    policy.name(), options);
+    return run_impl(workload, scope,
+                    {attention_options(policy, options),
+                     operator_options(policy, options)},
+                    policy.name());
 }
 
 ScopeReport
 Simulator::run(const Workload& workload, Scope scope,
                const AcceleratorSpec& spec, const SimOptions& options) const
 {
-    return run_impl(workload, scope, attention_options(spec, options),
-                    spec.flexible(), spec.allows_l3(), spec.name(),
-                    options);
+    return run_impl(workload, scope,
+                    {attention_options(spec, options),
+                     operator_options(spec, options)},
+                    spec.name());
 }
 
 ScopeReport
 Simulator::run_impl(const Workload& workload, Scope scope,
-                    const AttentionSearchOptions& la_options,
-                    bool flexible_ops, bool allow_l3,
-                    const std::string& policy_name,
-                    const SimOptions& options) const
+                    const BlockSearchOptions& search_options,
+                    const std::string& policy_name) const
 {
-    const AttentionDims dims = AttentionDims::from_workload(workload);
+    const AttentionSearchOptions& la_options = search_options.attention;
 
     ScopeReport report;
     report.scope = scope;
     report.policy_name = policy_name;
 
+    // One decomposition: the L-A layer alone at L-A scope, every layer
+    // of the block (search_block) at block and model scope.
+    if (scope == Scope::kLogitAttend) {
+        report.block.layers.push_back(
+            search_attention_layer(accel_, workload, la_options));
+    } else {
+        report.block = search_block(accel_, workload, search_options);
+    }
+    const std::vector<BlockLayerPlan>& layers = report.block.layers;
+
     // L-A pipeline (always present at every scope).
-    const AttentionSearchResult la = search_attention(accel_, dims,
-                                                      la_options);
-    const double la_energy =
-        estimate_energy(energy_table_, la.best.cost.activity).total();
-    report.breakdown.la_cycles = la.best.cost.cycles;
-    report.breakdown.la_ideal = la.best.cost.ideal_cycles;
-    report.breakdown.la_energy_j = la_energy;
-    report.la_footprint_bytes = la.best.cost.live_footprint_bytes;
-    report.la_resident_fraction = la.best.cost.resident_fraction;
-    const ExecutionStyle& la_style =
-        la.best.style != nullptr ? *la.best.style
-                                 : default_execution_style(la_options.fused);
+    const auto la_layer = std::find_if(
+        layers.begin(), layers.end(),
+        [](const BlockLayerPlan& layer) { return layer.attention; });
+    FLAT_CHECK(la_layer != layers.end(), "workload has no L-A layer");
+    DsePoint& la = report.la_winner;
+    la = la_layer->la;
+    if (la.style == nullptr) {
+        la.style = &default_execution_style(la_options.fused);
+    }
+    report.breakdown.la_cycles = la.cost.cycles;
+    report.breakdown.la_ideal = la.cost.ideal_cycles;
+    report.breakdown.la_energy_j = la.energy_j;
+    report.la_footprint_bytes = la.cost.live_footprint_bytes;
+    report.la_resident_fraction = la.cost.resident_fraction;
     // Keep the historical "fused:"/"seq:" prefixes for the two original
     // styles; newer styles are prefixed by their registry id.
     const std::string style_prefix =
-        (&la_style == &flat_execution_style())       ? "fused:"
-        : (&la_style == &baseline_execution_style())
+        (la.style == &flat_execution_style())       ? "fused:"
+        : (la.style == &baseline_execution_style())
             ? "seq:"
-            : std::string(la_style.id()) + ":";
-    report.la_dataflow_tag = style_prefix + la.best.dataflow.tag();
-    report.la_points_evaluated = la.evaluated;
-    report.la_points_pruned = la.pruned;
-    report.la_verified = la.verified;
-    report.la_verified_ratio = la.verified_ratio;
-    report.traffic += la.best.cost.activity.traffic;
+            : std::string(la.style->id()) + ":";
+    report.la_dataflow_tag = style_prefix + la.dataflow.tag();
+    report.la_points_evaluated = la_layer->evaluated;
+    report.la_points_pruned = la_layer->pruned;
+    report.la_verified = la_layer->verified;
+    report.la_verified_ratio = la_layer->verified_ratio;
+    report.traffic += la.cost.activity.traffic;
 
     // Re-evaluate the winning dataflow's timeline for the per-stage
     // view (the cost model consumed the same timeline, so cycles agree
     // exactly with breakdown.la_cycles before scaling).
     const TimelineResult la_timeline = attention_timeline(
-        la_style, accel_, dims, la.best.dataflow,
-        la_options.baseline_overlap);
+        *la.style, accel_, AttentionDims::from_workload(workload),
+        la.dataflow, la_options.baseline_overlap);
     report.la_stages = fold_la_stages(la_timeline);
 
-    // Projections and FCs at Block/Model scope.
-    if (scope != Scope::kLogitAttend) {
-        OperatorSearchOptions op_options;
-        op_options.objective = options.objective;
-        op_options.allow_l3 = allow_l3;
-        op_options.quick = options.quick;
-        op_options.cancel = options.cancel;
-        if (!flexible_ops) {
-            op_options.candidates = fixed_policy_candidates();
-            op_options.allow_l3 = false;
+    // Projections and FCs, summed per category in op order.
+    for (const BlockLayerPlan& layer : layers) {
+        if (layer.attention) {
+            continue;
         }
-
-        for (const Operator& op : workload.ops) {
-            if (op.kind != OpKind::kGemm ||
-                op.category == OpCategory::kLogitAttend) {
-                continue;
-            }
-            const OperatorSearchResult res =
-                search_operator(accel_, op, op_options);
-            const double op_energy =
-                estimate_energy(energy_table_, res.cost.activity).total();
-            if (op.category == OpCategory::kProjection) {
-                report.breakdown.proj_cycles += res.cost.cycles;
-                report.breakdown.proj_ideal += res.cost.ideal_cycles;
-                report.breakdown.proj_energy_j += op_energy;
-            } else {
-                report.breakdown.fc_cycles += res.cost.cycles;
-                report.breakdown.fc_ideal += res.cost.ideal_cycles;
-                report.breakdown.fc_energy_j += op_energy;
-            }
-            report.traffic += res.cost.activity.traffic;
+        if (layer.category == OpCategory::kProjection) {
+            report.breakdown.proj_cycles += layer.cost.cycles;
+            report.breakdown.proj_ideal += layer.cost.ideal_cycles;
+            report.breakdown.proj_energy_j += layer.energy_j;
+        } else {
+            report.breakdown.fc_cycles += layer.cost.cycles;
+            report.breakdown.fc_ideal += layer.cost.ideal_cycles;
+            report.breakdown.fc_energy_j += layer.energy_j;
         }
+        report.traffic += layer.cost.activity.traffic;
     }
 
     const double mult =

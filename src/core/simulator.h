@@ -13,8 +13,8 @@
 #include "arch/accel_config.h"
 #include "core/catalog.h"
 #include "costmodel/cost_types.h"
+#include "dse/block_search.h"
 #include "dse/search.h"
-#include "energy/energy_model.h"
 #include "workload/attention.h"
 
 namespace flat {
@@ -106,6 +106,15 @@ struct ScopeReport {
     LaStageBreakdown la_stages;
     TrafficBytes traffic;
 
+    /** The L-A winner: style (never null), dataflow and unscaled
+     *  cost. */
+    DsePoint la_winner;
+
+    /** The per-layer decomposition this report folds: search_block's
+     *  layers and layer-order totals at block and model scope; the L-A
+     *  layer alone, without totals, at L-A scope. */
+    BlockSearchResult block;
+
     /** L-A dataflow details. */
     std::uint64_t la_footprint_bytes = 0;
     double la_resident_fraction = 1.0;
@@ -127,20 +136,32 @@ struct ScopeReport {
     }
 };
 
+/** Single-point candidate menus for the fixed (non-opt) policies. */
+CandidateOptions fixed_policy_candidates();
+
 /**
  * Builds the DSE options implementing a named policy: non-opt policies
  * become deterministic single-point "searches" (fixed granularity,
  * default tiles, all FLAT-tiles enabled), -opt policies sweep the space.
  */
-/** Single-point candidate menus for the fixed (non-opt) policies. */
-CandidateOptions fixed_policy_candidates();
-
 AttentionSearchOptions attention_options(const DataflowPolicy& policy,
                                          const SimOptions& options);
 
 /** DSE options implementing an accelerator spec's L-A dataflow. */
 AttentionSearchOptions attention_options(const AcceleratorSpec& spec,
                                          const SimOptions& options);
+
+/** Projection/FC search options under a dataflow policy: the policy
+ *  only shapes L-A, so every GEMM gets the full flexible sweep with L3
+ *  staging. */
+OperatorSearchOptions operator_options(const DataflowPolicy& policy,
+                                       const SimOptions& options);
+
+/** Projection/FC search options under an accelerator spec: an
+ *  inflexible spec pins the menus to the fixed-policy point, and L3
+ *  staging exists only where the spec has it. */
+OperatorSearchOptions operator_options(const AcceleratorSpec& spec,
+                                       const SimOptions& options);
 
 /** Evaluates workloads on one accelerator configuration. */
 class Simulator
@@ -150,13 +171,9 @@ class Simulator
 
     const AccelConfig& accel() const { return accel_; }
 
-    /** Cost of the L-A pipeline only, under @p policy. */
-    AttentionSearchResult attention(const Workload& workload,
-                                    const DataflowPolicy& policy,
-                                    const SimOptions& options = {}) const;
-
     /** Full scope evaluation under a dataflow policy. Non-fused
-     *  operators are tuned by DSE (they are unaffected by the policy). */
+     *  operators are tuned by DSE (they are unaffected by the policy).
+     *  Block and model scope fold search_block's layers. */
     ScopeReport run(const Workload& workload, Scope scope,
                     const DataflowPolicy& policy,
                     const SimOptions& options = {}) const;
@@ -170,13 +187,10 @@ class Simulator
 
   private:
     ScopeReport run_impl(const Workload& workload, Scope scope,
-                         const AttentionSearchOptions& la_options,
-                         bool flexible_ops, bool allow_l3,
-                         const std::string& policy_name,
-                         const SimOptions& options) const;
+                         const BlockSearchOptions& search_options,
+                         const std::string& policy_name) const;
 
     AccelConfig accel_;
-    EnergyTable energy_table_;
 };
 
 } // namespace flat

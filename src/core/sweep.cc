@@ -4,7 +4,6 @@
 #include <chrono>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/cancellation.h"
@@ -138,7 +137,6 @@ encode_point_record(const SweepPointResult& r)
     json.begin_object();
     json.field("ok", r.ok);
     json.field("wall_ms", r.wall_ms);
-    json.field("attempts", static_cast<std::uint64_t>(r.attempts));
     if (r.ok) {
         json.key("report");
         json.begin_object();
@@ -196,7 +194,6 @@ restore_point_record(const JsonValue& data, SweepPointResult& r)
 {
     r.ok = data.member_bool("ok");
     r.wall_ms = data.member_number("wall_ms");
-    r.attempts = static_cast<unsigned>(data.member_u64("attempts"));
     r.resumed = true;
     if (r.ok) {
         const JsonValue* rep = data.find("report");
@@ -373,26 +370,6 @@ SweepReport::resumed() const
     return n;
 }
 
-std::size_t
-SweepReport::retried_points() const
-{
-    std::size_t n = 0;
-    for (const SweepPointResult& r : results) {
-        n += (r.attempts > 1) ? 1 : 0;
-    }
-    return n;
-}
-
-std::size_t
-SweepReport::extra_attempts() const
-{
-    std::size_t n = 0;
-    for (const SweepPointResult& r : results) {
-        n += (r.attempts > 1) ? (r.attempts - 1) : 0;
-    }
-    return n;
-}
-
 std::vector<const SweepPointResult*>
 SweepReport::failures() const
 {
@@ -427,10 +404,6 @@ SweepReport::write_json(JsonWriter& json) const
     // run must emit byte-identical machine output to an uninterrupted
     // one (the resume provenance goes to the human footer instead).
     json.field("cancelled", static_cast<std::uint64_t>(cancelled()));
-    json.field("retried_points",
-               static_cast<std::uint64_t>(retried_points()));
-    json.field("extra_attempts",
-               static_cast<std::uint64_t>(extra_attempts()));
     json.field("wall_ms", wall_ms);
     json.field("exit_code",
                static_cast<std::int64_t>(exit_code()));
@@ -448,12 +421,6 @@ SweepReport::write_json(JsonWriter& json) const
         json.field("batch", r.point.batch);
         json.field("status", status_name(r));
         json.field("wall_ms", r.wall_ms);
-        if (r.attempts > 1) {
-            // Only retried points carry the field, so retry-free runs
-            // keep their exact historical byte layout.
-            json.field("attempts",
-                       static_cast<std::uint64_t>(r.attempts));
-        }
         if (r.ok) {
             json.key("report");
             json.begin_object();
@@ -526,10 +493,6 @@ SweepReport::print(std::ostream& os) const
     }
     if (resumed() > 0) {
         os << " (" << resumed() << " restored from journal)";
-    }
-    if (retried_points() > 0) {
-        os << " (" << retried_points() << " retried, "
-           << extra_attempts() << " extra attempts)";
     }
     os << "\n";
     if (!failed_points.empty()) {
@@ -609,8 +572,7 @@ run_sweep(const SweepSpec& spec, const SweepOptions& options)
         }
 
         // Checkpoint restore: a journaled outcome is final — ok and
-        // failed alike (failures are deterministic; transients already
-        // consumed their retry budget when they were journaled).
+        // failed alike (failures are deterministic).
         if (options.journal != nullptr) {
             const JsonValue* rec =
                 options.journal->find("sweep", r.point.tag());
@@ -639,29 +601,14 @@ run_sweep(const SweepSpec& spec, const SweepOptions& options)
         }
 
         const Clock::time_point start = Clock::now();
-        const unsigned max_attempts = 1 + options.retries;
-        for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-            if (attempt > 1 && options.retry_backoff_ms > 0.0) {
-                // Deterministic exponential backoff, no jitter:
-                // base * 2^(retry - 1) milliseconds.
-                const double delay_ms =
-                    options.retry_backoff_ms *
-                    static_cast<double>(1u << (attempt - 2));
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        delay_ms));
-            }
+        {
             // Deterministic fault targeting: probes hit while
-            // evaluating point i fire iff the armed seed equals i. One
-            // scope per attempt; the transient-fault attempt counter
-            // survives scope re-construction by design.
+            // evaluating point i fire iff the armed seed equals i.
             FaultScope fault_scope(i);
-            r.attempts = attempt;
             try {
                 r.report = evaluate_point(r.point, spec, options,
                                           point_cancel);
                 r.ok = true;
-                break;
             } catch (...) {
                 // Spec axes were validated by expand(), so an Error
                 // here means the point itself is infeasible.
@@ -669,16 +616,6 @@ run_sweep(const SweepSpec& spec, const SweepOptions& options)
                     DiagKind::kInfeasible);
                 r.ok = false;
             }
-            if (r.diag.kind != DiagKind::kTransient ||
-                attempt == max_attempts) {
-                break; // deterministic failure, or budget exhausted
-            }
-            Diagnostic warn = r.diag;
-            warn.severity = DiagSeverity::kWarning;
-            warn.message = strprintf(
-                "attempt %u/%u failed, retrying: %s", attempt,
-                max_attempts, r.diag.message.c_str());
-            emit_diagnostic(warn);
         }
         r.wall_ms = elapsed_ms(start);
 
@@ -701,7 +638,7 @@ run_sweep(const SweepSpec& spec, const SweepOptions& options)
             stop.store(true, std::memory_order_relaxed);
         }
 
-        // Journal the FINAL outcome (ok or failed, with attempts and
+        // Journal the FINAL outcome (ok or failed, with its
         // warnings); the per-slice search records for this point were
         // already appended by the DSE while it ran.
         if (options.journal != nullptr) {
@@ -721,9 +658,9 @@ RunJournalHeader
 sweep_journal_header(const SweepSpec& spec, const SimOptions& sim)
 {
     // Canonical text of every knob that shapes the sweep's RESULTS.
-    // Execution knobs (threads, prune, batch width, deadlines, retry
-    // budgets) are excluded on purpose: a journal written under one
-    // execution configuration must resume under another.
+    // Execution knobs (threads, prune, batch width, deadlines) are
+    // excluded on purpose: a journal written under one execution
+    // configuration must resume under another.
     std::ostringstream text;
     text << "models=";
     for (const std::string& m : spec.models) {

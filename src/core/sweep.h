@@ -13,9 +13,6 @@
  *    kTimeout diagnostics; the deadline is enforced PREEMPTIVELY via a
  *    per-point CancellationToken polled inside the DSE loops, so a
  *    stuck point stops near its budget instead of after it;
- *  - transient failures (TransientError) are retried up to
- *    options.retries times with deterministic exponential backoff
- *    before the point is recorded as failed;
  *  - partial results are always emitted: the report carries one entry
  *    per point, completed or failed, in spec order regardless of the
  *    thread count;
@@ -108,21 +105,10 @@ struct SweepOptions {
     bool fail_fast = false;
 
     /**
-     * Transparent retries of TransientError failures, per point
-     * (0 = fail on the first transient error). Other failure classes
-     * are deterministic and never retried.
-     */
-    unsigned retries = 0;
-
-    /** Backoff before retry attempt k: retry_backoff_ms * 2^(k-1)
-     *  milliseconds — deterministic, no jitter. */
-    double retry_backoff_ms = 0.0;
-
-    /**
      * Optional checkpoint journal (scope "sweep", key = point tag):
      * each point's FINAL outcome — completed or failed, with its
-     * diagnostics, warnings and attempt count — is appended once;
-     * points already journaled are restored instead of re-evaluated.
+     * diagnostics and warnings — is appended once; points already
+     * journaled are restored instead of re-evaluated.
      * Skipped/cancelled points are never journaled (a resume retries
      * them). Not owned.
      */
@@ -151,10 +137,6 @@ struct SweepPointResult {
     Diagnostic diag;        ///< valid iff !ok && !skipped && !cancelled
     std::vector<Diagnostic> warnings; ///< captured during evaluation
     double wall_ms = 0.0;
-
-    /** Evaluation attempts consumed (>1 iff transient retries fired);
-     *  0 when the point was never attempted. */
-    unsigned attempts = 0;
 };
 
 /** Aggregate outcome; always has one entry per expanded point. */
@@ -169,12 +151,6 @@ struct SweepReport {
 
     /** Points restored from the checkpoint journal. */
     std::size_t resumed() const;
-
-    /** Points that needed more than one attempt (transient retries). */
-    std::size_t retried_points() const;
-
-    /** Total retry attempts beyond the first, across all points. */
-    std::size_t extra_attempts() const;
 
     /** Failed (not skipped/cancelled) points, in spec order. */
     std::vector<const SweepPointResult*> failures() const;

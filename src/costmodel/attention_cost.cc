@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "costmodel/eval_cache.h"
 #include "dataflow/reuse.h"
 
 namespace flat {
@@ -69,67 +68,13 @@ plan_base_matches(const AttentionEvalScratch::PlanMemo& memo,
            memo.stage.intermediate == df.stage.intermediate;
 }
 
-/** EvalCache key family of the memoized plan base (see below). */
-constexpr std::uint64_t kTagPlanBase = EvalCache::kFirstExternalTag;
-
-/** EvalCache key family of the batch evaluator's per-point outcomes
- *  (AttentionBatchEvaluator::CachedPoint payloads). */
-constexpr std::uint64_t kTagPointCost = EvalCache::kFirstExternalTag + 1;
-
-/**
- * Process-wide memoized plan base. The key mirrors plan_base_matches()
- * field for field — exactly the inputs the base (order-independent)
- * part of make_plan() reads — so repeated searches over the same
- * (accel, dims) grid, sweep points and scaleout inner sweeps share one
- * residency/footprint computation per base instead of rebuilding it in
- * every per-thread scratch. Returns nullptr when the cache is bypassed.
- * The stored plan's four order-dependent compute/reuse fields are
- * whatever the first caller's loop orders produced; every consumer
- * refreshes them (make_plan_memo below), so they never leak.
- */
-std::shared_ptr<const AttentionPlan>
-cached_plan_base(const AccelConfig& accel, const AttentionDims& dims,
-                 const FusedDataflow& df, const PlannedGemmCosts& planned)
-{
-    std::uint64_t words[20];
-    std::size_t n = 0;
-    words[n++] = accel.bytes_per_element;
-    words[n++] = accel.sg_bytes;
-    words[n++] = accel.sg2_bytes;
-    words[n++] = dims.batch;
-    words[n++] = dims.heads;
-    words[n++] = dims.q_len;
-    words[n++] = dims.kv_len;
-    words[n++] = dims.head_dim;
-    words[n++] = dims.kv_heads;
-    words[n++] = dims.decode ? 1u : 0u;
-    words[n++] = static_cast<std::uint64_t>(df.cross.granularity);
-    words[n++] = df.cross.rows;
-    words[n++] = df.cross.cols;
-    words[n++] = df.l2_logit.m;
-    words[n++] = df.l2_logit.k;
-    words[n++] = df.l2_logit.n;
-    words[n++] = df.l2_attend.m;
-    words[n++] = df.l2_attend.k;
-    words[n++] = df.l2_attend.n;
-    words[n++] = FusedStageFlags::encode(df.stage);
-    return std::static_pointer_cast<const AttentionPlan>(
-        EvalCache::instance().memoize(
-            kTagPlanBase, words, n, sizeof(AttentionPlan),
-            [&]() -> EvalCache::OpaquePayload {
-                return std::make_shared<const AttentionPlan>(
-                    make_plan(accel, dims, df, planned));
-            }));
-}
-
 /**
  * make_plan() through the scratch memo. When only the SG loop orders
  * or stationarities changed since the previous call — the innermost
  * DSE axes — the memoized base is reused and just the four
  * order-dependent compute/reuse fields are refreshed with the identical
- * values make_plan() would have produced. Any other change pulls the
- * base from the process-wide cache (or recomputes the whole plan when
- * the cache is bypassed).
+ * values make_plan() would have produced. Any other change recomputes
+ * the whole plan.
  */
 const AttentionPlan&
 make_plan_memo(const AccelConfig& accel, const AttentionDims& dims,
@@ -142,16 +87,7 @@ make_plan_memo(const AccelConfig& accel, const AttentionDims& dims,
     }
     AttentionEvalScratch::PlanMemo& memo = *scratch.memo;
     if (!plan_base_matches(memo, accel, dims, dataflow)) {
-        bool refresh_orders = false;
-        if (std::shared_ptr<const AttentionPlan> base =
-                cached_plan_base(accel, dims, dataflow, planned)) {
-            memo.plan = *base;
-            // The cached entry's order-dependent fields may come from
-            // another caller's loop orders — refresh them below.
-            refresh_orders = true;
-        } else {
-            memo.plan = make_plan(accel, dims, dataflow, planned);
-        }
+        memo.plan = make_plan(accel, dims, dataflow, planned);
         memo.dims = dims;
         memo.bytes_per_element = accel.bytes_per_element;
         memo.sg_bytes = accel.sg_bytes;
@@ -161,9 +97,7 @@ make_plan_memo(const AccelConfig& accel, const AttentionDims& dims,
         memo.l2_attend = dataflow.l2_attend;
         memo.stage = dataflow.stage;
         memo.valid = true;
-        if (!refresh_orders) {
-            return memo.plan;
-        }
+        return memo.plan;
     }
 
     AttentionPlan& plan = memo.plan;
@@ -215,32 +149,6 @@ attention_phases(const ExecutionStyle& style, const AccelConfig& accel,
     return out;
 }
 
-AttentionPhases
-flat_attention_phases(const AccelConfig& accel, const AttentionDims& dims,
-                      const FusedDataflow& dataflow)
-{
-    return attention_phases(flat_execution_style(), accel, dims, dataflow);
-}
-
-AttentionPhases
-baseline_attention_phases(const AccelConfig& accel,
-                          const AttentionDims& dims,
-                          const FusedDataflow& dataflow,
-                          BaselineOverlap overlap)
-{
-    return attention_phases(baseline_execution_style(), accel, dims,
-                            dataflow, overlap);
-}
-
-AttentionPhases
-pipelined_attention_phases(const AccelConfig& accel,
-                           const AttentionDims& dims,
-                           const FusedDataflow& dataflow)
-{
-    return attention_phases(pipelined_execution_style(), accel, dims,
-                            dataflow);
-}
-
 TimelineResult
 attention_timeline(const ExecutionStyle& style, const AccelConfig& accel,
                    const AttentionDims& dims, const FusedDataflow& dataflow,
@@ -250,34 +158,6 @@ attention_timeline(const ExecutionStyle& style, const AccelConfig& accel,
         attention_phases(style, accel, dims, dataflow, overlap);
     return evaluate_timeline(std::move(emitted.phases), accel,
                              emitted.overlap);
-}
-
-TimelineResult
-flat_attention_timeline(const AccelConfig& accel,
-                        const AttentionDims& dims,
-                        const FusedDataflow& dataflow)
-{
-    return attention_timeline(flat_execution_style(), accel, dims,
-                              dataflow);
-}
-
-TimelineResult
-baseline_attention_timeline(const AccelConfig& accel,
-                            const AttentionDims& dims,
-                            const FusedDataflow& dataflow,
-                            BaselineOverlap overlap)
-{
-    return attention_timeline(baseline_execution_style(), accel, dims,
-                              dataflow, overlap);
-}
-
-TimelineResult
-pipelined_attention_timeline(const AccelConfig& accel,
-                             const AttentionDims& dims,
-                             const FusedDataflow& dataflow)
-{
-    return attention_timeline(pipelined_execution_style(), accel, dims,
-                              dataflow);
 }
 
 OperatorCost
@@ -305,73 +185,6 @@ model_attention(const ExecutionStyle& style, const AccelConfig& accel,
                          style.cost_name());
 }
 
-OperatorCost
-model_flat_attention(const AccelConfig& accel, const AttentionDims& dims,
-                     const FusedDataflow& dataflow)
-{
-    return model_attention(flat_execution_style(), accel, dims, dataflow);
-}
-
-OperatorCost
-model_flat_attention(const AccelConfig& accel, const AttentionDims& dims,
-                     const FusedDataflow& dataflow,
-                     AttentionEvalScratch& scratch,
-                     const PlannedGemmCosts& planned)
-{
-    return model_attention(flat_execution_style(), accel, dims, dataflow,
-                           BaselineOverlap::kFull, scratch, planned);
-}
-
-OperatorCost
-model_pipelined_attention(const AccelConfig& accel,
-                          const AttentionDims& dims,
-                          const FusedDataflow& dataflow)
-{
-    return model_attention(pipelined_execution_style(), accel, dims,
-                           dataflow);
-}
-
-OperatorCost
-model_flash_attention(const AccelConfig& accel, const AttentionDims& dims,
-                      const FusedDataflow& dataflow)
-{
-    return model_attention(flash_execution_style(), accel, dims, dataflow);
-}
-
-OperatorCost
-model_baseline_attention(const AccelConfig& accel,
-                         const AttentionDims& dims,
-                         const FusedDataflow& dataflow,
-                         BaselineOverlap overlap)
-{
-    return model_attention(baseline_execution_style(), accel, dims,
-                           dataflow, overlap);
-}
-
-OperatorCost
-model_baseline_attention(const AccelConfig& accel,
-                         const AttentionDims& dims,
-                         const FusedDataflow& dataflow,
-                         BaselineOverlap overlap,
-                         AttentionEvalScratch& scratch,
-                         const PlannedGemmCosts& planned)
-{
-    return model_attention(baseline_execution_style(), accel, dims,
-                           dataflow, overlap, scratch, planned);
-}
-
-void
-AttentionBatchEvaluator::begin(const AccelConfig& accel,
-                               const AttentionDims& dims,
-                               const FusedDataflow& base, bool fused,
-                               BaselineOverlap baseline_overlap,
-                               std::size_t lane_capacity,
-                               AttentionEvalScratch& scratch)
-{
-    begin(accel, dims, base, default_execution_style(fused),
-          baseline_overlap, lane_capacity, scratch);
-}
-
 void
 AttentionBatchEvaluator::begin(const AccelConfig& accel,
                                const AttentionDims& dims,
@@ -391,72 +204,16 @@ AttentionBatchEvaluator::begin(const AccelConfig& accel,
     overlap_ = style.overlap(baseline_overlap);
     ideal_cycles_ = attention_ideal_cycles(accel, dims);
     // Plan binding and batch configuration are deferred to the first
-    // cache-miss add(): its GEMM cost records seed the plan memo, so a
-    // block never computes a gemm cost it was going to overwrite
-    // anyway (and an all-hit block never builds a plan at all).
+    // add(): its GEMM cost records seed the plan memo, so a block never
+    // computes a gemm cost it was going to overwrite anyway.
     pending_begin_ = true;
     batch_.clear_lanes();
-    lane_hits_.clear();
-    lane_tb_.clear();
-    lane_orders_.clear();
-
-    // Pack the block's point-cache key prefix once: everything a
-    // point's cost depends on except the two loop orders add() appends
-    // per probe. The accel fingerprint comes from the cache itself so
-    // it cannot drift from the built-in families'. Wide blocks skip
-    // the family entirely (see kPointCacheMaxLanes).
-    point_cache_ = lane_capacity <= kPointCacheMaxLanes &&
-                   !EvalCache::bypassed();
-    if (point_cache_) {
-        key_.reset(kTagPointCost);
-        key_.add((style.cache_key() << 2) |
-                 static_cast<std::uint64_t>(overlap_));
-        EvalCache::append_accel(key_, accel);
-        key_.add(dims.batch);
-        key_.add(dims.heads);
-        key_.add(dims.q_len);
-        key_.add(dims.kv_len);
-        key_.add(dims.head_dim);
-        key_.add(dims.kv_heads);
-        key_.add(dims.decode ? std::uint64_t{1} : std::uint64_t{0});
-        key_.add(static_cast<std::uint64_t>(base_.cross.granularity));
-        key_.add(base_.cross.rows);
-        key_.add(base_.cross.cols);
-        key_.add(base_.l2_logit.m);
-        key_.add(base_.l2_logit.k);
-        key_.add(base_.l2_logit.n);
-        key_.add(base_.l2_attend.m);
-        key_.add(base_.l2_attend.k);
-        key_.add(base_.l2_attend.n);
-        key_.add(static_cast<std::uint64_t>(base_.stat_logit));
-        key_.add(static_cast<std::uint64_t>(base_.stat_attend));
-        key_.add(static_cast<std::uint64_t>(
-            FusedStageFlags::encode(base_.stage)));
-        key_.mark();
-    }
 }
 
 void
 AttentionBatchEvaluator::add(const GemmSliceCost& logit,
-                             const GemmSliceCost& attend,
-                             LoopOrder order_logit,
-                             LoopOrder order_attend)
+                             const GemmSliceCost& attend)
 {
-    if (point_cache_) {
-        key_.rewind();
-        key_.add(static_cast<std::uint64_t>(order_logit));
-        key_.add(static_cast<std::uint64_t>(order_attend));
-        if (EvalCache::OpaquePayload hit =
-                EvalCache::instance().find(key_)) {
-            lane_hits_.push_back(
-                std::static_pointer_cast<const CachedPoint>(
-                    std::move(hit)));
-            lane_tb_.push_back(0); // unused for hit lanes
-            lane_orders_.push_back({0, 0});
-            return;
-        }
-    }
-
     AttentionEvalScratch& scratch = *scratch_;
     if (pending_begin_) {
         PlannedGemmCosts planned;
@@ -489,60 +246,24 @@ AttentionBatchEvaluator::add(const GemmSliceCost& logit,
                          phase.sfu_cycles, phase.link_latency_cycles,
                          phase.activity);
     }
-    lane_hits_.push_back(nullptr);
-    lane_tb_.push_back(static_cast<std::uint32_t>(lane));
-    lane_orders_.push_back({static_cast<std::uint32_t>(order_logit),
-                            static_cast<std::uint32_t>(order_attend)});
 }
 
 void
 AttentionBatchEvaluator::evaluate()
 {
-    if (batch_.lanes() == 0) {
-        return; // every lane was a point-cache hit
-    }
-    batch_.evaluate(*accel_);
-    if (!point_cache_) {
-        return;
-    }
-    // Publish the freshly computed points. A racing duplicate keeps
-    // the first entry; both are bit-identical by purity.
-    const AttentionPlan& plan = scratch_->memo->plan;
-    for (std::size_t i = 0; i < lane_hits_.size(); ++i) {
-        if (lane_hits_[i]) {
-            continue;
-        }
-        const TimelineBatch::LaneSummary& summary =
-            batch_.summary(lane_tb_[i]);
-        auto point = std::make_shared<CachedPoint>();
-        point->cycles = summary.cycles;
-        point->live_footprint_bytes = plan.footprint;
-        point->resident_fraction = plan.res.overall;
-        point->activity = summary.activity;
-        key_.rewind();
-        key_.add(static_cast<std::uint64_t>(lane_orders_[i][0]));
-        key_.add(static_cast<std::uint64_t>(lane_orders_[i][1]));
-        EvalCache::instance().insert(key_, std::move(point),
-                                     sizeof(CachedPoint));
+    if (batch_.lanes() > 0) {
+        batch_.evaluate(*accel_);
     }
 }
 
 OperatorCost
 AttentionBatchEvaluator::cost(std::size_t lane) const
 {
+    const TimelineBatch::LaneSummary& summary = batch_.summary(lane);
+    const AttentionPlan& plan = scratch_->memo->plan;
     OperatorCost cost;
     cost.name = style_->cost_name();
     cost.ideal_cycles = ideal_cycles_;
-    if (const CachedPoint* hit = lane_hits_[lane].get()) {
-        cost.cycles = hit->cycles;
-        cost.live_footprint_bytes = hit->live_footprint_bytes;
-        cost.resident_fraction = hit->resident_fraction;
-        cost.activity = hit->activity;
-        return cost;
-    }
-    const TimelineBatch::LaneSummary& summary =
-        batch_.summary(lane_tb_[lane]);
-    const AttentionPlan& plan = scratch_->memo->plan;
     cost.cycles = summary.cycles;
     cost.live_footprint_bytes = plan.footprint;
     cost.resident_fraction = plan.res.overall;

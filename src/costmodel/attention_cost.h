@@ -5,20 +5,17 @@
  * (Base / Base-X of Figure 7(b)), the spatially pipelined foil and the
  * column-blocked flash style — is a registered ExecutionStyle
  * (execution_style.h); the entry points here evaluate one style's
- * phase emission through the shared timeline engine. The style-named
- * functions are thin wrappers kept for the established call sites.
+ * phase emission through the shared timeline engine.
  */
 #ifndef FLAT_COSTMODEL_ATTENTION_COST_H
 #define FLAT_COSTMODEL_ATTENTION_COST_H
 
-#include <array>
 #include <memory>
 #include <vector>
 
 #include "arch/accel_config.h"
 #include "costmodel/attention_plan.h"
 #include "costmodel/cost_types.h"
-#include "costmodel/eval_cache.h"
 #include "costmodel/execution_style.h"
 #include "costmodel/gemm_engine.h"
 #include "costmodel/timeline.h"
@@ -38,60 +35,9 @@ OperatorCost model_attention(const ExecutionStyle& style,
                                  BaselineOverlap::kFull);
 
 /**
- * Models the fused L-A operator under FLAT.
- *
- * Both stages interleave on the PE array; softmax runs on the SFU
- * between them (critical path). Double-buffered prefetch overlaps with
- * the combined duration of both stages, so runtime is the max of total
- * compute (+softmax) and total transfer time — one shared overlap
- * window (§5.1 feature 2).
- */
-OperatorCost model_flat_attention(const AccelConfig& accel,
-                                  const AttentionDims& dims,
-                                  const FusedDataflow& dataflow);
-
-/**
- * Models the sequential baseline: within each cross-loop pass the whole
- * L slice completes, then softmax, then A. Each stage overlaps (per
- * @p overlap) its own transfers only, and R-granularity is rejected —
- * running L-A in R-row chunks is precisely the fusion that the
- * baseline lacks.
- *
- * With no staging flags set and M granularity this degenerates to the
- * plain Base dataflow (intermediate tensor round-trips through DRAM).
- */
-OperatorCost model_baseline_attention(
-    const AccelConfig& accel, const AttentionDims& dims,
-    const FusedDataflow& dataflow,
-    BaselineOverlap overlap = BaselineOverlap::kFull);
-
-/**
- * Models the (spatially) pipelined alternative that §5.1 argues
- * against: the PE array is split in half, one half computes L while
- * the other computes A on the previous slice. Compared to interleaved
- * execution it pays (i) per-slice fill/drain of two half-arrays,
- * (ii) a pipeline fill latency, and (iii) a single-stage prefetch
- * window per half (each half must fetch its next inputs within its own
- * stage duration, not across both stages). The ablation bench
- * quantifies the gap.
- */
-OperatorCost model_pipelined_attention(const AccelConfig& accel,
-                                       const AttentionDims& dims,
-                                       const FusedDataflow& dataflow);
-
-/**
- * Models the column-blocked flash style: online softmax streams C
- * key-columns per R-row chunk with the intermediate in the register
- * tier below SL (C-Gran cross loop required; see execution_style.h).
- */
-OperatorCost model_flash_attention(const AccelConfig& accel,
-                                   const AttentionDims& dims,
-                                   const FusedDataflow& dataflow);
-
-/**
- * Evaluated phase timelines of the execution styles. Each model above
- * is a pure phase emitter over one shared `AttentionPlan`; these entry
- * points expose the evaluated timeline itself (per-phase cycles,
+ * Evaluated phase timeline of one execution style. The model above is
+ * a pure phase emitter over one shared `AttentionPlan`; this entry
+ * point exposes the evaluated timeline itself (per-phase cycles,
  * per-group `bound_by`, the activity ledger). By construction
  *
  *   attention_timeline(style, ...).cycles ==
@@ -106,19 +52,6 @@ TimelineResult attention_timeline(const ExecutionStyle& style,
                                   const FusedDataflow& dataflow,
                                   BaselineOverlap overlap =
                                       BaselineOverlap::kFull);
-
-TimelineResult flat_attention_timeline(const AccelConfig& accel,
-                                       const AttentionDims& dims,
-                                       const FusedDataflow& dataflow);
-
-TimelineResult baseline_attention_timeline(
-    const AccelConfig& accel, const AttentionDims& dims,
-    const FusedDataflow& dataflow,
-    BaselineOverlap overlap = BaselineOverlap::kFull);
-
-TimelineResult pipelined_attention_timeline(const AccelConfig& accel,
-                                            const AttentionDims& dims,
-                                            const FusedDataflow& dataflow);
 
 /**
  * Un-evaluated phase list of one execution style plus the overlap
@@ -142,24 +75,11 @@ AttentionPhases attention_phases(const ExecutionStyle& style,
                                  BaselineOverlap overlap =
                                      BaselineOverlap::kFull);
 
-AttentionPhases flat_attention_phases(const AccelConfig& accel,
-                                      const AttentionDims& dims,
-                                      const FusedDataflow& dataflow);
-
-AttentionPhases baseline_attention_phases(
-    const AccelConfig& accel, const AttentionDims& dims,
-    const FusedDataflow& dataflow,
-    BaselineOverlap overlap = BaselineOverlap::kFull);
-
-AttentionPhases pipelined_attention_phases(const AccelConfig& accel,
-                                           const AttentionDims& dims,
-                                           const FusedDataflow& dataflow);
-
 /**
  * Reusable evaluation buffers for the DSE hot path (one instance per
- * worker). The scratch model overloads below emit phases into
+ * worker). The scratch model overload below emits phases into
  * `timeline.phases` in place (Phase label strings keep their capacity)
- * and evaluate with evaluate_timeline_into(), so after the first call
+ * and evaluates with evaluate_timeline_into(), so after the first call
  * the per-point evaluation performs zero heap allocations.
  *
  * The scratch also memoizes the loop-order-independent part of the
@@ -197,19 +117,6 @@ OperatorCost model_attention(const ExecutionStyle& style,
                              AttentionEvalScratch& scratch,
                              const PlannedGemmCosts& planned = {});
 
-OperatorCost model_flat_attention(const AccelConfig& accel,
-                                  const AttentionDims& dims,
-                                  const FusedDataflow& dataflow,
-                                  AttentionEvalScratch& scratch,
-                                  const PlannedGemmCosts& planned = {});
-
-OperatorCost model_baseline_attention(const AccelConfig& accel,
-                                      const AttentionDims& dims,
-                                      const FusedDataflow& dataflow,
-                                      BaselineOverlap overlap,
-                                      AttentionEvalScratch& scratch,
-                                      const PlannedGemmCosts& planned = {});
-
 /**
  * Batched DSE point evaluator: N candidates that share one plan base
  * (cross loop, L2 tiles, staging flags — everything but the SG loop
@@ -222,25 +129,6 @@ OperatorCost model_baseline_attention(const AccelConfig& accel,
  * evaluate_timeline_into()'s per-lane arithmetic — so cycles(),
  * activity() and cost() equal model_attention() bit for bit for every
  * lane, at any batch width.
- *
- * Point cache: every fully specified point (style, accel, dims,
- * plan-base block, loop-order pair) is also a pure function, so the
- * evaluator memoizes each lane's outcome in the process-wide
- * EvalCache. begin() packs the block's key prefix once; add() appends
- * the two order words and probes — a hit resolves the lane immediately
- * and never touches the batch, a miss fills a batch lane as usual and
- * evaluate() publishes the computed outcome. Repeated searches (figure
- * sweeps, scale-out inner loops, warm re-runs) thus skip phase
- * emission and timeline evaluation wholesale; served values are the
- * stored results of the same pure computation, so results stay
- * bit-identical cache on/off.
- *
- * The family engages only for narrow blocks (lane_capacity <=
- * kPointCacheMaxLanes) — the quick-search regime, where every point
- * pays the full plan + phase-emission cost. Wide blocks already
- * amortize that cost across their lanes, so caching them would buy
- * little while flooding the cache with one entry per point of a full
- * search space.
  *
  * Usage per block: begin() -> add() x N (at most `lane_capacity`) ->
  * evaluate() -> cycles()/activity() per lane, cost() for the winner ->
@@ -263,54 +151,28 @@ class AttentionBatchEvaluator
                std::size_t lane_capacity,
                AttentionEvalScratch& scratch);
 
-    /** Legacy style selector: @p fused picks flat, else baseline. */
-    void begin(const AccelConfig& accel, const AttentionDims& dims,
-               const FusedDataflow& base, bool fused,
-               BaselineOverlap baseline_overlap,
-               std::size_t lane_capacity,
-               AttentionEvalScratch& scratch);
-
-    std::size_t lanes() const { return lane_hits_.size(); }
-    bool full() const { return lane_hits_.size() >= lane_capacity_; }
+    std::size_t lanes() const { return batch_.lanes(); }
+    bool full() const { return batch_.lanes() >= lane_capacity_; }
 
     /**
      * Appends one candidate. @p logit / @p attend must be the
      * GemmSliceCost records of the lane's (tile, order, stationarity)
-     * choices — the same contract as PlannedGemmCosts — and
-     * @p order_logit / @p order_attend must be the loop orders those
-     * records were computed for (they key the lane's point-cache
-     * entry; the tiles and stationarities are part of the begin()
-     * block).
+     * choices — the same contract as PlannedGemmCosts.
      */
-    void add(const GemmSliceCost& logit, const GemmSliceCost& attend,
-             LoopOrder order_logit, LoopOrder order_attend);
+    void add(const GemmSliceCost& logit, const GemmSliceCost& attend);
 
-    /** Evaluates the batched (cache-miss) lanes and publishes their
-     *  outcomes to the point cache; hit lanes are already resolved. */
+    /** Evaluates every lane added since begin()/clear_lanes(). */
     void evaluate();
 
-    /** Widest begin() block the point cache engages for (see the
-     *  class comment). */
-    static constexpr std::size_t kPointCacheMaxLanes = 8;
-
-    void clear_lanes()
-    {
-        batch_.clear_lanes();
-        lane_hits_.clear();
-        lane_tb_.clear();
-        lane_orders_.clear();
-    }
+    void clear_lanes() { batch_.clear_lanes(); }
 
     double cycles(std::size_t lane) const
     {
-        const CachedPoint* hit = lane_hits_[lane].get();
-        return hit ? hit->cycles : batch_.summary(lane_tb_[lane]).cycles;
+        return batch_.summary(lane).cycles;
     }
     const ActivityCounts& activity(std::size_t lane) const
     {
-        const CachedPoint* hit = lane_hits_[lane].get();
-        return hit ? hit->activity
-                   : batch_.summary(lane_tb_[lane]).activity;
+        return batch_.summary(lane).activity;
     }
 
     /**
@@ -321,34 +183,16 @@ class AttentionBatchEvaluator
     OperatorCost cost(std::size_t lane) const;
 
   private:
-    /** Memoized outcome of one point — everything cost() reports that
-     *  is not derivable from the begin() block alone. */
-    struct CachedPoint {
-        double cycles = 0.0;
-        std::uint64_t live_footprint_bytes = 0;
-        double resident_fraction = 1.0;
-        ActivityCounts activity;
-    };
-
     TimelineBatch batch_;
     const AccelConfig* accel_ = nullptr;
     const AttentionDims* dims_ = nullptr;
     AttentionEvalScratch* scratch_ = nullptr;
     FusedDataflow base_;
     const ExecutionStyle* style_ = nullptr;
-    bool pending_begin_ = false; ///< first miss binds plan + structure
+    bool pending_begin_ = false; ///< first add() binds plan + structure
     std::size_t lane_capacity_ = 0;
     OverlapKind overlap_ = OverlapKind::kOverlapped;
     double ideal_cycles_ = 0.0;
-
-    /** Point-cache state. The per-lane vectors are parallel: a hit
-     *  lane holds its payload (and no batch lane); a miss lane holds
-     *  nullptr plus its TimelineBatch lane and key-suffix orders. */
-    bool point_cache_ = false; ///< per block: cache not bypassed
-    EvalCache::ProbeKey key_;  ///< block prefix + per-point suffix
-    std::vector<std::shared_ptr<const CachedPoint>> lane_hits_;
-    std::vector<std::uint32_t> lane_tb_;
-    std::vector<std::array<std::uint32_t, 2>> lane_orders_;
 };
 
 } // namespace flat

@@ -47,7 +47,6 @@ class FlatStyle : public ExecutionStyle
                "(M/B/H/R granularity)";
     }
     const char* cost_name() const override { return "L-A(FLAT)"; }
-    std::uint64_t cache_key() const override { return 1; }
     bool fused() const override { return true; }
 
     bool admits(const AccelConfig& accel, const AttentionDims& dims,
@@ -127,7 +126,6 @@ class BaselineStyle : public ExecutionStyle
                "M/B/H granularity)";
     }
     const char* cost_name() const override { return "L-A(Base)"; }
-    std::uint64_t cache_key() const override { return 0; }
     bool fused() const override { return false; }
 
     bool admits(const AccelConfig& accel, const AttentionDims& dims,
@@ -295,7 +293,6 @@ class PipelinedStyle : public ExecutionStyle
                "alternative FLAT argues against)";
     }
     const char* cost_name() const override { return "L-A(pipelined)"; }
-    std::uint64_t cache_key() const override { return 2; }
     bool fused() const override { return true; }
 
     bool admits(const AccelConfig& accel, const AttentionDims& dims,
@@ -427,7 +424,6 @@ class FlashStyle : public ExecutionStyle
                "(register-tier intermediate, C granularity)";
     }
     const char* cost_name() const override { return "L-A(flash)"; }
-    std::uint64_t cache_key() const override { return 3; }
     bool fused() const override { return true; }
 
     bool admits(const AccelConfig& accel, const AttentionDims& dims,

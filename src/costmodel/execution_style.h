@@ -24,7 +24,6 @@
 #ifndef FLAT_COSTMODEL_EXECUTION_STYLE_H
 #define FLAT_COSTMODEL_EXECUTION_STYLE_H
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,9 +60,6 @@ class ExecutionStyle
 
     /** OperatorCost::name of this style's reports ("L-A(FLAT)", ...). */
     virtual const char* cost_name() const = 0;
-
-    /** Stable small integer keying this style in the eval cache. */
-    virtual std::uint64_t cache_key() const = 0;
 
     /** True when the style interleaves L and A inside one shared
      *  overlap window (the historical fused/sequential search split). */

@@ -84,33 +84,6 @@ trace_attention(const ExecutionStyle& style, const AccelConfig& accel,
         std::move(name), dataflow.tag(), passes_of(dims, dataflow));
 }
 
-ExecutionTrace
-trace_flat_attention(const AccelConfig& accel, const AttentionDims& dims,
-                     const FusedDataflow& dataflow)
-{
-    return trace_attention(flat_execution_style(), accel, dims,
-                           dataflow);
-}
-
-ExecutionTrace
-trace_baseline_attention(const AccelConfig& accel,
-                         const AttentionDims& dims,
-                         const FusedDataflow& dataflow,
-                         BaselineOverlap overlap)
-{
-    return trace_attention(baseline_execution_style(), accel, dims,
-                           dataflow, overlap);
-}
-
-ExecutionTrace
-trace_pipelined_attention(const AccelConfig& accel,
-                          const AttentionDims& dims,
-                          const FusedDataflow& dataflow)
-{
-    return trace_attention(pipelined_execution_style(), accel, dims,
-                           dataflow);
-}
-
 std::string
 ExecutionTrace::render(std::size_t width) const
 {

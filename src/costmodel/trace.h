@@ -96,22 +96,6 @@ ExecutionTrace trace_attention(const ExecutionStyle& style,
                                BaselineOverlap overlap =
                                    BaselineOverlap::kFull);
 
-/** Builds the trace for the FLAT (interleaved) execution. */
-ExecutionTrace trace_flat_attention(const AccelConfig& accel,
-                                    const AttentionDims& dims,
-                                    const FusedDataflow& dataflow);
-
-/** Builds the trace for the sequential baseline execution. */
-ExecutionTrace trace_baseline_attention(
-    const AccelConfig& accel, const AttentionDims& dims,
-    const FusedDataflow& dataflow,
-    BaselineOverlap overlap = BaselineOverlap::kFull);
-
-/** Builds the trace for the spatially pipelined execution. */
-ExecutionTrace trace_pipelined_attention(const AccelConfig& accel,
-                                         const AttentionDims& dims,
-                                         const FusedDataflow& dataflow);
-
 } // namespace flat
 
 #endif // FLAT_COSTMODEL_TRACE_H

@@ -108,11 +108,11 @@ derive_slice_tiles(const AccelConfig& accel, const AttentionDims& dims,
     // (small GEMMs where a bigger staging tile buys no reuse), which
     // the bisection against bound_cycles resolves.
     choice.logit_index = bisect_min_index(tiles_l.size(), [&](std::size_t t) {
-        return tile_cycle_bound(*bound.logit_costs, t, n_orders);
+        return tile_cycle_bound(bound.logit_costs, t, n_orders);
     });
     choice.attend_index =
         bisect_min_index(tiles_a.size(), [&](std::size_t t) {
-            return tile_cycle_bound(*bound.attend_costs, t, n_orders);
+            return tile_cycle_bound(bound.attend_costs, t, n_orders);
         });
     choice.bisected = choice.logit_index + 1 != tiles_l.size() ||
                       choice.attend_index + 1 != tiles_a.size();
@@ -203,9 +203,9 @@ derive_slice_seed(const AccelConfig& accel, const AttentionDims& dims,
     seed.tiles = derive_slice_tiles(accel, dims, slice, bound,
                                     orders.size());
     seed.order_logit = orders[derive_order_index(
-        *bound.logit_costs, seed.tiles.logit_index, orders.size())];
+        bound.logit_costs, seed.tiles.logit_index, orders.size())];
     seed.order_attend = orders[derive_order_index(
-        *bound.attend_costs, seed.tiles.attend_index, orders.size())];
+        bound.attend_costs, seed.tiles.attend_index, orders.size())];
     seed.stage = derive_stage_flags(seed.tiles.fits);
     return seed;
 }
@@ -253,8 +253,8 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
     const std::vector<LoopOrder>& orders = space.orders;
     const std::size_t n_orders = orders.size();
     const std::size_t n_flags = space.flag_sets.size();
-    const std::vector<GemmSliceCost>& logit_costs = *bound.logit_costs;
-    const std::vector<GemmSliceCost>& attend_costs = *bound.attend_costs;
+    const std::vector<GemmSliceCost>& logit_costs = bound.logit_costs;
+    const std::vector<GemmSliceCost>& attend_costs = bound.attend_costs;
 
     // Worker-lifetime evaluation state, shared with the exhaustive
     // sweep's contract: persistent pool threads reach allocation-free
@@ -304,8 +304,7 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
                     scratch);
         for (const PointCoords& p : lane_coords) {
             batch.add(logit_costs[p.tl * n_orders + p.ol],
-                      attend_costs[p.ta * n_orders + p.oa],
-                      orders[p.ol], orders[p.oa]);
+                      attend_costs[p.ta * n_orders + p.oa]);
         }
         batch.evaluate();
         for (std::size_t i = 0; i < batch.lanes(); ++i) {
@@ -443,8 +442,8 @@ analytic_core(const AccelConfig& accel, const AttentionDims& dims,
     for (std::size_t si = 0; si < space.slices.size(); ++si) {
         const SliceBound& bound = bounds[si];
         double best_lb = std::numeric_limits<double>::infinity();
-        for (std::size_t li = 0; li < bound.logit_costs->size(); ++li) {
-            for (std::size_t ai = 0; ai < bound.attend_costs->size();
+        for (std::size_t li = 0; li < bound.logit_costs.size(); ++li) {
+            for (std::size_t ai = 0; ai < bound.attend_costs.size();
                  ++ai) {
                 best_lb = std::min(
                     best_lb,

@@ -1,14 +1,16 @@
 /**
  * @file
- * Joint DSE over a whole Transformer block chain: the QKV projections,
- * the fused L-A pipeline and the position-wise FCs of one block are
- * searched together, each layer keeping its own heterogeneous mapping
- * (cross loop, tiles, orders, staging) under a shared objective. The
- * cheap per-point cost of the analytic mapper (SearchMode::kAnalytic)
- * is what makes this practical — the block chain multiplies the
- * attention space by the projection/FC spaces — but every mode works.
+ * Per-layer DSE over a whole Transformer block: the QKV projections,
+ * the fused L-A pipeline and the position-wise FCs of one block. Layer
+ * costs are additive, so this is one independent search per layer —
+ * search_attention for the fused L-A layer, search_operator for each
+ * GEMM — with a memo that runs identical GEMM shapes once (Q/K/V/O
+ * share one search under MHA). Every SearchMode works; the analytic
+ * mapper (SearchMode::kAnalytic) makes the attention layer cheap.
  *
- * Exposed on the CLI as `flatsim --block [--search-mode analytic]`.
+ * This is the one block/model-scope decomposition: Simulator::run
+ * folds its layers into a ScopeReport, and `flatsim --block` renders
+ * them.
  */
 #ifndef FLAT_DSE_BLOCK_SEARCH_H
 #define FLAT_DSE_BLOCK_SEARCH_H
@@ -36,6 +38,7 @@ struct BlockSearchOptions {
 struct BlockLayerPlan {
     std::string name; ///< operator name ("Q", "FC1", ...; "L-A" fused)
     bool attention = false;
+    OpCategory category = OpCategory::kLogitAttend;
 
     /** Attention layer: the fused winner (style + dataflow). */
     DsePoint la;
@@ -43,10 +46,18 @@ struct BlockLayerPlan {
     /** GEMM layer: the single-operator winner. */
     OperatorDataflow dataflow;
 
+    /** The picked mapping's full cost (the L-A layer: la.cost). */
+    OperatorCost cost;
+
     double cycles = 0.0;
     double energy_j = 0.0;
     std::size_t evaluated = 0;
     std::size_t pruned = 0;
+
+    /** L-A layer under SearchMode::kAnalyticVerified: the analytic
+     *  pick's objective as a ratio of the exhaustive optimum. */
+    bool verified = false;
+    double verified_ratio = 1.0;
 
     /** The mapping was memoized from an earlier identical GEMM shape
      *  (Q/K/V share one search for MHA) — audit counters stay with the
@@ -54,7 +65,7 @@ struct BlockLayerPlan {
     bool reused = false;
 };
 
-/** Joint outcome over the chain. */
+/** Outcome over the chain. */
 struct BlockSearchResult {
     std::vector<BlockLayerPlan> layers; ///< execution order
 
@@ -69,10 +80,19 @@ struct BlockSearchResult {
 };
 
 /**
+ * The fused L-A layer of @p workload: search_attention over its
+ * attention dims under @p options.
+ */
+BlockLayerPlan search_attention_layer(const AccelConfig& accel,
+                                      const Workload& workload,
+                                      const AttentionSearchOptions& options);
+
+/**
  * Searches every layer of @p workload's block (attention via
- * search_attention under options.attention — including its SearchMode —
- * projections/FCs via search_operator, memoized across identical GEMM
- * shapes) and returns the per-layer winners plus chain totals.
+ * search_attention_layer under options.attention — including its
+ * SearchMode — projections/FCs via search_operator, memoized across
+ * identical GEMM shapes) and returns the per-layer winners plus chain
+ * totals in layer order.
  */
 BlockSearchResult search_block(const AccelConfig& accel,
                                const Workload& workload,

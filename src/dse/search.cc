@@ -17,7 +17,6 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "costmodel/eval_cache.h"
 #include "costmodel/gemm_engine.h"
 #include "dse/analytic_mapper.h"
 #include "dse/search_internal.h"
@@ -135,16 +134,10 @@ build_sliced_space(const AccelConfig& accel, const AttentionDims& dims,
         if (it == space.tile_menus.end()) {
             it = space.tile_menus
                      .emplace(key,
-                              EvalCache::instance().tile_menu(
-                                  accel, shape,
-                                  cand.tile_budget_fractions, stat,
-                                  [&] {
-                                      return tile_candidates(accel, shape,
-                                                             cand, stat);
-                                  }))
+                              tile_candidates(accel, shape, cand, stat))
                      .first;
         }
-        return it->second.get();
+        return &it->second;
     };
 
     for (const ExecutionStyle* style : styles) {
@@ -246,8 +239,12 @@ make_slice_bound(const AccelConfig& accel, const AttentionDims& dims,
                                static_cast<double>(dims.kv_len);
     const double q_bytes =
         bh * dims.q_len * dims.head_dim * bpe;
+    // Same K bytes as the plan's cold-start fetch: GQA shares one K/V
+    // head across a query group (kv_frac == 1.0 for MHA, bit for bit).
+    // Counting per query head would lift the bound above the modeled
+    // cycles and prune ties, or the optimum, depending on schedule.
     const double k_bytes =
-        bh * dims.kv_len * dims.head_dim * bpe;
+        bh * dims.kv_len * dims.head_dim * bpe * dims.kv_frac();
     const double softmax_cycles = inter_elems / accel.sfu_lanes;
     const double cold_start =
         (q_bytes + k_bytes) /
@@ -276,12 +273,24 @@ make_slice_bound(const AccelConfig& accel, const AttentionDims& dims,
         slice.style->inter_sg_round_trip_bytes(inter_elems * bpe);
     bound.sg_pj_per_byte = energy_table.sg_pj_per_byte;
 
-    bound.logit_costs = EvalCache::instance().gemm_costs(
-        accel, slice.logit_shape, *slice.tiles_logit, orders,
-        slice.stat_logit);
-    bound.attend_costs = EvalCache::instance().gemm_costs(
-        accel, slice.attend_shape, *slice.tiles_attend, orders,
-        slice.stat_attend);
+    const auto cost_table = [&](const GemmShape& shape,
+                                const std::vector<L2Tile>& tiles,
+                                Stationarity stationarity) {
+        std::vector<GemmSliceCost> table;
+        table.reserve(tiles.size() * orders.size());
+        for (const L2Tile& tile : tiles) {
+            for (const LoopOrder order : orders) {
+                table.push_back({model_gemm_compute(accel, shape, tile,
+                                                    order, stationarity),
+                                 stage_reuse(shape, tile, order)});
+            }
+        }
+        return table;
+    };
+    bound.logit_costs = cost_table(slice.logit_shape, *slice.tiles_logit,
+                                   slice.stat_logit);
+    bound.attend_costs = cost_table(
+        slice.attend_shape, *slice.tiles_attend, slice.stat_attend);
     return bound;
 }
 
@@ -559,8 +568,8 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
     const EnergyTable energy_table = EnergyTable::for_accel(accel);
     const SlicedSpace space = build_sliced_space(accel, dims, options);
 
-    // Per-slice pruning bounds, precomputed up front (each is one or
-    // two cache probes plus a handful of arithmetic; the grain batches
+    // Per-slice pruning bounds, precomputed up front (each is two small
+    // GEMM cost tables plus a handful of arithmetic; the grain batches
     // the tiny tasks so scheduling atomics do not dominate). Small
     // spaces — quick menus, policy-pinned searches, the per-point
     // searches of broad sweeps — compute them inline: waking the pool
@@ -589,8 +598,8 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
     for (std::size_t si = 0; si < space.slices.size(); ++si) {
         const SliceBound& bound = bounds[si];
         double best_lb = std::numeric_limits<double>::infinity();
-        for (std::size_t li = 0; li < bound.logit_costs->size(); ++li) {
-            for (std::size_t ai = 0; ai < bound.attend_costs->size();
+        for (std::size_t li = 0; li < bound.logit_costs.size(); ++li) {
+            for (std::size_t ai = 0; ai < bound.attend_costs.size();
                  ++ai) {
                 best_lb = std::min(
                     best_lb,
@@ -650,9 +659,9 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
             const SliceBound& bound = bounds[si];
             const std::size_t n_orders = space.orders.size();
             const std::vector<GemmSliceCost>& logit_costs =
-                *bound.logit_costs;
+                bound.logit_costs;
             const std::vector<GemmSliceCost>& attend_costs =
-                *bound.attend_costs;
+                bound.attend_costs;
             // Worker-lifetime evaluation state: the pool threads are
             // persistent, so scratch buffers, the batch evaluator and
             // the lane book-keeping all reach allocation-free steady
@@ -764,9 +773,7 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
                                     }
                                 }
                                 batch.add(logit_costs[li],
-                                          attend_costs[ai],
-                                          space.orders[ol],
-                                          space.orders[oa]);
+                                          attend_costs[ai]);
                                 lane_meta.push_back({ol, oa});
                                 if (batch.full()) {
                                     flush();
@@ -903,11 +910,8 @@ search_operator(const AccelConfig& accel, const Operator& op,
     }
 
     for (Stationarity stat : stats) {
-        const EvalCache::TileMenu tiles = EvalCache::instance().tile_menu(
-            accel, op.gemm, cand.tile_budget_fractions, stat, [&] {
-                return tile_candidates(accel, op.gemm, cand, stat);
-            });
-        for (const L2Tile& tile : *tiles) {
+        for (const L2Tile& tile :
+             tile_candidates(accel, op.gemm, cand, stat)) {
             if (options.cancel != nullptr) {
                 options.cancel->poll();
             }

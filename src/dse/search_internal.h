@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "costmodel/eval_cache.h"
 #include "dse/search.h"
 #include "energy/energy_model.h"
 
@@ -71,11 +70,11 @@ struct SlicedSpace {
     std::vector<FusedStageFlags> flag_sets;
     std::vector<SearchSlice> slices;
 
-    /** Keeps the process-wide cache's tile menus alive for the whole
-     *  search; keys are (m, k, n, stationarity). The shared_ptr targets
-     *  are immutable, so SearchSlice pointers into them stay valid. */
+    /** The tile menus, keyed by (m, k, n, stationarity). Map nodes
+     *  never move, so SearchSlice pointers into them stay valid for
+     *  the space's lifetime (moves included). */
     std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, int>,
-             EvalCache::TileMenu>
+             std::vector<L2Tile>>
         tile_menus;
 
     /** Design points of one slice: tiles x flags x orders^2. The
@@ -130,14 +129,13 @@ struct SliceBound {
     double inter_sg_bytes = 0.0;    ///< intermediate SG round trip
     double sg_pj_per_byte = 0.0;
 
-    /** Cost record per (tile, order), entry [t * n_orders + o], from
-     *  the process-wide evaluation cache (shared across slices, sweep
-     *  points and repeated searches). The phase emitters consume these
-     *  same records via PlannedGemmCosts, so each point's two
-     *  model_gemm_compute and two stage_reuse calls happen at most once
-     *  per process. */
-    EvalCache::GemmCostTable logit_costs;
-    EvalCache::GemmCostTable attend_costs;
+    /** Cost record per (tile, order), entry [t * n_orders + o]:
+     *  { model_gemm_compute, stage_reuse } of the slice's shape and
+     *  stationarity. The phase emitters consume these same records via
+     *  PlannedGemmCosts, so each point's two model_gemm_compute and two
+     *  stage_reuse calls happen once per slice. */
+    std::vector<GemmSliceCost> logit_costs;
+    std::vector<GemmSliceCost> attend_costs;
 
     /** Relative slack keeping the bound strictly below the modeled
      *  value even though the timeline evaluator may associate the same
@@ -148,8 +146,8 @@ struct SliceBound {
     double lower_bound(Objective objective, std::size_t li,
                        std::size_t ai) const
     {
-        const GemmComputeCost& lc = (*logit_costs)[li].compute;
-        const GemmComputeCost& ac = (*attend_costs)[ai].compute;
+        const GemmComputeCost& lc = logit_costs[li].compute;
+        const GemmComputeCost& ac = attend_costs[ai].compute;
         // Cold start rides in softmax_plus_cold (folded once, up
         // front) so the default style bound reproduces the historical
         // sum bit for bit; the cold argument is therefore zero.

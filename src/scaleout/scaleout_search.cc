@@ -65,16 +65,19 @@ search_scaleout(const AccelConfig& accel, const AttentionDims& dims,
         axes.push_back(opt.fabric.axis);
     }
 
+    // The scale-out model prices the FLAT style, so the inner search
+    // may only pick dataflows FLAT admits, whatever styles the caller
+    // searches on a single device.
     AttentionSearchOptions inner = opt.attention;
-    inner.fused = true; // the scale-out model executes the FLAT style
+    inner.fused = true;
+    inner.styles.clear();
 
     const EnergyTable table = EnergyTable::for_accel(accel);
 
     // Different (devices, axis) points often shard to the SAME
     // per-device dims (ceil_div plateaus, degenerate axes), and the
-    // level-1 search depends only on those dims — memoize it per call.
-    // The evaluation cache below it still shares the per-slice tables
-    // across distinct dims, but this skips whole searches.
+    // level-1 search depends only on those dims — memoize it per call
+    // to skip whole searches.
     std::map<std::array<std::uint64_t, 5>, AttentionSearchResult>
         inner_memo;
     const auto inner_search =

@@ -23,7 +23,8 @@ namespace flat {
 /** Search-space description for the scale-out DSE. */
 struct ScaleOutSearchOptions {
     /** Inner per-device dataflow search (objective, threads, prune,
-     *  quick, candidate menus). The fused FLAT space is searched. */
+     *  quick, candidate menus). The FLAT space is searched whatever
+     *  `styles` holds: the scale-out model prices the FLAT style. */
     AttentionSearchOptions attention;
 
     /** Fabric description. fabric.axis == kAuto sweeps all feasible

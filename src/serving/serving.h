@@ -2,8 +2,8 @@
  * @file
  * Request-level traffic simulator: serves a seeded arrival trace
  * through the continuous-batching scheduler, pricing every prefill and
- * decode step with the operator cost model (through the eval cache and
- * the batched SoA evaluator the DSE already uses), and reports
+ * decode step with the operator cost model (through the batched SoA
+ * evaluator the DSE already uses), and reports
  * p50/p95/p99 request latency and sustained tokens/s against an SLO.
  *
  * The event loop is strictly serial — the DSE inside each step-cost
@@ -84,8 +84,8 @@ struct ServeReport {
     std::uint64_t prefill_steps = 0;
     std::uint64_t decode_steps = 0;
 
-    /** Step-cost lookups vs. memo/journal hits (the SoA evaluator and
-     *  eval cache sit below the misses). */
+    /** Step-cost lookups vs. memo/journal hits (the SoA evaluator
+     *  sits below the misses). */
     std::uint64_t cost_lookups = 0;
     std::uint64_t cost_memo_hits = 0;
     std::uint64_t cost_journal_hits = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/status.h"
 #include "workload/model_config.h"
 
@@ -14,6 +17,77 @@ quick()
     SimOptions options;
     options.quick = true;
     return options;
+}
+
+/**
+ * Category sums of an independent L-A search plus one search_operator
+ * per projection/FC GEMM, in op order and scaled to @p scope — the
+ * arithmetic Simulator::run must reproduce bit for bit.
+ */
+CategoryBreakdown
+independent_breakdown(const AccelConfig& accel, const Workload& w,
+                      Scope scope, const AttentionSearchOptions& la_options,
+                      const OperatorSearchOptions& op_options)
+{
+    CategoryBreakdown b;
+    const AttentionSearchResult la = search_attention(
+        accel, AttentionDims::from_workload(w), la_options);
+    b.la_cycles = la.best.cost.cycles;
+    b.la_ideal = la.best.cost.ideal_cycles;
+    b.la_energy_j = la.best.energy_j;
+    for (const Operator& op : w.ops) {
+        if (op.kind != OpKind::kGemm ||
+            op.category == OpCategory::kLogitAttend) {
+            continue;
+        }
+        const OperatorSearchResult res =
+            search_operator(accel, op, op_options);
+        if (op.category == OpCategory::kProjection) {
+            b.proj_cycles += res.cost.cycles;
+            b.proj_ideal += res.cost.ideal_cycles;
+            b.proj_energy_j += res.energy_j;
+        } else {
+            b.fc_cycles += res.cost.cycles;
+            b.fc_ideal += res.cost.ideal_cycles;
+            b.fc_energy_j += res.energy_j;
+        }
+    }
+    const double mult = static_cast<double>(w.scope_multiplier(scope));
+    for (double* field :
+         {&b.la_cycles, &b.la_ideal, &b.la_energy_j, &b.proj_cycles,
+          &b.proj_ideal, &b.proj_energy_j, &b.fc_cycles, &b.fc_ideal,
+          &b.fc_energy_j}) {
+        *field *= mult;
+    }
+    return b;
+}
+
+void
+expect_same_breakdown(const ScopeReport& report,
+                      const CategoryBreakdown& want)
+{
+    const CategoryBreakdown& got = report.breakdown;
+    EXPECT_EQ(got.la_cycles, want.la_cycles);
+    EXPECT_EQ(got.la_ideal, want.la_ideal);
+    EXPECT_EQ(got.la_energy_j, want.la_energy_j);
+    EXPECT_EQ(got.proj_cycles, want.proj_cycles);
+    EXPECT_EQ(got.proj_ideal, want.proj_ideal);
+    EXPECT_EQ(got.proj_energy_j, want.proj_energy_j);
+    EXPECT_EQ(got.fc_cycles, want.fc_cycles);
+    EXPECT_EQ(got.fc_ideal, want.fc_ideal);
+    EXPECT_EQ(got.fc_energy_j, want.fc_energy_j);
+    EXPECT_EQ(report.cycles,
+              want.la_cycles + want.proj_cycles + want.fc_cycles);
+    EXPECT_EQ(report.energy_j,
+              want.la_energy_j + want.proj_energy_j + want.fc_energy_j);
+}
+
+/** The MHA and GQA workloads the decomposition tests cover. */
+std::vector<Workload>
+mha_and_gqa_workloads()
+{
+    return {make_workload(bert_base(), 8, 512),
+            make_workload(mistral(), 2, 512)};
 }
 
 TEST(Simulator, ScopeReportConsistency)
@@ -118,11 +192,13 @@ TEST(Simulator, AttentionPolicyEvaluation)
 {
     const Simulator sim(edge_accel());
     const Workload w = make_workload(bert_base(), 64, 1024);
-    const AttentionSearchResult res = sim.attention(
-        w, DataflowPolicy::parse("flat-r64"), quick());
-    EXPECT_TRUE(res.found);
-    EXPECT_EQ(res.best.dataflow.cross.granularity, Granularity::kRow);
-    EXPECT_EQ(res.best.dataflow.cross.rows, 64u);
+    const ScopeReport report = sim.run(
+        w, Scope::kLogitAttend, DataflowPolicy::parse("flat-r64"), quick());
+    const DsePoint& winner = report.la_winner;
+    EXPECT_EQ(winner.style, &flat_execution_style());
+    EXPECT_EQ(winner.dataflow.cross.granularity, Granularity::kRow);
+    EXPECT_EQ(winner.dataflow.cross.rows, 64u);
+    EXPECT_EQ(winner.cost.cycles, report.breakdown.la_cycles);
 }
 
 TEST(Simulator, PolicyOptionsForFixedPoliciesPinTheSpace)
@@ -157,6 +233,78 @@ TEST(Simulator, SpecOptionsForAttaccRArePinnedCrossAlwaysStaged)
     const AttentionSearchOptions full = attention_options(
         AcceleratorSpec::parse("attacc"), quick());
     EXPECT_FALSE(full.fixed_flags.has_value());
+}
+
+TEST(Simulator, BlockAndModelScopeEqualIndependentSearches)
+{
+    const Simulator sim(edge_accel());
+    const DataflowPolicy policy = DataflowPolicy::parse("flat-opt");
+    OperatorSearchOptions op_options;
+    op_options.quick = true;
+    for (const Workload& w : mha_and_gqa_workloads()) {
+        SCOPED_TRACE(w.model.name);
+        for (const Scope scope : {Scope::kBlock, Scope::kModel}) {
+            SCOPED_TRACE(to_string(scope));
+            const ScopeReport report = sim.run(w, scope, policy, quick());
+            expect_same_breakdown(
+                report,
+                independent_breakdown(sim.accel(), w, scope,
+                                      attention_options(policy, quick()),
+                                      op_options));
+        }
+    }
+}
+
+TEST(Simulator, BaseAccelDecompositionEqualsIndependentSearches)
+{
+    // The non-flexible spec pins every GEMM to the fixed-policy menus
+    // and has no L3 staging.
+    const Simulator sim(edge_accel());
+    const AcceleratorSpec spec = AcceleratorSpec::parse("baseaccel");
+    OperatorSearchOptions op_options;
+    op_options.quick = true;
+    op_options.allow_l3 = false;
+    op_options.candidates = fixed_policy_candidates();
+    for (const Workload& w : mha_and_gqa_workloads()) {
+        SCOPED_TRACE(w.model.name);
+        for (const Scope scope : {Scope::kBlock, Scope::kModel}) {
+            SCOPED_TRACE(to_string(scope));
+            const ScopeReport report = sim.run(w, scope, spec, quick());
+            expect_same_breakdown(
+                report,
+                independent_breakdown(sim.accel(), w, scope,
+                                      attention_options(spec, quick()),
+                                      op_options));
+        }
+    }
+}
+
+TEST(Simulator, IdenticalGemmShapesShareOneSearch)
+{
+    // MHA: K, V and O repeat Q's shape. GQA shrinks K/V below Q, so
+    // only V (K's twin) and O (Q's twin) are reused.
+    const Simulator sim(edge_accel());
+    const std::vector<std::vector<std::string>> reused = {{"K", "V", "O"},
+                                                          {"V", "O"}};
+    const std::vector<Workload> workloads = mha_and_gqa_workloads();
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        SCOPED_TRACE(workloads[i].model.name);
+        const ScopeReport report =
+            sim.run(workloads[i], Scope::kBlock,
+                    DataflowPolicy::parse("flat-opt"), quick());
+        std::vector<std::string> names;
+        std::vector<std::string> got;
+        for (const BlockLayerPlan& layer : report.block.layers) {
+            names.push_back(layer.name);
+            if (layer.reused) {
+                got.push_back(layer.name);
+                EXPECT_EQ(layer.evaluated, 0u) << layer.name;
+            }
+        }
+        EXPECT_EQ(names, (std::vector<std::string>{"Q", "K", "V", "L-A",
+                                                   "O", "FC1", "FC2"}));
+        EXPECT_EQ(got, reused[i]);
+    }
 }
 
 TEST(Simulator, RejectsInvalidAccel)

@@ -2,9 +2,8 @@
  * @file
  * Long-run robustness of the sweep engine: journaled checkpoint /
  * resume determinism (threads 1 vs 8, prune on/off, complete and
- * interrupted journals), graceful cancellation drain (exit 5), the
- * preemptive per-point deadline, and transparent transient retries
- * with deterministic attempt counts.
+ * interrupted journals), graceful cancellation drain (exit 5) and the
+ * preemptive per-point deadline.
  */
 #include "core/sweep.h"
 
@@ -205,7 +204,6 @@ TEST_F(SweepResume, PreCancelledSweepDrainsWithExitFive)
     EXPECT_EQ(report.exit_code(), 5);
     for (const SweepPointResult& r : report.results) {
         EXPECT_TRUE(r.cancelled);
-        EXPECT_EQ(r.attempts, 0u);
     }
     JsonWriter json;
     report.write_json(json);
@@ -234,60 +232,11 @@ TEST_F(SweepResume, PreemptiveDeadlineStopsAStuckPointEarly)
     EXPECT_EQ(report.exit_code(), 4);
 }
 
-TEST_F(SweepResume, TransientRetriesSucceedWithDeterministicAttempts)
-{
-    for (const unsigned threads : {1u, 4u}) {
-        SCOPED_TRACE(std::to_string(threads) + " threads");
-        FaultSpec transient;
-        transient.action = FaultAction::kTransient;
-        transient.seed = 1;
-        transient.count = 2;
-        arm_fault("sweep.point", transient); // re-arm resets attempts
-
-        SweepOptions options;
-        options.threads = threads;
-        options.retries = 2;
-        const SweepReport report = run_sweep(small_spec(), options);
-        EXPECT_EQ(report.completed(), 16u);
-        EXPECT_EQ(report.exit_code(), 0);
-        EXPECT_EQ(report.retried_points(), 1u);
-        EXPECT_EQ(report.extra_attempts(), 2u);
-        for (const SweepPointResult& r : report.results) {
-            EXPECT_EQ(r.attempts, r.point.index == 1 ? 3u : 1u);
-            if (r.point.index == 1) {
-                // The failed attempts leave warning diagnostics.
-                EXPECT_EQ(r.warnings.size(), 2u);
-            }
-        }
-    }
-}
-
-TEST_F(SweepResume, ExhaustedRetriesFailWithATransientDiagnostic)
-{
-    FaultSpec transient;
-    transient.action = FaultAction::kTransient;
-    transient.seed = 3;
-    transient.count = 5;
-    arm_fault("sweep.point", transient);
-
-    SweepOptions options;
-    options.threads = 2;
-    options.retries = 1;
-    const SweepReport report = run_sweep(small_spec(), options);
-    EXPECT_EQ(report.completed(), 15u);
-    EXPECT_EQ(report.failed(), 1u);
-    EXPECT_EQ(report.exit_code(), 4);
-    const SweepPointResult& failed = report.results[3];
-    EXPECT_FALSE(failed.ok);
-    EXPECT_EQ(failed.diag.kind, DiagKind::kTransient);
-    EXPECT_EQ(failed.attempts, 2u);
-}
-
 TEST_F(SweepResume, FailedPointsAreJournaledAndNotReattempted)
 {
     const SweepSpec spec = small_spec();
     {
-        FaultSpec poison; // deterministic (non-transient) failure
+        FaultSpec poison; // deterministic failure
         poison.seed = 5;
         arm_fault("sweep.point", poison);
         auto journal = RunJournal::create(

@@ -10,6 +10,10 @@
 namespace flat {
 namespace {
 
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+const ExecutionStyle& kPipelined = pipelined_execution_style();
+
 AttentionDims
 dims(std::uint64_t b, std::uint64_t h, std::uint64_t n, std::uint64_t dk)
 {
@@ -54,7 +58,7 @@ TEST(AttentionCost, FlatStagedIntermediateNeverTouchesDram)
     accel.sg_bytes = 16 * kMiB; // roomy: footprint fits
     const AttentionDims d = dims(4, 4, 1024, 64);
     const FusedDataflow df = make_dataflow(Granularity::kRow, 64);
-    const OperatorCost cost = model_flat_attention(accel, d, df);
+    const OperatorCost cost = model_attention(kFlat, accel, d, df);
     ASSERT_DOUBLE_EQ(cost.resident_fraction, 1.0);
     // DRAM traffic is exactly Q + K + V in and output out.
     const double io_bytes =
@@ -70,7 +74,7 @@ TEST(AttentionCost, BaselineMovesIntermediateFourTimes)
     FusedDataflow df = make_dataflow(Granularity::kMulti, 0);
     df.stage = FusedStageFlags::decode(0);
     const OperatorCost cost =
-        model_baseline_attention(edge_accel(), d, df);
+        model_attention(kBaseline, edge_accel(), d, df);
     const double inter_bytes =
         static_cast<double>(d.batch) * d.heads * d.q_len * d.kv_len * 2.0;
     EXPECT_GE(cost.activity.traffic.total_dram(), 4.0 * inter_bytes);
@@ -83,9 +87,9 @@ TEST(AttentionCost, FlatBeatsBaselineWhenBufferLimited)
     const FusedDataflow flat_df = make_dataflow(Granularity::kRow, 64);
     const FusedDataflow base_df = make_dataflow(Granularity::kHead, 0);
     const OperatorCost flat_cost =
-        model_flat_attention(accel, d, flat_df);
+        model_attention(kFlat, accel, d, flat_df);
     const OperatorCost base_cost =
-        model_baseline_attention(accel, d, base_df);
+        model_attention(kBaseline, accel, d, base_df);
     EXPECT_LT(flat_cost.cycles, base_cost.cycles);
 }
 
@@ -93,19 +97,19 @@ TEST(AttentionCost, BaselineRejectsRowGranularity)
 {
     const AttentionDims d = dims(4, 4, 512, 64);
     const FusedDataflow df = make_dataflow(Granularity::kRow, 64);
-    EXPECT_THROW(model_baseline_attention(edge_accel(), d, df), Error);
+    EXPECT_THROW(model_attention(kBaseline, edge_accel(), d, df), Error);
 }
 
 TEST(AttentionCost, UtilBounded)
 {
     for (Granularity g : {Granularity::kMulti, Granularity::kBatch,
                           Granularity::kHead}) {
-        const OperatorCost flat_cost = model_flat_attention(
-            edge_accel(), dims(8, 8, 2048, 64), make_dataflow(g, 0));
+        const OperatorCost flat_cost = model_attention(
+            kFlat, edge_accel(), dims(8, 8, 2048, 64), make_dataflow(g, 0));
         EXPECT_GT(flat_cost.util(), 0.0);
         EXPECT_LE(flat_cost.util(), 1.0);
-        const OperatorCost base_cost = model_baseline_attention(
-            edge_accel(), dims(8, 8, 2048, 64), make_dataflow(g, 0));
+        const OperatorCost base_cost = model_attention(
+            kBaseline, edge_accel(), dims(8, 8, 2048, 64), make_dataflow(g, 0));
         EXPECT_GT(base_cost.util(), 0.0);
         EXPECT_LE(base_cost.util(), 1.0);
     }
@@ -119,9 +123,9 @@ TEST(AttentionCost, InterleavingNeverSlowerThanSequential)
         const AttentionDims d = dims(16, 8, n, 64);
         const FusedDataflow df = make_dataflow(Granularity::kHead, 0);
         const double fused =
-            model_flat_attention(edge_accel(), d, df).cycles;
+            model_attention(kFlat, edge_accel(), d, df).cycles;
         const double sequential =
-            model_baseline_attention(edge_accel(), d, df).cycles;
+            model_attention(kBaseline, edge_accel(), d, df).cycles;
         EXPECT_LE(fused, sequential * 1.0001) << "N=" << n;
     }
 }
@@ -130,9 +134,9 @@ TEST(AttentionCost, RGranFootprintLinearInN)
 {
     const FusedDataflow df = make_dataflow(Granularity::kRow, 64);
     const OperatorCost c1 =
-        model_flat_attention(edge_accel(), dims(1, 1, 8192, 64), df);
+        model_attention(kFlat, edge_accel(), dims(1, 1, 8192, 64), df);
     const OperatorCost c2 =
-        model_flat_attention(edge_accel(), dims(1, 1, 16384, 64), df);
+        model_attention(kFlat, edge_accel(), dims(1, 1, 16384, 64), df);
     EXPECT_LT(static_cast<double>(c2.live_footprint_bytes),
               3.0 * static_cast<double>(c1.live_footprint_bytes));
 }
@@ -146,12 +150,12 @@ TEST(AttentionCost, LongSequenceKeepsFlatUtilHigh)
     AccelConfig accel = edge_accel();
     accel.sg_bytes = 64 * kMiB;
     const AttentionDims d = dims(64, 12, 65536, 64);
-    const OperatorCost flat_cost = model_flat_attention(
-        accel, d, make_dataflow(Granularity::kRow, 64));
+    const OperatorCost flat_cost = model_attention(
+        kFlat, accel, d, make_dataflow(Granularity::kRow, 64));
     FusedDataflow base_df = make_dataflow(Granularity::kMulti, 0);
     base_df.stage = FusedStageFlags::decode(0);
     const OperatorCost base_cost =
-        model_baseline_attention(accel, d, base_df);
+        model_attention(kBaseline, accel, d, base_df);
     EXPECT_GT(flat_cost.util(), 0.9);
     EXPECT_LT(base_cost.util(), 0.7);
     EXPECT_GT(flat_cost.util() / base_cost.util(), 1.4);
@@ -163,8 +167,8 @@ TEST(AttentionCost, TinyBufferNeutralizesFlatAtLongSequence)
     // plus the K/V working set dwarfs the SG, FLAT degrades toward the
     // baseline instead of magically staying compute-bound.
     const AttentionDims d = dims(64, 12, 65536, 64);
-    const OperatorCost flat_cost = model_flat_attention(
-        edge_accel(), d, make_dataflow(Granularity::kRow, 64));
+    const OperatorCost flat_cost = model_attention(
+        kFlat, edge_accel(), d, make_dataflow(Granularity::kRow, 64));
     EXPECT_LT(flat_cost.util(), 0.7);
     EXPECT_LT(flat_cost.resident_fraction, 0.1);
 }
@@ -175,7 +179,7 @@ TEST(PipelinedAttention, KeepsIntermediateOnChipLikeInterleaved)
     accel.sg_bytes = 16 * kMiB;
     const AttentionDims d = dims(4, 4, 1024, 64);
     const FusedDataflow df = make_dataflow(Granularity::kRow, 64);
-    const OperatorCost pipe = model_pipelined_attention(accel, d, df);
+    const OperatorCost pipe = model_attention(kPipelined, accel, d, df);
     const double io_bytes =
         4.0 * d.batch * d.heads * d.q_len * d.head_dim * 2.0;
     EXPECT_DOUBLE_EQ(pipe.activity.traffic.total_dram(), io_bytes);
@@ -205,8 +209,8 @@ TEST(PipelinedAttention, InterleavedAtLeastAsGoodWhenImbalanced)
     df.l2_attend = default_l2_tile(cloud, attend_shape,
                                    cloud.sg_bytes / 4,
                                    Stationarity::kOutputStationary);
-    const OperatorCost inter = model_flat_attention(cloud, d, df);
-    const OperatorCost pipe = model_pipelined_attention(cloud, d, df);
+    const OperatorCost inter = model_attention(kFlat, cloud, d, df);
+    const OperatorCost pipe = model_attention(kPipelined, cloud, d, df);
     EXPECT_LT(inter.cycles, pipe.cycles);
 }
 
@@ -215,11 +219,11 @@ TEST(PipelinedAttention, NearTieWhenPerfectlyBalanced)
     // Balanced stages on the edge array: the two styles agree within a
     // few percent; the decisive §5.1 arguments (area, non-fused ops)
     // are outside this model.
-    const OperatorCost inter = model_flat_attention(
-        edge_accel(), dims(8, 8, 2048, 64),
+    const OperatorCost inter = model_attention(
+        kFlat, edge_accel(), dims(8, 8, 2048, 64),
         make_dataflow(Granularity::kHead, 0));
-    const OperatorCost pipe = model_pipelined_attention(
-        edge_accel(), dims(8, 8, 2048, 64),
+    const OperatorCost pipe = model_attention(
+        kPipelined, edge_accel(), dims(8, 8, 2048, 64),
         make_dataflow(Granularity::kHead, 0));
     EXPECT_NEAR(inter.cycles / pipe.cycles, 1.0, 0.05);
 }
@@ -228,8 +232,8 @@ TEST(PipelinedAttention, RejectsUnsplittableArray)
 {
     AccelConfig accel = edge_accel();
     accel.pe_rows = 1;
-    EXPECT_THROW(model_pipelined_attention(
-                     accel, dims(1, 1, 128, 64),
+    EXPECT_THROW(model_attention(
+                     kPipelined, accel, dims(1, 1, 128, 64),
                      make_dataflow(Granularity::kHead, 0)),
                  Error);
 }
@@ -249,11 +253,11 @@ TEST_P(BandwidthMonotonicity, MoreBwNeverSlower)
     fast.offchip_bw *= 2;
 
     const bool can_baseline = GetParam() != Granularity::kRow;
-    EXPECT_LE(model_flat_attention(fast, d, df).cycles,
-              model_flat_attention(slow, d, df).cycles);
+    EXPECT_LE(model_attention(kFlat, fast, d, df).cycles,
+              model_attention(kFlat, slow, d, df).cycles);
     if (can_baseline) {
-        EXPECT_LE(model_baseline_attention(fast, d, df).cycles,
-                  model_baseline_attention(slow, d, df).cycles);
+        EXPECT_LE(model_attention(kBaseline, fast, d, df).cycles,
+                  model_attention(kBaseline, slow, d, df).cycles);
     }
 }
 

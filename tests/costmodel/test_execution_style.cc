@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 
 #include "costmodel/attention_cost.h"
 #include "dataflow/granularity.h"
@@ -20,6 +19,10 @@
 
 namespace flat {
 namespace {
+
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+const ExecutionStyle& kPipelined = pipelined_execution_style();
 
 AttentionDims
 self_attention(std::uint64_t n)
@@ -78,15 +81,6 @@ TEST(ExecutionStyleRegistry, DefaultStyleFollowsTheHistoricalFusedFlag)
     EXPECT_FALSE(baseline_execution_style().fused());
     EXPECT_TRUE(pipelined_execution_style().fused());
     EXPECT_TRUE(flash_execution_style().fused());
-}
-
-TEST(ExecutionStyleRegistry, CacheKeysAreDistinct)
-{
-    std::set<std::uint64_t> keys;
-    for (const ExecutionStyle* style : execution_styles()) {
-        EXPECT_TRUE(keys.insert(style->cache_key()).second)
-            << "duplicate cache key for " << style->id();
-    }
 }
 
 TEST(ExecutionStyleAdmits, GranularityContractPerStyle)
@@ -223,21 +217,25 @@ TEST(ExecutionStyleSeam, ModelEqualsTimelineForEveryStyle)
 
 TEST(ExecutionStyleSeam, GenericEntryPointsMatchTheLegacyOnes)
 {
+    // The style-named wrappers are gone; what they reached — the plain
+    // entry point and the scratch-reusing hot path — must still agree
+    // bit for bit, with one scratch shared across styles.
     const AccelConfig accel = edge_accel();
     const AttentionDims dims = self_attention(1024);
+    AttentionEvalScratch scratch;
 
     AttentionSearchOptions fused_opt;
     fused_opt.quick = true;
     const FusedDataflow flat_df =
         search_attention(accel, dims, fused_opt).best.dataflow;
-    EXPECT_EQ(model_attention(flat_execution_style(), accel, dims,
-                              flat_df)
-                  .cycles,
-              model_flat_attention(accel, dims, flat_df).cycles);
-    EXPECT_EQ(model_attention(pipelined_execution_style(), accel, dims,
-                              flat_df)
-                  .cycles,
-              model_pipelined_attention(accel, dims, flat_df).cycles);
+    EXPECT_EQ(model_attention(kFlat, accel, dims, flat_df).cycles,
+              model_attention(kFlat, accel, dims, flat_df,
+                              BaselineOverlap::kFull, scratch)
+                  .cycles);
+    EXPECT_EQ(model_attention(kPipelined, accel, dims, flat_df).cycles,
+              model_attention(kPipelined, accel, dims, flat_df,
+                              BaselineOverlap::kFull, scratch)
+                  .cycles);
 
     AttentionSearchOptions seq_opt;
     seq_opt.quick = true;
@@ -246,11 +244,12 @@ TEST(ExecutionStyleSeam, GenericEntryPointsMatchTheLegacyOnes)
         search_attention(accel, dims, seq_opt).best.dataflow;
     for (const BaselineOverlap overlap :
          {BaselineOverlap::kFull, BaselineOverlap::kSerialized}) {
-        EXPECT_EQ(model_attention(baseline_execution_style(), accel,
-                                  dims, base_df, overlap)
-                      .cycles,
-                  model_baseline_attention(accel, dims, base_df, overlap)
-                      .cycles);
+        EXPECT_EQ(
+            model_attention(kBaseline, accel, dims, base_df, overlap)
+                .cycles,
+            model_attention(kBaseline, accel, dims, base_df, overlap,
+                            scratch)
+                .cycles);
     }
 }
 

@@ -13,6 +13,9 @@
 namespace flat {
 namespace {
 
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+
 AttentionDims
 dims(std::uint64_t n)
 {
@@ -58,7 +61,7 @@ TEST(Hierarchy, ValidateRequiresBandwidthWithCapacity)
 TEST(Hierarchy, AbsentSg2ProducesNoSg2Traffic)
 {
     const OperatorCost cost =
-        model_flat_attention(edge_accel(), dims(65536), flat_r(64));
+        model_attention(kFlat, edge_accel(), dims(65536), flat_r(64));
     EXPECT_DOUBLE_EQ(cost.activity.traffic.total_sg2(), 0.0);
 }
 
@@ -69,17 +72,17 @@ TEST(Hierarchy, OverflowRecoversUtilizationAtLongSequence)
     const AttentionDims d = dims(65536);
     const FusedDataflow df = flat_r(64);
     const double without =
-        model_flat_attention(edge_accel(), d, df).util();
+        model_attention(kFlat, edge_accel(), d, df).util();
     const double with_edram =
-        model_flat_attention(edge_with_edram(64 * kMiB), d, df).util();
+        model_attention(kFlat, edge_with_edram(64 * kMiB), d, df).util();
     EXPECT_GT(with_edram, without + 0.15);
     EXPECT_GT(with_edram, 0.8);
 }
 
 TEST(Hierarchy, Sg2TrafficAppearsWhenOverflowing)
 {
-    const OperatorCost cost = model_flat_attention(
-        edge_with_edram(64 * kMiB), dims(65536), flat_r(64));
+    const OperatorCost cost = model_attention(
+        kFlat, edge_with_edram(64 * kMiB), dims(65536), flat_r(64));
     EXPECT_GT(cost.activity.traffic.total_sg2(), 0.0);
     // And the DRAM traffic drops to roughly the compulsory I/O.
     const double io =
@@ -90,9 +93,9 @@ TEST(Hierarchy, Sg2TrafficAppearsWhenOverflowing)
 TEST(Hierarchy, ResidentFractionCountsBothLevels)
 {
     const OperatorCost without =
-        model_flat_attention(edge_accel(), dims(65536), flat_r(64));
-    const OperatorCost with_edram = model_flat_attention(
-        edge_with_edram(64 * kMiB), dims(65536), flat_r(64));
+        model_attention(kFlat, edge_accel(), dims(65536), flat_r(64));
+    const OperatorCost with_edram = model_attention(
+        kFlat, edge_with_edram(64 * kMiB), dims(65536), flat_r(64));
     EXPECT_GT(with_edram.resident_fraction,
               without.resident_fraction + 0.5);
 }
@@ -101,10 +104,10 @@ TEST(Hierarchy, MoreSg2NeverSlower)
 {
     const AttentionDims d = dims(16384);
     const FusedDataflow df = flat_r(64);
-    double prev = model_flat_attention(edge_accel(), d, df).cycles;
+    double prev = model_attention(kFlat, edge_accel(), d, df).cycles;
     for (std::uint64_t sg2 : {4 * kMiB, 16 * kMiB, 64 * kMiB}) {
         const double cycles =
-            model_flat_attention(edge_with_edram(sg2), d, df).cycles;
+            model_attention(kFlat, edge_with_edram(sg2), d, df).cycles;
         EXPECT_LE(cycles, prev * 1.0001) << format_bytes(sg2);
         prev = cycles;
     }
@@ -121,16 +124,16 @@ TEST(Hierarchy, BaselineBenefitsLessThanFlat)
     base_df.cross = {Granularity::kMulti, 0};
     base_df.stage = FusedStageFlags::decode(0);
     const double base_util =
-        model_baseline_attention(accel, d, base_df).util();
+        model_attention(kBaseline, accel, d, base_df).util();
     const double flat_util =
-        model_flat_attention(accel, d, flat_r(64)).util();
+        model_attention(kFlat, accel, d, flat_r(64)).util();
     EXPECT_GT(flat_util, base_util + 0.2);
 }
 
 TEST(Hierarchy, Sg2EnergyBetweenSgAndDram)
 {
-    const OperatorCost cost = model_flat_attention(
-        edge_with_edram(64 * kMiB), dims(65536), flat_r(64));
+    const OperatorCost cost = model_attention(
+        kFlat, edge_with_edram(64 * kMiB), dims(65536), flat_r(64));
     const EnergyBreakdown e =
         estimate_energy(EnergyTable{}, cost.activity);
     EXPECT_GT(e.sg2_j, 0.0);

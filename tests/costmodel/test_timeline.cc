@@ -15,6 +15,10 @@
 namespace flat {
 namespace {
 
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+const ExecutionStyle& kPipelined = pipelined_execution_style();
+
 AttentionDims
 dims(std::uint64_t n)
 {
@@ -92,12 +96,12 @@ TEST(Timeline, PacedPhaseSumCoversComputeLowerBound)
     FusedDataflow df = flat_r(64);
     df.cross = {Granularity::kHead, 0};
     for (const TimelineResult& r :
-         {flat_attention_timeline(accel, d, df),
-          baseline_attention_timeline(accel, d, df,
+         {attention_timeline(kFlat, accel, d, df),
+          attention_timeline(kBaseline, accel, d, df,
                                       BaselineOverlap::kFull),
-          baseline_attention_timeline(accel, d, df,
+          attention_timeline(kBaseline, accel, d, df,
                                       BaselineOverlap::kSerialized),
-          pipelined_attention_timeline(accel, d, df)}) {
+          attention_timeline(kPipelined, accel, d, df)}) {
         double paced_sum = 0.0;
         double occupancy_max = 0.0;
         for (std::size_t i = 0; i < r.phases.size(); ++i) {
@@ -128,7 +132,7 @@ TEST(Timeline, BoundByFlipsOffchipToComputeWithBandwidth)
     const AttentionDims d = dims(32768);
     const FusedDataflow df = flat_r(32);
 
-    const TimelineResult starved = flat_attention_timeline(accel, d, df);
+    const TimelineResult starved = attention_timeline(kFlat, accel, d, df);
     EXPECT_EQ(starved.bound_by, BoundBy::kOffchip);
 
     double prev_cycles = starved.cycles;
@@ -138,7 +142,7 @@ TEST(Timeline, BoundByFlipsOffchipToComputeWithBandwidth)
         // Off-chip BW may not exceed on-chip BW, so widen both.
         fat.offchip_bw *= scale;
         fat.onchip_bw *= scale;
-        const TimelineResult r = flat_attention_timeline(fat, d, df);
+        const TimelineResult r = attention_timeline(kFlat, fat, d, df);
         EXPECT_LE(r.cycles, prev_cycles);
         prev_cycles = r.cycles;
         flipped = flipped || r.bound_by == BoundBy::kCompute;
@@ -149,7 +153,7 @@ TEST(Timeline, BoundByFlipsOffchipToComputeWithBandwidth)
     AccelConfig huge = edge_accel();
     huge.offchip_bw *= 1024.0;
     huge.onchip_bw *= 1024.0;
-    const TimelineResult capped = flat_attention_timeline(huge, d, df);
+    const TimelineResult capped = attention_timeline(kFlat, huge, d, df);
     EXPECT_EQ(capped.bound_by, BoundBy::kCompute);
 }
 
@@ -209,8 +213,8 @@ TEST(Timeline, EmittedLedgersMatchModelActivity)
     const AttentionDims d = dims(2048);
     const FusedDataflow df = flat_r(64);
 
-    const TimelineResult tl = flat_attention_timeline(accel, d, df);
-    const OperatorCost cost = model_flat_attention(accel, d, df);
+    const TimelineResult tl = attention_timeline(kFlat, accel, d, df);
+    const OperatorCost cost = model_attention(kFlat, accel, d, df);
     EXPECT_DOUBLE_EQ(tl.cycles, cost.cycles);
     EXPECT_DOUBLE_EQ(tl.activity.macs, cost.activity.macs);
     EXPECT_DOUBLE_EQ(tl.activity.sfu_elems, cost.activity.sfu_elems);

@@ -3,11 +3,11 @@
  * Bit-identity contract of the SoA batch evaluators: a TimelineBatch
  * lane must reproduce evaluate_timeline_into()'s summary bit for bit
  * for the same phase values, and an AttentionBatchEvaluator lane must
- * reproduce model_flat_attention() / model_baseline_attention() bit
- * for bit — across the golden-catalog accelerator presets, execution
- * styles, overlap policies and batch widths. Every EXPECT_EQ on a
- * double below is an exact bit comparison on purpose: the batched hot
- * path is only admissible in the DSE because it changes nothing.
+ * reproduce model_attention() bit for bit — across the golden-catalog
+ * accelerator presets, execution styles, overlap policies and batch
+ * widths. Every EXPECT_EQ on a double below is an exact bit comparison
+ * on purpose: the batched hot path is only admissible in the DSE
+ * because it changes nothing.
  */
 #include "costmodel/timeline.h"
 
@@ -22,6 +22,10 @@
 
 namespace flat {
 namespace {
+
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+const ExecutionStyle& kPipelined = pipelined_execution_style();
 
 void
 expect_same_summary(const TimelineBatch::LaneSummary& lane,
@@ -204,19 +208,19 @@ TEST(TimelineBatch, MatchesScalarOnEmittedAttentionTimelines)
     for (const AccelConfig& accel : {edge_accel(), cloud_accel()}) {
         SCOPED_TRACE(accel.name);
         const AttentionPhases flat_p =
-            flat_attention_phases(accel, dims, flat_df);
+            attention_phases(kFlat, accel, dims, flat_df);
         check_parity(flat_p.phases, accel, flat_p.overlap, 4, "flat");
 
         for (const BaselineOverlap overlap :
              {BaselineOverlap::kFull, BaselineOverlap::kSerialized}) {
-            const AttentionPhases base_p = baseline_attention_phases(
-                accel, dims, base_df, overlap);
+            const AttentionPhases base_p = attention_phases(
+                kBaseline, accel, dims, base_df, overlap);
             check_parity(base_p.phases, accel, base_p.overlap, 3,
                          "baseline");
         }
 
         const AttentionPhases pipe_p =
-            pipelined_attention_phases(accel, dims, flat_df);
+            attention_phases(kPipelined, accel, dims, flat_df);
         check_parity(pipe_p.phases, accel, pipe_p.overlap, 2,
                      "pipelined");
     }
@@ -262,7 +266,8 @@ slice_cost(const AccelConfig& accel, const GemmShape& shape,
 void
 check_evaluator_parity(const AccelConfig& accel,
                        const AttentionDims& dims,
-                       const FusedDataflow& base, bool fused,
+                       const FusedDataflow& base,
+                       const ExecutionStyle& style,
                        BaselineOverlap overlap, std::size_t width,
                        const char* what)
 {
@@ -282,7 +287,7 @@ check_evaluator_parity(const AccelConfig& accel,
 
     AttentionEvalScratch scratch;
     AttentionBatchEvaluator batch;
-    batch.begin(accel, dims, base, fused, overlap, width, scratch);
+    batch.begin(accel, dims, base, style, overlap, width, scratch);
 
     std::vector<FusedDataflow> lane_df;
     const auto flush_and_check = [&]() {
@@ -290,9 +295,7 @@ check_evaluator_parity(const AccelConfig& accel,
         for (std::size_t i = 0; i < batch.lanes(); ++i) {
             SCOPED_TRACE(lane_df[i].tag());
             const OperatorCost scalar =
-                fused ? model_flat_attention(accel, dims, lane_df[i])
-                      : model_baseline_attention(accel, dims,
-                                                 lane_df[i], overlap);
+                model_attention(style, accel, dims, lane_df[i], overlap);
             EXPECT_EQ(batch.cycles(i), scalar.cycles) << what;
             EXPECT_EQ(batch.activity(i).traffic.dram_read,
                       scalar.activity.traffic.dram_read)
@@ -311,8 +314,7 @@ check_evaluator_parity(const AccelConfig& accel,
             batch.add(slice_cost(accel, logit_shape, base.l2_logit, ol,
                                  base.stat_logit),
                       slice_cost(accel, attend_shape, base.l2_attend,
-                                 oa, base.stat_attend),
-                      ol, oa);
+                                 oa, base.stat_attend));
             lane_df.push_back(df);
             if (batch.full()) {
                 flush_and_check();
@@ -339,14 +341,12 @@ TEST(AttentionBatchEvaluator, MatchesScalarModelAcrossCatalogStyles)
     for (const AccelConfig& accel : {edge_accel(), cloud_accel()}) {
         SCOPED_TRACE(accel.name);
         for (const AttentionDims& dims : {self, cross}) {
-            check_evaluator_parity(accel, dims, flat_df, /*fused=*/true,
+            check_evaluator_parity(accel, dims, flat_df, kFlat,
                                    BaselineOverlap::kFull, 9, "flat");
-            check_evaluator_parity(accel, dims, base_df,
-                                   /*fused=*/false,
+            check_evaluator_parity(accel, dims, base_df, kBaseline,
                                    BaselineOverlap::kFull, 9,
                                    "baseline full");
-            check_evaluator_parity(accel, dims, base_df,
-                                   /*fused=*/false,
+            check_evaluator_parity(accel, dims, base_df, kBaseline,
                                    BaselineOverlap::kSerialized, 9,
                                    "baseline serialized");
         }
@@ -365,7 +365,7 @@ TEST(AttentionBatchEvaluator, WidthOneAndPartialFlushesStayExact)
     // block, and a width larger than the block.
     for (const std::size_t width : {1ul, 4ul, 16ul}) {
         SCOPED_TRACE(width);
-        check_evaluator_parity(accel, dims, df, /*fused=*/true,
+        check_evaluator_parity(accel, dims, df, kFlat,
                                BaselineOverlap::kFull, width,
                                "width variant");
     }

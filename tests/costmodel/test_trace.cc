@@ -11,6 +11,10 @@
 namespace flat {
 namespace {
 
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+const ExecutionStyle& kPipelined = pipelined_execution_style();
+
 AttentionDims
 dims(std::uint64_t n)
 {
@@ -36,7 +40,7 @@ flat_r(std::uint64_t rows)
 TEST(Trace, PhasesInExecutionOrder)
 {
     const ExecutionTrace t =
-        trace_flat_attention(edge_accel(), dims(1024), flat_r(64));
+        trace_attention(kFlat, edge_accel(), dims(1024), flat_r(64));
     ASSERT_EQ(t.phases.size(), 5u);
     EXPECT_NE(t.phases[0].label.find("prefetch"), std::string::npos);
     EXPECT_NE(t.phases[1].label.find("L:"), std::string::npos);
@@ -48,7 +52,7 @@ TEST(Trace, PhasesInExecutionOrder)
 TEST(Trace, TransfersMarkedOverlapped)
 {
     const ExecutionTrace t =
-        trace_flat_attention(edge_accel(), dims(1024), flat_r(64));
+        trace_attention(kFlat, edge_accel(), dims(1024), flat_r(64));
     EXPECT_FALSE(t.phases[0].on_critical_path);
     EXPECT_TRUE(t.phases[1].on_critical_path);
     EXPECT_TRUE(t.phases[2].on_critical_path);
@@ -61,9 +65,9 @@ TEST(Trace, TotalsMatchCostModel)
     const AttentionDims d = dims(2048);
     const FusedDataflow df = flat_r(64);
     const ExecutionTrace t =
-        trace_flat_attention(edge_accel(), d, df);
+        trace_attention(kFlat, edge_accel(), d, df);
     const OperatorCost cost =
-        model_flat_attention(edge_accel(), d, df);
+        model_attention(kFlat, edge_accel(), d, df);
     EXPECT_DOUBLE_EQ(t.total_cycles, cost.cycles);
     EXPECT_NEAR(t.pass_cycles * t.passes, cost.cycles,
                 1e-6 * cost.cycles);
@@ -95,35 +99,35 @@ TEST(Trace, TotalsExactForEveryStyle)
             const FusedDataflow df = head_df();
 
             const ExecutionTrace flat_t =
-                trace_flat_attention(accel, d, df);
+                trace_attention(kFlat, accel, d, df);
             EXPECT_DOUBLE_EQ(flat_t.total_cycles,
-                             model_flat_attention(accel, d, df).cycles);
+                             model_attention(kFlat, accel, d, df).cycles);
             EXPECT_EQ(flat_t.style, "flat");
 
-            const ExecutionTrace base_full = trace_baseline_attention(
-                accel, d, df, BaselineOverlap::kFull);
+            const ExecutionTrace base_full = trace_attention(
+                kBaseline, accel, d, df, BaselineOverlap::kFull);
             EXPECT_DOUBLE_EQ(
                 base_full.total_cycles,
-                model_baseline_attention(accel, d, df,
+                model_attention(kBaseline, accel, d, df,
                                          BaselineOverlap::kFull)
                     .cycles);
             EXPECT_EQ(base_full.style, "baseline-full");
 
-            const ExecutionTrace base_ser = trace_baseline_attention(
-                accel, d, df, BaselineOverlap::kSerialized);
+            const ExecutionTrace base_ser = trace_attention(
+                kBaseline, accel, d, df, BaselineOverlap::kSerialized);
             EXPECT_DOUBLE_EQ(
                 base_ser.total_cycles,
-                model_baseline_attention(accel, d, df,
+                model_attention(kBaseline, accel, d, df,
                                          BaselineOverlap::kSerialized)
                     .cycles);
             EXPECT_EQ(base_ser.style, "baseline-serialized");
             EXPECT_GE(base_ser.total_cycles, base_full.total_cycles);
 
             const ExecutionTrace pipe =
-                trace_pipelined_attention(accel, d, df);
+                trace_attention(kPipelined, accel, d, df);
             EXPECT_DOUBLE_EQ(
                 pipe.total_cycles,
-                model_pipelined_attention(accel, d, df).cycles);
+                model_attention(kPipelined, accel, d, df).cycles);
             EXPECT_EQ(pipe.style, "pipelined");
         }
     }
@@ -166,9 +170,9 @@ TEST(Trace, DecodeTotalsExactForGoldenShapes)
             search_attention(c.accel, c.d, opt);
         ASSERT_TRUE(result.found);
         const FusedDataflow df = result.best.dataflow;
-        const ExecutionTrace t = trace_flat_attention(c.accel, c.d, df);
+        const ExecutionTrace t = trace_attention(kFlat, c.accel, c.d, df);
         EXPECT_DOUBLE_EQ(t.total_cycles,
-                         model_flat_attention(c.accel, c.d, df).cycles);
+                         model_attention(kFlat, c.accel, c.d, df).cycles);
         bool saw_kv_read = false;
         for (const auto& phase : t.phases) {
             if (phase.label.find("KV-cache") != std::string::npos) {
@@ -185,9 +189,9 @@ TEST(Trace, GqaReducesKvTrafficNotMacs)
     // must move fewer DRAM bytes while the MAC count is identical.
     AttentionDims d = dims(2048);
     const FusedDataflow df = flat_r(64);
-    const OperatorCost mha = model_flat_attention(edge_accel(), d, df);
+    const OperatorCost mha = model_attention(kFlat, edge_accel(), d, df);
     d.kv_heads = 2; // 8 query heads in groups of 4
-    const OperatorCost gqa = model_flat_attention(edge_accel(), d, df);
+    const OperatorCost gqa = model_attention(kFlat, edge_accel(), d, df);
     EXPECT_EQ(gqa.activity.macs, mha.activity.macs);
     EXPECT_LT(gqa.activity.traffic.total_dram(),
               mha.activity.traffic.total_dram());
@@ -197,7 +201,7 @@ TEST(Trace, ColdStartIncludedInTotals)
 {
     const AttentionDims d = dims(2048);
     const ExecutionTrace t =
-        trace_flat_attention(edge_accel(), d, flat_r(64));
+        trace_attention(kFlat, edge_accel(), d, flat_r(64));
     EXPECT_GT(t.cold_start_cycles, 0.0);
     double phase_sum = 0.0;
     for (const TracePhase& p : t.phases) {
@@ -212,8 +216,9 @@ TEST(Trace, ColdStartIncludedInTotals)
 
 TEST(Trace, JsonAndCsvCarryTheTimeline)
 {
-    const ExecutionTrace t = trace_baseline_attention(
-        edge_accel(), dims(1024), head_df(), BaselineOverlap::kFull);
+    const ExecutionTrace t =
+        trace_attention(kBaseline, edge_accel(), dims(1024), head_df(),
+                        BaselineOverlap::kFull);
     const std::string json = t.to_json();
     EXPECT_NE(json.find("\"style\":\"baseline-full\""),
               std::string::npos);
@@ -234,7 +239,7 @@ TEST(Trace, JsonAndCsvCarryTheTimeline)
 TEST(Trace, PassCountMatchesCrossLoop)
 {
     const ExecutionTrace t =
-        trace_flat_attention(edge_accel(), dims(1024), flat_r(64));
+        trace_attention(kFlat, edge_accel(), dims(1024), flat_r(64));
     // 8 batch x 8 heads x (1024/64) chunks.
     EXPECT_DOUBLE_EQ(t.passes, 8.0 * 8.0 * 16.0);
 }
@@ -246,19 +251,19 @@ TEST(Trace, BoundByIdentifiesBottleneck)
     roomy.sg_bytes = 64 * kMiB;
     roomy.offchip_bw = 400e9;
     const ExecutionTrace fast =
-        trace_flat_attention(roomy, dims(4096), flat_r(64));
+        trace_attention(kFlat, roomy, dims(4096), flat_r(64));
     EXPECT_EQ(fast.bound_by, "compute");
 
     // Tiny buffer at long N: off-chip bound.
     const ExecutionTrace slow =
-        trace_flat_attention(edge_accel(), dims(32768), flat_r(32));
+        trace_attention(kFlat, edge_accel(), dims(32768), flat_r(32));
     EXPECT_EQ(slow.bound_by, "off-chip BW");
 }
 
 TEST(Trace, RenderContainsBarsAndLabels)
 {
     const ExecutionTrace t =
-        trace_flat_attention(edge_accel(), dims(1024), flat_r(64));
+        trace_attention(kFlat, edge_accel(), dims(1024), flat_r(64));
     const std::string text = t.render(40);
     EXPECT_NE(text.find("L: logits slice GEMM"), std::string::npos);
     EXPECT_NE(text.find('#'), std::string::npos);

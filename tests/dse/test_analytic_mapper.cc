@@ -202,9 +202,9 @@ TEST(AnalyticSearch, NeverBeatsExhaustiveAndRespectsBounds)
                 const detail::SliceBound bound = detail::make_slice_bound(
                     cfg.accel, cfg.dims, table, slice, space.orders);
                 for (std::size_t li = 0;
-                     li < bound.logit_costs->size(); ++li) {
+                     li < bound.logit_costs.size(); ++li) {
                     for (std::size_t ai = 0;
-                         ai < bound.attend_costs->size(); ++ai) {
+                         ai < bound.attend_costs.size(); ++ai) {
                         min_lb = std::min(
                             min_lb,
                             bound.lower_bound(objective, li, ai));

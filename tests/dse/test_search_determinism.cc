@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "dse/search_internal.h"
 #include "workload/model_config.h"
 
 namespace flat {
@@ -123,6 +126,52 @@ TEST(SearchDeterminism, HoldsForTheBaselineSpace)
     expect_same_best(reference,
                      run(cfg, 4, true, Objective::kRuntime, false),
                      "baseline space");
+}
+
+TEST(SearchDeterminism, HoldsForGroupedQueryDecode)
+{
+    // Grouped-query decode: every granularity ties on cycles here, so
+    // a lower bound above the modeled optimum (K cold-start bytes
+    // charged per query head instead of per K/V head) pruned all but
+    // the first point to run, and the pick followed the schedule.
+    AttentionDims d;
+    d.batch = 16;
+    d.heads = 32;
+    d.kv_heads = 8;
+    d.q_len = 1;
+    d.kv_len = 2048;
+    d.head_dim = 128;
+    d.decode = true;
+    const Config cfg{"cloud/gqa-decode-2048", cloud_accel(), d};
+    const auto reference = run(cfg, 1, false);
+    ASSERT_TRUE(reference.found);
+
+    // No slice may bound above the optimum it contains.
+    AttentionSearchOptions opt;
+    opt.quick = true;
+    opt.fused = true;
+    const detail::SlicedSpace space =
+        detail::build_sliced_space(cfg.accel, cfg.dims, opt);
+    const EnergyTable table = EnergyTable::for_accel(cfg.accel);
+    double min_lb = std::numeric_limits<double>::infinity();
+    for (const detail::SearchSlice& slice : space.slices) {
+        const detail::SliceBound bound = detail::make_slice_bound(
+            cfg.accel, cfg.dims, table, slice, space.orders);
+        for (std::size_t li = 0; li < bound.logit_costs.size(); ++li) {
+            for (std::size_t ai = 0; ai < bound.attend_costs.size();
+                 ++ai) {
+                min_lb = std::min(
+                    min_lb,
+                    bound.lower_bound(Objective::kRuntime, li, ai));
+            }
+        }
+    }
+    EXPECT_LE(min_lb, reference.best.cost.cycles);
+
+    expect_same_best(reference, run(cfg, 1, true), "serial, pruned");
+    expect_same_best(reference, run(cfg, 4, true), "4 threads, pruned");
+    expect_same_best(reference, run(cfg, 16, true),
+                     "16 threads, pruned");
 }
 
 TEST(SearchDeterminism, HoldsForEnergyAndEdpObjectives)

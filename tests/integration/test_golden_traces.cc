@@ -22,6 +22,16 @@
 #include "support/minijson.h"
 
 namespace flat {
+
+/** Names a catalog entry by its id. GoogleTest's fallback printer
+ *  dumps the raw object bytes, heap pointers included, into each
+ *  listed test name, which then differs from one build to the next. */
+void
+PrintTo(const GoldenConfig& config, std::ostream* os)
+{
+    *os << config.id;
+}
+
 namespace {
 
 std::string

@@ -19,6 +19,10 @@
 namespace flat {
 namespace {
 
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+const ExecutionStyle& kPipelined = pipelined_execution_style();
+
 struct RandomCase {
     AccelConfig accel;
     AttentionDims dims;
@@ -104,7 +108,7 @@ TEST(ModelInvariants, UtilizationBoundedAndFinite)
     for (int i = 0; i < kCases; ++i) {
         const RandomCase c = gen.next();
         const OperatorCost cost =
-            model_flat_attention(c.accel, c.dims, c.dataflow);
+            model_attention(kFlat, c.accel, c.dims, c.dataflow);
         EXPECT_TRUE(std::isfinite(cost.cycles)) << "case " << i;
         EXPECT_GT(cost.util(), 0.0) << "case " << i;
         EXPECT_LE(cost.util(), 1.0 + 1e-9) << "case " << i;
@@ -119,7 +123,7 @@ TEST(ModelInvariants, TrafficAtLeastCompulsory)
     for (int i = 0; i < kCases; ++i) {
         const RandomCase c = gen.next();
         const OperatorCost cost =
-            model_flat_attention(c.accel, c.dims, c.dataflow);
+            model_attention(kFlat, c.accel, c.dims, c.dataflow);
         const double bpe = c.accel.bytes_per_element;
         const double bh =
             static_cast<double>(c.dims.batch) * c.dims.heads;
@@ -144,9 +148,9 @@ TEST(ModelInvariants, FusedNeverSlowerThanSequentialSameDataflow)
             c.dataflow.cross.granularity = Granularity::kHead;
         }
         const double fused =
-            model_flat_attention(c.accel, c.dims, c.dataflow).cycles;
+            model_attention(kFlat, c.accel, c.dims, c.dataflow).cycles;
         const double sequential =
-            model_baseline_attention(c.accel, c.dims, c.dataflow).cycles;
+            model_attention(kBaseline, c.accel, c.dims, c.dataflow).cycles;
         EXPECT_LE(fused, sequential * 1.0001) << "case " << i;
     }
 }
@@ -159,9 +163,9 @@ TEST(ModelInvariants, LargerBufferNeverSlowerSameDataflow)
         AccelConfig bigger = c.accel;
         bigger.sg_bytes *= 8;
         const double small_cycles =
-            model_flat_attention(c.accel, c.dims, c.dataflow).cycles;
+            model_attention(kFlat, c.accel, c.dims, c.dataflow).cycles;
         const double big_cycles =
-            model_flat_attention(bigger, c.dims, c.dataflow).cycles;
+            model_attention(kFlat, bigger, c.dims, c.dataflow).cycles;
         EXPECT_LE(big_cycles, small_cycles * 1.0001) << "case " << i;
     }
 }
@@ -173,7 +177,7 @@ TEST(ModelInvariants, EnergyFinitePositiveAndLinearInBlocks)
     for (int i = 0; i < kCases / 3; ++i) {
         const RandomCase c = gen.next();
         const OperatorCost cost =
-            model_flat_attention(c.accel, c.dims, c.dataflow);
+            model_attention(kFlat, c.accel, c.dims, c.dataflow);
         const double e = estimate_energy(table, cost.activity).total();
         EXPECT_TRUE(std::isfinite(e)) << "case " << i;
         EXPECT_GT(e, 0.0) << "case " << i;
@@ -191,7 +195,7 @@ TEST(ModelInvariants, FootprintMatchesDataflowFunction)
     for (int i = 0; i < kCases / 3; ++i) {
         const RandomCase c = gen.next();
         const OperatorCost cost =
-            model_flat_attention(c.accel, c.dims, c.dataflow);
+            model_attention(kFlat, c.accel, c.dims, c.dataflow);
         EXPECT_EQ(cost.live_footprint_bytes,
                   fused_live_footprint(c.dataflow, c.dims,
                                        c.accel.bytes_per_element))
@@ -205,7 +209,7 @@ TEST(ModelInvariants, PipelinedAlsoBounded)
     for (int i = 0; i < kCases / 3; ++i) {
         const RandomCase c = gen.next();
         const OperatorCost cost =
-            model_pipelined_attention(c.accel, c.dims, c.dataflow);
+            model_attention(kPipelined, c.accel, c.dims, c.dataflow);
         EXPECT_GT(cost.util(), 0.0) << "case " << i;
         EXPECT_LE(cost.util(), 1.0 + 1e-9) << "case " << i;
     }

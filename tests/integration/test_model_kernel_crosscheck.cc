@@ -14,6 +14,9 @@
 namespace flat {
 namespace {
 
+const ExecutionStyle& kBaseline = baseline_execution_style();
+const ExecutionStyle& kFlat = flat_execution_style();
+
 /** Off-chip elements (not bytes) moved by the functional kernel. */
 std::uint64_t
 kernel_offchip_elems(std::size_t n, std::size_t dk, bool fused,
@@ -58,8 +61,8 @@ model_offchip_elems(const AccelConfig& accel, std::size_t n,
     }
 
     const OperatorCost cost =
-        fused ? model_flat_attention(accel, dims, df)
-              : model_baseline_attention(accel, dims, df);
+        fused ? model_attention(kFlat, accel, dims, df)
+              : model_attention(kBaseline, accel, dims, df);
     return cost.activity.traffic.total_dram() / accel.bytes_per_element;
 }
 

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "costmodel/execution_style.h"
+#include "workload/model_config.h"
 
 namespace flat {
 namespace {
@@ -141,6 +145,38 @@ TEST(ScaleOutDeterminism, BestIsOnTheParetoOfItsOwnPoints)
     for (const ScaleOutSearchPoint& point : result.points) {
         EXPECT_LE(result.best.objective_value(Objective::kRuntime),
                   point.objective_value(Objective::kRuntime));
+    }
+}
+
+TEST(ScaleOutDeterminism, InnerSearchStaysInTheFlatSpace)
+{
+    // The scale-out model prices the FLAT style, so every point's
+    // per-device dataflow must be one FLAT admits, whatever styles the
+    // caller searches. On bert at 16K with batch 1, flash would
+    // otherwise win the per-device search with a C-Gran dataflow.
+    const AccelConfig accel = edge_accel();
+    const AttentionDims repro =
+        AttentionDims::from_workload(make_workload(bert_base(), 1, 16384));
+    ScaleOutSearchOptions flat_only;
+    flat_only.attention.styles = {"flat"};
+    flat_only.fabric.devices = 2;
+    flat_only.device_counts = {1, 2};
+    const ScaleOutSearchResult reference =
+        search_scaleout(accel, repro, flat_only);
+    ASSERT_TRUE(reference.found);
+
+    for (const std::string styles : {"flash", "all"}) {
+        SCOPED_TRACE(styles);
+        ScaleOutSearchOptions opt = flat_only;
+        opt.attention.styles = {styles};
+        const ScaleOutSearchResult result =
+            search_scaleout(accel, repro, opt);
+        for (const ScaleOutSearchPoint& point : result.points) {
+            EXPECT_TRUE(flat_execution_style().admits(
+                accel, point.cost.device_dims, point.dataflow.cross))
+                << point.dataflow.tag();
+        }
+        expect_same_points(reference, result, styles.c_str());
     }
 }
 

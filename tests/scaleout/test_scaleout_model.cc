@@ -16,6 +16,8 @@
 namespace flat {
 namespace {
 
+const ExecutionStyle& kFlat = flat_execution_style();
+
 AttentionDims
 dims(std::uint64_t n)
 {
@@ -92,7 +94,7 @@ TEST(ScaleOutModel, SingleDeviceIsBitIdentical)
 
     const ScaleOutCost so =
         model_scaleout_attention(accel, d, df, fabric(1, ShardAxis::kAuto));
-    const TimelineResult single = flat_attention_timeline(accel, d, df);
+    const TimelineResult single = attention_timeline(kFlat, accel, d, df);
 
     EXPECT_EQ(so.cycles, single.cycles); // bitwise, not approximate
     EXPECT_EQ(so.timeline.phases.size(), single.phases.size());

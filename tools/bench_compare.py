@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON reports (BENCH_dse.json, BENCH_cache.json).
+"""Compare two bench JSON reports (BENCH_dse.json, BENCH_mapper.json).
 
 Usage: bench_compare.py BASELINE.json CANDIDATE.json [--threshold PCT]
 
 Fails (exit 1) when the candidate's headline metric regresses by more
 than the threshold (default 7.5%) relative to the baseline:
 
-  dse_throughput      cache_on.points_per_sec
-  cache_contention    mixed.t8.lookups_per_sec
+  dse_throughput      search.points_per_sec
   serving_throughput  prefill_first.steps_per_sec
   mapper_speedup      analytic.points_per_sec
 
@@ -41,26 +40,16 @@ import sys
 # secondary metrics (report + warn only). direction +1 = higher is
 # better, -1 = lower is better.
 HEADLINES = {
-    "dse_throughput": ("cache-on points/s", "cache_on.points_per_sec"),
-    "cache_contention": ("mixed t8 lookups/s",
-                         "mixed.t8.lookups_per_sec"),
+    "dse_throughput": ("full-space points/s", "search.points_per_sec"),
     "serving_throughput": ("prefill-first sim steps/s (wall)",
                            "prefill_first.steps_per_sec"),
     "mapper_speedup": ("analytic points/s", "analytic.points_per_sec"),
 }
 SECONDARY = {
     "dse_throughput": [
-        ("cache-off points/s", "cache_off.points_per_sec", +1),
-        ("sweep cache speedup", "cache_speedup", +1),
-        ("cache hit rate", "cache_on.hit_rate", +1),
         ("allocs/point", "allocs_per_point", -1),
         ("hot path scratch ns/eval", "hot_path.scratch_ns_per_eval",
          -1),
-    ],
-    "cache_contention": [
-        ("hot t1 lookups/s", "hot.t1.lookups_per_sec", +1),
-        ("hot t32 lookups/s", "hot.t32.lookups_per_sec", +1),
-        ("cold t8 lookups/s", "cold.t8.lookups_per_sec", +1),
     ],
     "serving_throughput": [
         ("decode-first steps/s (wall)",

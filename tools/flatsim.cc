@@ -32,7 +32,6 @@
 #include "core/simulator.h"
 #include "core/sweep.h"
 #include "dse/block_search.h"
-#include "costmodel/eval_cache.h"
 #include "costmodel/execution_style.h"
 #include "costmodel/trace.h"
 #include "scaleout/scaleout_search.h"
@@ -81,11 +80,11 @@ usage: flatsim [options]
                      timeline cost; analytic-verified additionally
                      cross-checks the pick against the exhaustive
                      optimum and reports the objective ratio
-  --block            search the whole Transformer block jointly:
-                     QKV projections, the fused L-A pipeline and the
-                     FCs each keep their own heterogeneous mapping
-                     under the shared objective; prints the per-layer
-                     plan (composes with --search-mode analytic)
+  --block            per-layer view of a model-scope run: one
+                     independent search per layer (QKV projections,
+                     the fused L-A pipeline, the FCs), identical GEMM
+                     shapes searched once; prints each layer's mapping
+                     (composes with --search-mode analytic)
   --threads N        DSE worker threads (default: FLAT_THREADS env,
                      else all hardware threads; result is identical
                      for any thread count)
@@ -94,10 +93,6 @@ usage: flatsim [options]
   --batch-width N    lanes per batched DSE evaluation (default 0 =
                      one whole tiles-x-flags block; result is
                      identical for any width)
-  --no-eval-cache    disable the process-wide evaluation cache (same
-                     result bit for bit, every menu/cost recomputed)
-  --cache-stats      append evaluation-cache hit/miss/size counters to
-                     the report (table or JSON)
   --serialized-baseline   model the baseline without transfer overlap
   --quick            smaller DSE menus
   --json             emit the report as JSON instead of tables
@@ -153,15 +148,10 @@ batch sweeps (fault-isolated; see core/sweep.h for the spec syntax):
   --keep-going       continue past failed points (the default)
   --fail-fast        stop scheduling new points after the first failure
   --sweep-csv FILE   also write per-point results as CSV
-  --retries N        retry a point failing with a TRANSIENT error up to
-                     N extra times (sweep mode; default 0)
-  --retry-backoff MS backoff before retry k: MS * 2^(k-1) milliseconds,
-                     deterministic, no jitter (default 0)
-  --inject-fault SITE[:SEED][:ACTION[=N]]
+  --inject-fault SITE[:SEED][:ACTION[=MS]]
                      arm a fault probe (repeatable); ACTION is one of
-                     error | internal | oom | delay[=MS] |
-                     transient[=N] | crash. In a sweep, SEED is the
-                     poisoned point index.
+                     error | internal | oom | delay[=MS] | crash.
+                     In a sweep, SEED is the poisoned point index.
 
 long runs (crash-safe checkpoints; see common/run_journal.h):
   --journal FILE     checkpoint completed DSE slices and sweep points
@@ -224,42 +214,6 @@ print_styles()
 /** Upper bound for dimension-like flags (seq, batch, window). */
 constexpr std::uint64_t kMaxDim = 1ull << 32;
 
-/** --cache-stats table epilogue (shared by run and sweep modes). */
-void
-print_cache_stats(std::ostream& os)
-{
-    const CacheStats stats = EvalCache::instance().stats();
-    os << "\nevaluation cache (process-wide):\n";
-    TextTable table({"metric", "value"});
-    table.add_row({"enabled", EvalCache::enabled() ? "yes" : "no"});
-    table.add_row({"hits", std::to_string(stats.hits)});
-    table.add_row({"L1 hits", std::to_string(stats.l1_hits)});
-    table.add_row({"misses", std::to_string(stats.misses)});
-    table.add_row({"hit rate", strprintf("%.3f", stats.hit_rate())});
-    table.add_row({"entries", std::to_string(stats.entries)});
-    table.add_row({"bytes", format_bytes(stats.bytes)});
-    table.add_row({"evictions", std::to_string(stats.evictions)});
-    table.print(os);
-}
-
-/** --cache-stats JSON object, emitted under the key "eval_cache". */
-void
-write_cache_stats(JsonWriter& json)
-{
-    const CacheStats stats = EvalCache::instance().stats();
-    json.key("eval_cache");
-    json.begin_object();
-    json.field("enabled", EvalCache::enabled());
-    json.field("hits", stats.hits);
-    json.field("l1_hits", stats.l1_hits);
-    json.field("misses", stats.misses);
-    json.field("hit_rate", stats.hit_rate());
-    json.field("entries", stats.entries);
-    json.field("bytes", stats.bytes);
-    json.field("evictions", stats.evictions);
-    json.end_object();
-}
-
 struct Args {
     std::string model = "bert";
     std::string platform = "edge";
@@ -279,12 +233,10 @@ struct Args {
     std::string objective = "runtime";
     std::string search_mode; ///< "" = mode default (run: exhaustive,
                              ///< serve: analytic)
-    bool block = false;      ///< --block: joint block-chain DSE
+    bool block = false;      ///< --block: per-layer model view
     std::uint64_t threads = 0;
     std::uint64_t batch_width = 0;
     bool no_prune = false;
-    bool no_eval_cache = false;
-    bool cache_stats = false;
     bool serialized_baseline = false;
     bool quick = false;
     bool json = false;
@@ -308,8 +260,6 @@ struct Args {
 
     std::string journal_file; ///< --journal: fresh checkpoint journal
     std::string resume_file;  ///< --resume: restore + append
-    std::uint64_t retries = 0;
-    std::uint64_t retry_backoff_ms = 0;
 
     bool serve = false;             ///< --serve: traffic-simulator mode
     std::string arrival = "poisson"; ///< poisson | bursty | replay
@@ -503,18 +453,14 @@ search_mode_from_args(const Args& args, SearchMode fallback)
                                     : parse_search_mode(args.search_mode);
 }
 
-int
-run(const Args& args)
+/** Evaluation options from the DSE flags (run, block and serve modes);
+ *  @p mode is the search mode when --search-mode is absent. */
+SimOptions
+sim_options_from_args(const Args& args, SearchMode mode)
 {
-    const ModelConfig model = model_by_name(args.model);
-    const AccelConfig accel = accel_from_args(args);
-    const Workload workload = workload_from_args(args, model);
-    const Scope scope = parse_scope(args.scope);
-
     SimOptions options;
     options.objective = parse_objective(args.objective);
-    options.search_mode =
-        search_mode_from_args(args, SearchMode::kExhaustive);
+    options.search_mode = search_mode_from_args(args, mode);
     options.quick = args.quick;
     options.threads = static_cast<unsigned>(args.threads);
     options.prune = !args.no_prune;
@@ -523,6 +469,32 @@ run(const Args& args)
                                    ? BaselineOverlap::kSerialized
                                    : BaselineOverlap::kFull;
     options.styles = args.styles;
+    options.cancel = &g_signal_cancel;
+    return options;
+}
+
+/** Simulator::run under --accel when given, else under --policy. */
+ScopeReport
+run_simulator(const Args& args, const AccelConfig& accel,
+              const Workload& workload, Scope scope,
+              const SimOptions& options)
+{
+    const Simulator sim(accel);
+    return args.accel.empty()
+               ? sim.run(workload, scope,
+                         DataflowPolicy::parse(args.policy), options)
+               : sim.run(workload, scope,
+                         AcceleratorSpec::parse(args.accel), options);
+}
+
+int
+run(const Args& args)
+{
+    const ModelConfig model = model_by_name(args.model);
+    const AccelConfig accel = accel_from_args(args);
+    const Workload workload = workload_from_args(args, model);
+    const Scope scope = parse_scope(args.scope);
+    SimOptions options = sim_options_from_args(args, SearchMode::kExhaustive);
 
     // Journal identity of a single-run DSE: a coarse hash over the
     // result-shaping CLI surface. The fine-grained staleness guard is
@@ -557,15 +529,9 @@ run(const Args& args)
     const std::unique_ptr<RunJournal> journal =
         open_journal(args, journal_header);
     options.journal = journal.get();
-    options.cancel = &g_signal_cancel;
 
-    const Simulator sim(accel);
     const ScopeReport report =
-        args.accel.empty()
-            ? sim.run(workload, scope, DataflowPolicy::parse(args.policy),
-                      options)
-            : sim.run(workload, scope,
-                      AcceleratorSpec::parse(args.accel), options);
+        run_simulator(args, accel, workload, scope, options);
 
     // Multi-device scale-out of the L-A layer: two-level DSE (axis x
     // devices outer, per-device dataflow inner) plus a D=1 reference
@@ -596,10 +562,9 @@ run(const Args& args)
         scaleout_ref = search_scaleout(accel, dims, ref_options);
     }
 
-    // Per-phase timeline of the picked L-A dataflow. The search is
-    // re-run to recover the winning dataflow; the trace then re-shapes
-    // the same evaluated timeline the cost model consumed, so its
-    // totals equal the report's (unscaled) L-A cycles exactly. With
+    // Per-phase timeline of the report's L-A winner: the trace
+    // re-shapes the same evaluated timeline the cost model consumed, so
+    // its totals equal the report's (unscaled) L-A cycles exactly. With
     // --devices > 1 the trace shows ONE device's sharded timeline,
     // collective phases included.
     ExecutionTrace trace;
@@ -618,21 +583,10 @@ run(const Args& args)
                                   cost.device_dims.q_len)
                     .passes));
     } else if (want_trace) {
-        const AttentionDims dims = AttentionDims::from_workload(workload);
-        const AttentionSearchOptions la_options =
-            args.accel.empty()
-                ? attention_options(DataflowPolicy::parse(args.policy),
-                                    options)
-                : attention_options(AcceleratorSpec::parse(args.accel),
-                                    options);
-        const AttentionSearchResult la =
-            search_attention(accel, dims, la_options);
-        const ExecutionStyle& style =
-            la.best.style != nullptr
-                ? *la.best.style
-                : default_execution_style(la_options.fused);
-        trace = trace_attention(style, accel, dims, la.best.dataflow,
-                                la_options.baseline_overlap);
+        trace = trace_attention(*report.la_winner.style, accel,
+                                AttentionDims::from_workload(workload),
+                                report.la_winner.dataflow,
+                                options.baseline_overlap);
     }
     if (want_trace) {
         if (!args.trace_csv.empty()) {
@@ -725,9 +679,6 @@ run(const Args& args)
                        cost.link_bytes_per_device);
             json.field("fleet_energy_j", best.total_energy_j);
             json.end_object();
-        }
-        if (args.cache_stats) {
-            write_cache_stats(json);
         }
         json.end_object();
         std::printf("%s\n", json.str().c_str());
@@ -866,9 +817,6 @@ run(const Args& args)
         row("Feed-forward FCs", report.breakdown.fc_cycles);
         breakdown.print(std::cout);
     }
-    if (args.cache_stats) {
-        print_cache_stats(std::cout);
-    }
     return 0;
 }
 
@@ -994,44 +942,13 @@ run_block_mode(const Args& args)
     const ModelConfig model = model_by_name(args.model);
     const AccelConfig accel = accel_from_args(args);
     const Workload workload = workload_from_args(args, model);
+    const SimOptions options =
+        sim_options_from_args(args, SearchMode::kExhaustive);
 
-    SimOptions options;
-    options.objective = parse_objective(args.objective);
-    options.search_mode =
-        search_mode_from_args(args, SearchMode::kExhaustive);
-    options.quick = args.quick;
-    options.threads = static_cast<unsigned>(args.threads);
-    options.prune = !args.no_prune;
-    options.batch_width = static_cast<std::size_t>(args.batch_width);
-    options.baseline_overlap = args.serialized_baseline
-                                   ? BaselineOverlap::kSerialized
-                                   : BaselineOverlap::kFull;
-    options.styles = args.styles;
-    options.cancel = &g_signal_cancel;
-
-    // Per-layer search knobs mirror Simulator::run()'s: a policy keeps
-    // the projection/FC sweep fully flexible, an accelerator spec may
-    // pin it down.
-    BlockSearchOptions block_options;
-    if (args.accel.empty()) {
-        block_options.attention = attention_options(
-            DataflowPolicy::parse(args.policy), options);
-        block_options.op.allow_l3 = true;
-    } else {
-        const AcceleratorSpec spec = AcceleratorSpec::parse(args.accel);
-        block_options.attention = attention_options(spec, options);
-        block_options.op.allow_l3 = spec.allows_l3();
-        if (!spec.flexible()) {
-            block_options.op.candidates = fixed_policy_candidates();
-            block_options.op.allow_l3 = false;
-        }
-    }
-    block_options.op.objective = options.objective;
-    block_options.op.quick = options.quick;
-    block_options.op.cancel = options.cancel;
-
+    // The per-layer view of a model-scope run: the same search_block
+    // call Simulator::run folds into its report.
     const BlockSearchResult result =
-        search_block(accel, workload, block_options);
+        run_simulator(args, accel, workload, Scope::kModel, options).block;
 
     if (args.json) {
         JsonWriter json;
@@ -1067,9 +984,6 @@ run_block_mode(const Args& args)
                    static_cast<std::uint64_t>(result.evaluated));
         json.field("pruned",
                    static_cast<std::uint64_t>(result.pruned));
-        if (args.cache_stats) {
-            write_cache_stats(json);
-        }
         json.end_object();
         std::printf("%s\n", json.str().c_str());
         return 0;
@@ -1172,24 +1086,11 @@ run_serve_mode(const Args& args)
     options.sched.max_batch = args.max_batch;
     options.policy = args.policy;
     options.ctx_bucket = args.ctx_bucket;
-    options.sim.objective = parse_objective(args.objective);
     // Serving prices hundreds of small per-step searches, so the
     // analytic mapper is the default; --search-mode exhaustive is the
     // fallback. Both paths (fixed --sched and the auto DSE) use it.
-    const SearchMode serve_mode =
-        search_mode_from_args(args, SearchMode::kAnalytic);
-    options.sim.search_mode = serve_mode;
-    options.dse_mode = serve_mode;
-    options.sim.quick = args.quick;
-    options.sim.threads = static_cast<unsigned>(args.threads);
-    options.sim.prune = !args.no_prune;
-    options.sim.batch_width =
-        static_cast<std::size_t>(args.batch_width);
-    options.sim.baseline_overlap = args.serialized_baseline
-                                       ? BaselineOverlap::kSerialized
-                                       : BaselineOverlap::kFull;
-    options.sim.styles = args.styles;
-    options.sim.cancel = &g_signal_cancel;
+    options.sim = sim_options_from_args(args, SearchMode::kAnalytic);
+    options.dse_mode = options.sim.search_mode;
 
     // Journal identity: the full serving space (accel, model, the
     // whole trace, scheduler + DSE knobs) plus the sched-mode string,
@@ -1239,8 +1140,6 @@ run_sweep_mode(const Args& args)
     options.threads = static_cast<unsigned>(args.threads);
     options.deadline_ms = static_cast<double>(args.deadline_ms);
     options.fail_fast = args.fail_fast;
-    options.retries = static_cast<unsigned>(args.retries);
-    options.retry_backoff_ms = static_cast<double>(args.retry_backoff_ms);
     options.sim.prune = !args.no_prune;
     options.sim.batch_width = static_cast<std::size_t>(args.batch_width);
     options.sim.baseline_overlap = args.serialized_baseline
@@ -1262,20 +1161,8 @@ run_sweep_mode(const Args& args)
         JsonWriter json;
         report.write_json(json);
         std::printf("%s\n", json.str().c_str());
-        if (args.cache_stats) {
-            // Second JSON document, like --trace-json in run():
-            // consumers read stdout as a document stream.
-            JsonWriter cache_json;
-            cache_json.begin_object();
-            write_cache_stats(cache_json);
-            cache_json.end_object();
-            std::printf("%s\n", cache_json.str().c_str());
-        }
     } else {
         report.print(std::cout);
-        if (args.cache_stats) {
-            print_cache_stats(std::cout);
-        }
     }
     return report.exit_code();
 }
@@ -1367,10 +1254,6 @@ main(int argc, char** argv)
                 args.fail_fast = false;
             } else if (flag == "--fail-fast") {
                 args.fail_fast = true;
-            } else if (flag == "--retries") {
-                args.retries = parse_u64_flag(flag, next(), 0, 1000);
-            } else if (flag == "--retry-backoff") {
-                args.retry_backoff_ms = parse_u64_flag(flag, next());
             } else if (flag == "--journal") {
                 args.journal_file = next();
             } else if (flag == "--resume") {
@@ -1379,10 +1262,6 @@ main(int argc, char** argv)
                 args.inject_faults.push_back(next());
             } else if (flag == "--no-prune") {
                 args.no_prune = true;
-            } else if (flag == "--no-eval-cache") {
-                args.no_eval_cache = true;
-            } else if (flag == "--cache-stats") {
-                args.cache_stats = true;
             } else if (flag == "--serialized-baseline") {
                 args.serialized_baseline = true;
             } else if (flag == "--quick") {
@@ -1467,9 +1346,6 @@ main(int argc, char** argv)
             throw flat::UsageError(
                 "--journal and --resume are mutually exclusive "
                 "(--resume keeps appending to the journal it resumes)");
-        }
-        if (args.no_eval_cache) {
-            flat::EvalCache::set_enabled(false);
         }
         for (const std::string& spec : args.inject_faults) {
             // A malformed fault spec is CLI misuse, not a config error.
