@@ -204,22 +204,24 @@ AttentionBatchEvaluator::begin(const AccelConfig& accel,
     overlap_ = style.overlap(baseline_overlap);
     ideal_cycles_ = attention_ideal_cycles(accel, dims);
     // Plan binding and batch configuration are deferred to the first
-    // add(): its GEMM cost records seed the plan memo, so a block never
-    // computes a gemm cost it was going to overwrite anyway.
-    pending_begin_ = true;
+    // candidate: its GEMM cost records seed the plan memo, so a block
+    // never computes a gemm cost it was going to overwrite anyway.
+    plan_bound_ = false;
+    configured_ = false;
     batch_.clear_lanes();
 }
 
-void
-AttentionBatchEvaluator::add(const GemmSliceCost& logit,
-                             const GemmSliceCost& attend)
+const AttentionPlan&
+AttentionBatchEvaluator::bind_plan(const GemmSliceCost& logit,
+                                   const GemmSliceCost& attend)
 {
     AttentionEvalScratch& scratch = *scratch_;
-    if (pending_begin_) {
+    if (!plan_bound_) {
         PlannedGemmCosts planned;
         planned.logit = &logit;
         planned.attend = &attend;
         make_plan_memo(*accel_, *dims_, base_, planned, scratch);
+        plan_bound_ = true;
     } else {
         // Same patch make_plan_memo() applies on a base match.
         AttentionPlan& plan = scratch.memo->plan;
@@ -228,16 +230,30 @@ AttentionBatchEvaluator::add(const GemmSliceCost& logit,
         plan.attend_compute = attend.compute;
         plan.attend_reuse = attend.reuse;
     }
+    return scratch.memo->plan;
+}
 
+double
+AttentionBatchEvaluator::dram_bytes(const GemmSliceCost& logit,
+                                    const GemmSliceCost& attend)
+{
+    return plan_dram_traffic(bind_plan(logit, attend), base_.stage)
+        .total_dram();
+}
+
+void
+AttentionBatchEvaluator::add(const GemmSliceCost& logit,
+                             const GemmSliceCost& attend)
+{
     // The scalar emitter IS the batch fill path: identical phase
     // arithmetic by construction, only the evaluation is batched.
-    const AttentionPlan& plan = scratch.memo->plan;
-    std::vector<Phase>& phases = scratch.timeline.phases;
+    const AttentionPlan& plan = bind_plan(logit, attend);
+    std::vector<Phase>& phases = scratch_->timeline.phases;
     style_->emit_phases(phases, *accel_, *dims_, plan, base_);
 
-    if (pending_begin_) {
+    if (!configured_) {
         batch_.configure(phases, overlap_, lane_capacity_);
-        pending_begin_ = false;
+        configured_ = true;
     }
     const std::size_t lane = batch_.add_lane();
     for (std::size_t p = 0; p < phases.size(); ++p) {

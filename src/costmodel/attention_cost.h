@@ -161,6 +161,17 @@ class AttentionBatchEvaluator
      */
     void add(const GemmSliceCost& logit, const GemmSliceCost& attend);
 
+    /**
+     * DRAM bytes (read + write) the candidate @p logit / @p attend of
+     * the current block moves: plan_dram_traffic() of the same plan
+     * add() would emit from, without emitting or evaluating anything.
+     * Every style ledgers exactly these bytes in phases that are not
+     * pace-only, so they equal the evaluated activity's total_dram().
+     * Same argument contract as add(); adds no lane.
+     */
+    double dram_bytes(const GemmSliceCost& logit,
+                      const GemmSliceCost& attend);
+
     /** Evaluates every lane added since begin()/clear_lanes(). */
     void evaluate();
 
@@ -183,13 +194,19 @@ class AttentionBatchEvaluator
     OperatorCost cost(std::size_t lane) const;
 
   private:
+    /** The block's memoized plan, patched with one candidate's GEMM
+     *  records (the first call per block binds the plan base). */
+    const AttentionPlan& bind_plan(const GemmSliceCost& logit,
+                                   const GemmSliceCost& attend);
+
     TimelineBatch batch_;
     const AccelConfig* accel_ = nullptr;
     const AttentionDims* dims_ = nullptr;
     AttentionEvalScratch* scratch_ = nullptr;
     FusedDataflow base_;
     const ExecutionStyle* style_ = nullptr;
-    bool pending_begin_ = false; ///< first add() binds plan + structure
+    bool plan_bound_ = false;  ///< the block's plan base is memoized
+    bool configured_ = false;  ///< the batch holds the phase structure
     std::size_t lane_capacity_ = 0;
     OverlapKind overlap_ = OverlapKind::kOverlapped;
     double ideal_cycles_ = 0.0;

@@ -13,6 +13,12 @@ ExecutionStyle::overlap(BaselineOverlap) const
     return OverlapKind::kOverlapped;
 }
 
+AccelConfig
+ExecutionStyle::stage_array(const AccelConfig& accel) const
+{
+    return accel;
+}
+
 double
 ExecutionStyle::bound_cycles(double gemm_sum_cycles,
                              double /*gemm_max_cycles*/,
@@ -21,7 +27,7 @@ ExecutionStyle::bound_cycles(double gemm_sum_cycles,
 {
     // One shared (or windowed) schedule cannot beat its summed GEMM
     // occupancy plus the serial softmax and the exposed cold start.
-    return gemm_sum_cycles + softmax_cycles + cold_cycles;
+    return gemm_sum_cycles + (softmax_cycles + cold_cycles);
 }
 
 double
@@ -303,16 +309,26 @@ class PipelinedStyle : public ExecutionStyle
                kv_cache_admitted(accel, dims);
     }
 
+    AccelConfig stage_array(const AccelConfig& accel) const override
+    {
+        // Each stage runs on half the array (split along rows).
+        AccelConfig half = accel;
+        half.pe_rows = accel.pe_rows / 2;
+        return half;
+    }
+
     double bound_cycles(double /*gemm_sum_cycles*/, double gemm_max_cycles,
                         double softmax_cycles, double /*cold_cycles*/,
                         double /*rescale_cycles*/) const override
     {
-        // The half-array tracks run concurrently: the window is at
-        // least the slower stage's full-array occupancy (a half array
-        // can only be slower) and at least the serial softmax. The sum
-        // bound of the serial styles can EXCEED the pipelined runtime,
-        // so it would be invalid here.
-        return std::max(gemm_max_cycles, softmax_cycles);
+        // The half-array tracks run concurrently, so the window's
+        // compute lane is the slower track plus the softmax serialized
+        // between them (the fill window only adds). The sum bound of
+        // the serial styles can EXCEED the pipelined runtime, and so
+        // can a full-array stage bound: a half array fills and drains
+        // faster, which wins on tiny GEMMs. There is no cold-start
+        // window to add.
+        return gemm_max_cycles + softmax_cycles;
     }
 
     void emit_phases(std::vector<Phase>& phases, const AccelConfig& accel,
@@ -322,11 +338,9 @@ class PipelinedStyle : public ExecutionStyle
         FLAT_CHECK(accel.pe_rows >= 2,
                    "pipelined execution needs an array splittable in two");
 
-        // Each stage runs on half the array (split along rows). The
-        // halves share the SG and the memory interfaces, so the byte
-        // ledger keeps the full-array plan's streaming volume.
-        AccelConfig half = accel;
-        half.pe_rows = accel.pe_rows / 2;
+        // The halves share the SG and the memory interfaces, so the
+        // byte ledger keeps the full-array plan's streaming volume.
+        const AccelConfig half = stage_array(accel);
         const GemmComputeCost logit_half =
             model_gemm_compute(half, plan.logit_shape, dataflow.l2_logit,
                                dataflow.order_logit, dataflow.stat_logit);
@@ -444,7 +458,7 @@ class FlashStyle : public ExecutionStyle
                         double softmax_cycles, double cold_cycles,
                         double rescale_cycles) const override
     {
-        return gemm_sum_cycles + softmax_cycles + cold_cycles +
+        return gemm_sum_cycles + (softmax_cycles + cold_cycles) +
                rescale_cycles;
     }
 

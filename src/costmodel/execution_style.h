@@ -88,14 +88,22 @@ class ExecutionStyle
                              const FusedDataflow& dataflow) const = 0;
 
     /**
+     * The PE array each GEMM stage runs on: the whole array unless the
+     * style splits it between concurrent tracks. The DSE bounds stage
+     * cycles on this array — a smaller array's shorter fill and drain
+     * can make a tiny GEMM (a decode step's) faster there.
+     */
+    virtual AccelConfig stage_array(const AccelConfig& accel) const;
+
+    /**
      * Monotone lower bound on total cycles for the DSE pruner, from
      * per-slice aggregates: @p gemm_sum_cycles is (logit + attend)
      * full-array cycles summed over slices, @p gemm_max_cycles the max
-     * of the two per-stage totals, @p softmax_cycles the whole-softmax
-     * SFU time, @p cold_cycles the exposed cold-start window and
-     * @p rescale_cycles the online-softmax rescale SFU time (0 for
-     * non-streaming styles). Must never exceed the style's modeled
-     * cycles for any candidate sharing these aggregates.
+     * of the two per-stage totals on stage_array(), @p softmax_cycles
+     * the whole-softmax SFU time, @p cold_cycles the exposed cold-start
+     * window and @p rescale_cycles the online-softmax rescale SFU time
+     * (0 for non-streaming styles). Must never exceed the style's
+     * modeled cycles for any candidate sharing these aggregates.
      */
     virtual double bound_cycles(double gemm_sum_cycles,
                                 double gemm_max_cycles,

@@ -11,7 +11,6 @@
 
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
-#include "common/run_journal.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "dse/search_internal.h"
@@ -417,140 +416,46 @@ analytic_core(const AccelConfig& accel, const AttentionDims& dims,
     accel.validate();
     dims.validate();
     const EnergyTable energy_table = EnergyTable::for_accel(accel);
-    const SlicedSpace space = build_sliced_space(accel, dims, options);
-
-    // Same bound precomputation policy as the sweep (see search.cc).
-    std::vector<SliceBound> bounds(space.slices.size());
-    const auto fill_bound = [&](std::size_t si) {
-        bounds[si] = make_slice_bound(accel, dims, energy_table,
-                                      space.slices[si], space.orders);
-    };
-    if (space.slices.size() <= 64) {
-        for (std::size_t si = 0; si < space.slices.size(); ++si) {
-            fill_bound(si);
-        }
-    } else {
-        parallel_for(space.slices.size(), options.threads, fill_bound,
-                     /*grain=*/4);
-    }
+    SliceSearch search =
+        prepare_slice_search(accel, dims, options, energy_table);
+    const SlicedSpace& space = search.space;
 
     // Slice priorities double as whole-slice prune bounds: a slice
     // whose best lower bound exceeds the shared incumbent cannot
     // contain the winner (the incumbent only decreases, so the final
-    // optimum is below it too) and is skipped wholesale.
-    std::vector<double> priority(space.slices.size());
-    for (std::size_t si = 0; si < space.slices.size(); ++si) {
-        const SliceBound& bound = bounds[si];
-        double best_lb = std::numeric_limits<double>::infinity();
-        for (std::size_t li = 0; li < bound.logit_costs.size(); ++li) {
-            for (std::size_t ai = 0; ai < bound.attend_costs.size();
-                 ++ai) {
-                best_lb = std::min(
-                    best_lb,
-                    bound.lower_bound(options.objective, li, ai));
-            }
-        }
-        priority[si] = best_lb;
-    }
-
-    std::atomic<double> shared_best{
-        std::numeric_limits<double>::infinity()};
-    std::vector<SliceOutcome> outcomes(space.slices.size());
-
-    // Checkpoint restore, shared with the sweep. The scope key differs
-    // (the canonical text carries mode=analytic), so sweep journals
-    // and mapper journals never mix.
-    std::string journal_scope;
-    std::vector<char> slice_restored(space.slices.size(), 0);
-    if (options.journal != nullptr) {
-        journal_scope = search_scope_key(accel, dims, options);
-        for (std::size_t si = 0; si < space.slices.size(); ++si) {
-            const JsonValue* rec = options.journal->find(
-                journal_scope, slice_journal_key(space.slices[si]));
-            if (rec == nullptr) {
-                continue;
-            }
-            outcomes[si] = restore_slice_outcome(*rec, accel, dims,
-                                                 options,
-                                                 space.slices[si],
-                                                 energy_table);
-            slice_restored[si] = 1;
-            if (outcomes[si].found) {
-                update_shared_best(shared_best, outcomes[si].value);
-            }
-        }
-    }
-
-    std::vector<std::size_t> schedule;
-    schedule.reserve(space.slices.size());
-    for (std::size_t si = 0; si < space.slices.size(); ++si) {
-        if (slice_restored[si] == 0) {
-            schedule.push_back(si);
-        }
-    }
-    std::stable_sort(schedule.begin(), schedule.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return priority[a] < priority[b];
-                     });
+    // optimum is below it too) and is skipped wholesale. The mapper
+    // keeps a shared atomic incumbent: its slices are few and cheap,
+    // and pruning points inside the hill-climb would change its path.
+    std::atomic<double> shared_best{search.restored_best};
 
     parallel_for(
-        schedule.size(), options.threads, [&](std::size_t k) {
-            const std::size_t si = schedule[k];
+        search.schedule.size(), options.threads, [&](std::size_t k) {
+            const std::size_t si = search.schedule[k];
             const SearchSlice& slice = space.slices[si];
-            SliceOutcome& out = outcomes[si];
+            SliceOutcome& out = search.outcomes[si];
             if (options.cancel != nullptr &&
                 options.cancel->cancelled()) {
-                return; // never journaled; the poll below throws
+                return; // never journaled; finish_slice_search throws
             }
             if (options.prune &&
-                priority[si] >
+                search.priority[si] >
                     shared_best.load(std::memory_order_relaxed)) {
                 // The whole slice is strictly worse than the final
                 // optimum; skipping it can shift the evaluated/pruned
-                // split across thread counts (like point pruning in
-                // the sweep) but never the result.
+                // split across thread counts but never the result.
                 out.pruned = space.slice_points(slice);
             } else {
                 const AnalyticSliceSeed seed = derive_slice_seed(
-                    accel, dims, slice, bounds[si], space.orders);
+                    accel, dims, slice, search.bounds[si], space.orders);
                 refine_slice(accel, dims, options, energy_table, space,
-                             slice, bounds[si], seed, out, shared_best);
+                             slice, search.bounds[si], seed, out,
+                             shared_best);
             }
-            if (options.journal != nullptr) {
-                options.journal->append(journal_scope,
-                                        slice_journal_key(slice),
-                                        encode_slice_outcome(out));
-            }
+            search.journal_slice(options, si);
         },
         /*grain=*/1, options.cancel);
 
-    if (options.journal != nullptr) {
-        options.journal->flush();
-    }
-    if (options.cancel != nullptr) {
-        options.cancel->poll(); // throws CancelledError when tripped
-    }
-
-    // Deterministic reduction in slice order — identical to the sweep.
-    AttentionSearchResult result;
-    double best_value = std::numeric_limits<double>::infinity();
-    std::string best_tag;
-    for (const SliceOutcome& out : outcomes) {
-        result.evaluated += out.evaluated;
-        result.pruned += out.pruned;
-        if (!out.found) {
-            continue;
-        }
-        if (!result.found ||
-            improves(out.value, out.tag, best_value, best_tag)) {
-            best_value = out.value;
-            best_tag = out.tag;
-            result.best = out.best;
-            result.found = true;
-        }
-    }
-    FLAT_CHECK(result.found, "attention DSE evaluated an empty space");
-    return result;
+    return finish_slice_search(search, options);
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 #include "dse/search.h"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -22,6 +23,21 @@
 #include "dse/search_internal.h"
 
 namespace flat {
+namespace {
+
+/**
+ * How far the pruned sweep's incumbent trails the schedule (see
+ * search_attention): slice k prunes against slices 0 and up to
+ * k - kLagSlices, so at most this many slices run at once. Shorter lags
+ * prune more at one thread but make workers wait; longer ones prune
+ * less. A constant, not an option, because the evaluated/pruned split
+ * depends on it; EXPERIMENTS.md ("Search pruning") has the timings it
+ * was chosen from.
+ */
+constexpr std::size_t kLagSlices = 8;
+
+} // namespace
+
 namespace detail {
 
 CandidateOptions
@@ -245,12 +261,11 @@ make_slice_bound(const AccelConfig& accel, const AttentionDims& dims,
     // cycles and prune ties, or the optimum, depending on schedule.
     const double k_bytes =
         bh * dims.kv_len * dims.head_dim * bpe * dims.kv_frac();
-    const double softmax_cycles = inter_elems / accel.sfu_lanes;
-    const double cold_start =
+    bound.softmax_cycles = inter_elems / accel.sfu_lanes;
+    bound.cold_cycles =
         (q_bytes + k_bytes) /
         (bound.slices_count > 0.0 ? bound.slices_count : 1.0) /
         accel.offchip_bytes_per_cycle();
-    bound.softmax_plus_cold = softmax_cycles + cold_start;
     // Online-softmax rescale work: every column block after the first
     // rescales the output accumulator. The model ledgers at least this
     // much (partial passes round up there), so the bound stays below.
@@ -272,25 +287,41 @@ make_slice_bound(const AccelConfig& accel, const AttentionDims& dims,
     bound.inter_sg_bytes =
         slice.style->inter_sg_round_trip_bytes(inter_elems * bpe);
     bound.sg_pj_per_byte = energy_table.sg_pj_per_byte;
+    bound.offchip_bytes_per_cycle = accel.offchip_bytes_per_cycle();
 
-    const auto cost_table = [&](const GemmShape& shape,
+    const auto cost_table = [&](const AccelConfig& on,
+                                const GemmShape& shape,
                                 const std::vector<L2Tile>& tiles,
                                 Stationarity stationarity) {
         std::vector<GemmSliceCost> table;
         table.reserve(tiles.size() * orders.size());
         for (const L2Tile& tile : tiles) {
             for (const LoopOrder order : orders) {
-                table.push_back({model_gemm_compute(accel, shape, tile,
-                                                    order, stationarity),
+                table.push_back({model_gemm_compute(on, shape, tile, order,
+                                                    stationarity),
                                  stage_reuse(shape, tile, order)});
             }
         }
         return table;
     };
-    bound.logit_costs = cost_table(slice.logit_shape, *slice.tiles_logit,
-                                   slice.stat_logit);
-    bound.attend_costs = cost_table(
-        slice.attend_shape, *slice.tiles_attend, slice.stat_attend);
+    bound.logit_costs = cost_table(accel, slice.logit_shape,
+                                   *slice.tiles_logit, slice.stat_logit);
+    bound.attend_costs =
+        cost_table(accel, slice.attend_shape, *slice.tiles_attend,
+                   slice.stat_attend);
+    // A style that runs its stages on part of the array is bounded by
+    // their cycles there, not on the whole array.
+    const AccelConfig stage_accel = slice.style->stage_array(accel);
+    const bool part = stage_accel.pe_rows != accel.pe_rows ||
+                      stage_accel.pe_cols != accel.pe_cols;
+    bound.logit_stage_costs =
+        part ? cost_table(stage_accel, slice.logit_shape,
+                          *slice.tiles_logit, slice.stat_logit)
+             : bound.logit_costs;
+    bound.attend_stage_costs =
+        part ? cost_table(stage_accel, slice.attend_shape,
+                          *slice.tiles_attend, slice.stat_attend)
+             : bound.attend_costs;
     return bound;
 }
 
@@ -474,6 +505,132 @@ restore_slice_outcome(const JsonValue& data, const AccelConfig& accel,
     return out;
 }
 
+void
+SliceSearch::journal_slice(const AttentionSearchOptions& options,
+                           std::size_t si) const
+{
+    if (options.journal != nullptr) {
+        options.journal->append(journal_scope,
+                                slice_journal_key(space.slices[si]),
+                                encode_slice_outcome(outcomes[si]));
+    }
+}
+
+SliceSearch
+prepare_slice_search(const AccelConfig& accel, const AttentionDims& dims,
+                     const AttentionSearchOptions& options,
+                     const EnergyTable& energy_table)
+{
+    SliceSearch search;
+    search.space = build_sliced_space(accel, dims, options);
+    const SlicedSpace& space = search.space;
+    const std::size_t n = space.slices.size();
+
+    // Per-slice pruning bounds, precomputed up front (each is two small
+    // GEMM cost tables plus a handful of arithmetic; the grain batches
+    // the tiny tasks so scheduling atomics do not dominate). Small
+    // spaces — quick menus, policy-pinned searches, the per-point
+    // searches of broad sweeps — compute them inline: waking the pool
+    // costs more than the work, and the bounds are deterministic
+    // either way.
+    search.bounds.resize(n);
+    const auto fill_bound = [&](std::size_t si) {
+        search.bounds[si] = make_slice_bound(accel, dims, energy_table,
+                                             space.slices[si],
+                                             space.orders);
+    };
+    if (n <= 64) {
+        for (std::size_t si = 0; si < n; ++si) {
+            fill_bound(si);
+        }
+    } else {
+        parallel_for(n, options.threads, fill_bound, /*grain=*/4);
+    }
+
+    // A slice's priority is its best compute lower bound: the sweep
+    // schedules by it and the mapper also skips whole slices on it.
+    search.priority.resize(n);
+    for (std::size_t si = 0; si < n; ++si) {
+        const SliceBound& bound = search.bounds[si];
+        double best_lb = std::numeric_limits<double>::infinity();
+        for (std::size_t li = 0; li < bound.logit_costs.size(); ++li) {
+            for (std::size_t ai = 0; ai < bound.attend_costs.size();
+                 ++ai) {
+                best_lb = std::min(
+                    best_lb,
+                    bound.lower_bound(options.objective, li, ai));
+            }
+        }
+        search.priority[si] = best_lb;
+    }
+
+    // Checkpoint restore: slices already in the journal are rebuilt
+    // instead of searched. The scope key carries the search mode, so
+    // sweep and mapper journals never mix.
+    search.outcomes.resize(n);
+    std::vector<char> restored(n, 0);
+    if (options.journal != nullptr) {
+        search.journal_scope = search_scope_key(accel, dims, options);
+        for (std::size_t si = 0; si < n; ++si) {
+            const JsonValue* rec = options.journal->find(
+                search.journal_scope, slice_journal_key(space.slices[si]));
+            if (rec == nullptr) {
+                continue;
+            }
+            SliceOutcome& out = search.outcomes[si];
+            out = restore_slice_outcome(*rec, accel, dims, options,
+                                        space.slices[si], energy_table);
+            restored[si] = 1;
+            search.restored_best = std::min(search.restored_best,
+                                            out.value);
+        }
+    }
+
+    search.schedule.reserve(n);
+    for (std::size_t si = 0; si < n; ++si) {
+        if (restored[si] == 0) {
+            search.schedule.push_back(si);
+        }
+    }
+    std::stable_sort(search.schedule.begin(), search.schedule.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return search.priority[a] < search.priority[b];
+                     });
+    return search;
+}
+
+AttentionSearchResult
+finish_slice_search(const SliceSearch& search,
+                    const AttentionSearchOptions& options)
+{
+    if (options.journal != nullptr) {
+        options.journal->flush();
+    }
+    if (options.cancel != nullptr) {
+        options.cancel->poll(); // throws CancelledError when tripped
+    }
+
+    AttentionSearchResult result;
+    double best_value = std::numeric_limits<double>::infinity();
+    std::string best_tag;
+    for (const SliceOutcome& out : search.outcomes) {
+        result.evaluated += out.evaluated;
+        result.pruned += out.pruned;
+        if (!out.found) {
+            continue;
+        }
+        if (!result.found ||
+            improves(out.value, out.tag, best_value, best_tag)) {
+            best_value = out.value;
+            best_tag = out.tag;
+            result.best = out.best;
+            result.found = true;
+        }
+    }
+    FLAT_CHECK(result.found, "attention DSE evaluated an empty space");
+    return result;
+}
+
 } // namespace detail
 
 using namespace detail;
@@ -566,263 +723,209 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
     accel.validate();
     dims.validate();
     const EnergyTable energy_table = EnergyTable::for_accel(accel);
-    const SlicedSpace space = build_sliced_space(accel, dims, options);
+    SliceSearch search =
+        prepare_slice_search(accel, dims, options, energy_table);
+    const SlicedSpace& space = search.space;
 
-    // Per-slice pruning bounds, precomputed up front (each is two small
-    // GEMM cost tables plus a handful of arithmetic; the grain batches
-    // the tiny tasks so scheduling atomics do not dominate). Small
-    // spaces — quick menus, policy-pinned searches, the per-point
-    // searches of broad sweeps — compute them inline: waking the pool
-    // costs more than the work, and the bounds are deterministic
-    // either way.
-    std::vector<SliceBound> bounds(space.slices.size());
-    const auto fill_bound = [&](std::size_t si) {
-        bounds[si] = make_slice_bound(accel, dims, energy_table,
-                                      space.slices[si], space.orders);
-    };
-    if (space.slices.size() <= 64) {
-        for (std::size_t si = 0; si < space.slices.size(); ++si) {
-            fill_bound(si);
-        }
-    } else {
-        parallel_for(space.slices.size(), options.threads, fill_bound,
-                     /*grain=*/4);
-    }
+    // Walks slice si. With pruning on, a point is skipped when its
+    // bound exceeds the lower of `incumbent` and the slice's own best
+    // — strictly, so a skipped point is strictly worse than a value
+    // the search has reached and can never win, not even on the tag
+    // tie-break.
+    const auto walk = [&](std::size_t si, double incumbent) {
+        const SearchSlice& slice = space.slices[si];
+        SliceOutcome& out = search.outcomes[si];
+        const SliceBound& bound = search.bounds[si];
+        const std::size_t n_orders = space.orders.size();
+        const std::vector<GemmSliceCost>& logit_costs = bound.logit_costs;
+        const std::vector<GemmSliceCost>& attend_costs =
+            bound.attend_costs;
+        // Worker-lifetime evaluation state: the pool threads are
+        // persistent, so scratch buffers, the batch evaluator and the
+        // lane book-keeping all reach allocation-free steady state
+        // across slices AND searches (the plan-base memo re-validates
+        // itself against every input it depends on, so reuse cannot
+        // leak state between searches).
+        thread_local AttentionEvalScratch scratch;
+        thread_local AttentionBatchEvaluator batch;
+        // The DSE reads only the scalar cost summary; skip the
+        // per-phase timing fill inside the evaluator.
+        scratch.timeline.summary_only = true;
 
-    // Schedule slices by ascending lower bound: promising slices run
-    // first, the shared incumbent drops early, and the worse-bounded
-    // tail prunes harder. The reduction below walks outcomes in the
-    // ORIGINAL slice order, so the schedule cannot change the result —
-    // pruning skips only points strictly worse than the final optimum.
-    std::vector<double> priority(space.slices.size());
-    for (std::size_t si = 0; si < space.slices.size(); ++si) {
-        const SliceBound& bound = bounds[si];
-        double best_lb = std::numeric_limits<double>::infinity();
-        for (std::size_t li = 0; li < bound.logit_costs.size(); ++li) {
-            for (std::size_t ai = 0; ai < bound.attend_costs.size();
-                 ++ai) {
-                best_lb = std::min(
-                    best_lb,
-                    bound.lower_bound(options.objective, li, ai));
+        // Batched walk of the slice: the loop-order axes of each
+        // (tiles, flags) block — the innermost, plan-base-sharing axes
+        // — are buffered as lanes and evaluated SoA-style. Enumeration
+        // and improvement order match the scalar for_each_slice_point
+        // walk exactly, so the outcome is bit-identical at any width;
+        // pruning happens at add time against the slice incumbent as of
+        // the last flush, which only shifts the evaluated/pruned split
+        // between widths, never the result.
+        const std::size_t width = options.batch_width > 0
+                                      ? options.batch_width
+                                      : n_orders * n_orders;
+        struct LaneMeta {
+            std::size_t ol;
+            std::size_t oa;
+        };
+        thread_local std::vector<LaneMeta> lane_meta;
+        lane_meta.clear();
+        lane_meta.reserve(width);
+
+        const std::vector<L2Tile>& tiles_l = *slice.tiles_logit;
+        const std::vector<L2Tile>& tiles_a = *slice.tiles_attend;
+        FusedDataflow df;
+        df.cross = slice.cross;
+        df.stat_logit = slice.stat_logit;
+        df.stat_attend = slice.stat_attend;
+
+        const auto flush = [&]() {
+            if (batch.lanes() == 0) {
+                return;
             }
-        }
-        priority[si] = best_lb;
-    }
-    // Best objective value seen by ANY thread. Pruning compares against
-    // it with a strict >, so a skipped point is strictly worse than the
-    // final optimum and can never win, not even on the tag tie-break.
-    std::atomic<double> shared_best{
-        std::numeric_limits<double>::infinity()};
-    std::vector<SliceOutcome> outcomes(space.slices.size());
-
-    // Checkpoint restore: slices already in the journal are rebuilt
-    // instead of searched, and their incumbents seed the shared bound
-    // so pending slices prune as if the restored ones had just run.
-    std::string journal_scope;
-    std::vector<char> slice_restored(space.slices.size(), 0);
-    if (options.journal != nullptr) {
-        journal_scope = search_scope_key(accel, dims, options);
-        for (std::size_t si = 0; si < space.slices.size(); ++si) {
-            const JsonValue* rec = options.journal->find(
-                journal_scope, slice_journal_key(space.slices[si]));
-            if (rec == nullptr) {
-                continue;
-            }
-            outcomes[si] = restore_slice_outcome(*rec, accel, dims,
-                                                 options,
-                                                 space.slices[si],
-                                                 energy_table);
-            slice_restored[si] = 1;
-            if (outcomes[si].found) {
-                update_shared_best(shared_best, outcomes[si].value);
-            }
-        }
-    }
-
-    std::vector<std::size_t> schedule;
-    schedule.reserve(space.slices.size());
-    for (std::size_t si = 0; si < space.slices.size(); ++si) {
-        if (slice_restored[si] == 0) {
-            schedule.push_back(si);
-        }
-    }
-    std::stable_sort(schedule.begin(), schedule.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return priority[a] < priority[b];
-                     });
-
-    parallel_for(
-        schedule.size(), options.threads, [&](std::size_t k) {
-            const std::size_t si = schedule[k];
-            const SearchSlice& slice = space.slices[si];
-            SliceOutcome& out = outcomes[si];
-            const SliceBound& bound = bounds[si];
-            const std::size_t n_orders = space.orders.size();
-            const std::vector<GemmSliceCost>& logit_costs =
-                bound.logit_costs;
-            const std::vector<GemmSliceCost>& attend_costs =
-                bound.attend_costs;
-            // Worker-lifetime evaluation state: the pool threads are
-            // persistent, so scratch buffers, the batch evaluator and
-            // the lane book-keeping all reach allocation-free steady
-            // state across slices AND searches (the plan-base memo
-            // re-validates itself against every input it depends on,
-            // so reuse cannot leak state between searches).
-            thread_local AttentionEvalScratch scratch;
-            thread_local AttentionBatchEvaluator batch;
-            // The DSE reads only the scalar cost summary; skip the
-            // per-phase timing fill inside the evaluator.
-            scratch.timeline.summary_only = true;
-
-            // Batched walk of the slice: the loop-order axes of each
-            // (tiles, flags) block — the innermost, plan-base-sharing
-            // axes — are buffered as lanes and evaluated SoA-style.
-            // Enumeration and improvement order match the scalar
-            // for_each_slice_point walk exactly, so the outcome is
-            // bit-identical at any width; pruning happens at add time
-            // against the incumbent the block started with (a flush
-            // refreshes it), which only shifts the evaluated/pruned
-            // split, never the result.
-            const std::size_t width = options.batch_width > 0
-                                          ? options.batch_width
-                                          : n_orders * n_orders;
-            struct LaneMeta {
-                std::size_t ol;
-                std::size_t oa;
-            };
-            thread_local std::vector<LaneMeta> lane_meta;
-            lane_meta.clear();
-            lane_meta.reserve(width);
-
-            const std::vector<L2Tile>& tiles_l = *slice.tiles_logit;
-            const std::vector<L2Tile>& tiles_a = *slice.tiles_attend;
-            FusedDataflow df;
-            df.cross = slice.cross;
-            df.stat_logit = slice.stat_logit;
-            df.stat_attend = slice.stat_attend;
-
-            const auto flush = [&]() {
-                if (batch.lanes() == 0) {
-                    return;
-                }
-                batch.evaluate();
-                for (std::size_t i = 0; i < batch.lanes(); ++i) {
-                    ++out.evaluated;
-                    const double energy =
-                        estimate_energy(energy_table, batch.activity(i))
-                            .total();
-                    const double value = objective_value(
-                        options.objective, batch.cycles(i), energy);
-                    if (value <= out.value) {
-                        // Tag construction is deferred to the rare
-                        // improves/ties path; strictly worse points
-                        // never pay for it.
-                        df.order_logit = space.orders[lane_meta[i].ol];
-                        df.order_attend = space.orders[lane_meta[i].oa];
-                        const std::string tag =
-                            candidate_tag(*slice.style, df);
-                        if (improves(value, tag, out.value, out.tag)) {
-                            out.value = value;
-                            out.tag = tag;
-                            out.best.dataflow = df;
-                            out.best.style = slice.style;
-                            out.best.cost = batch.cost(i);
-                            out.best.energy_j = energy;
-                            out.found = true;
-                            update_shared_best(shared_best, value);
-                        }
+            batch.evaluate();
+            for (std::size_t i = 0; i < batch.lanes(); ++i) {
+                ++out.evaluated;
+                const double energy =
+                    estimate_energy(energy_table, batch.activity(i))
+                        .total();
+                const double value = objective_value(
+                    options.objective, batch.cycles(i), energy);
+                if (value <= out.value) {
+                    // Tag construction is deferred to the rare
+                    // improves/ties path; strictly worse points never
+                    // pay for it.
+                    df.order_logit = space.orders[lane_meta[i].ol];
+                    df.order_attend = space.orders[lane_meta[i].oa];
+                    const std::string tag =
+                        candidate_tag(*slice.style, df);
+                    if (improves(value, tag, out.value, out.tag)) {
+                        out.value = value;
+                        out.tag = tag;
+                        out.best.dataflow = df;
+                        out.best.style = slice.style;
+                        out.best.cost = batch.cost(i);
+                        out.best.energy_j = energy;
+                        out.found = true;
                     }
                 }
-                batch.clear_lanes();
-                lane_meta.clear();
-            };
+            }
+            batch.clear_lanes();
+            lane_meta.clear();
+        };
 
-            for (std::size_t tl = 0; tl < tiles_l.size(); ++tl) {
-                df.l2_logit = tiles_l[tl];
-                for (std::size_t ta = 0; ta < tiles_a.size(); ++ta) {
-                    df.l2_attend = tiles_a[ta];
-                    for (const FusedStageFlags& flags :
-                         space.flag_sets) {
-                        if (options.cancel != nullptr &&
-                            options.cancel->cancelled()) {
-                            // Abandon the slice mid-walk: its partial
-                            // outcome is never journaled, and the
-                            // poll() after the loop turns the
-                            // cancellation into CancelledError.
-                            return;
-                        }
-                        df.stage = flags;
-                        batch.begin(accel, dims, df, *slice.style,
-                                    options.baseline_overlap, width,
-                                    scratch);
-                        for (std::size_t ol = 0; ol < n_orders; ++ol) {
-                            for (std::size_t oa = 0; oa < n_orders;
-                                 ++oa) {
-                                const std::size_t li =
-                                    tl * n_orders + ol;
-                                const std::size_t ai =
-                                    ta * n_orders + oa;
-                                if (options.prune) {
-                                    const double lb = bound.lower_bound(
-                                        options.objective, li, ai);
-                                    if (lb >
-                                        shared_best.load(
-                                            std::memory_order_relaxed)) {
-                                        ++out.pruned;
-                                        continue;
-                                    }
-                                }
-                                batch.add(logit_costs[li],
-                                          attend_costs[ai]);
-                                lane_meta.push_back({ol, oa});
-                                if (batch.full()) {
-                                    flush();
-                                }
+        // The point's bound: the compute bound first (no plan needed),
+        // then — for the objectives with a cycle term — the DRAM floor
+        // of the point's own traffic, read off the block's plan memo.
+        const auto prunes = [&](std::size_t li, std::size_t ai) {
+            const double best = std::min(incumbent, out.value);
+            if (bound.lower_bound(options.objective, li, ai) > best) {
+                return true;
+            }
+            return options.objective != Objective::kEnergy &&
+                   bound.lower_bound(options.objective, li, ai,
+                                     batch.dram_bytes(logit_costs[li],
+                                                      attend_costs[ai])) >
+                       best;
+        };
+
+        for (std::size_t tl = 0; tl < tiles_l.size(); ++tl) {
+            df.l2_logit = tiles_l[tl];
+            for (std::size_t ta = 0; ta < tiles_a.size(); ++ta) {
+                df.l2_attend = tiles_a[ta];
+                for (const FusedStageFlags& flags : space.flag_sets) {
+                    if (options.cancel != nullptr &&
+                        options.cancel->cancelled()) {
+                        // Abandon the slice mid-walk: its partial
+                        // outcome is never journaled, and
+                        // finish_slice_search() turns the cancellation
+                        // into CancelledError.
+                        return;
+                    }
+                    df.stage = flags;
+                    batch.begin(accel, dims, df, *slice.style,
+                                options.baseline_overlap, width, scratch);
+                    for (std::size_t ol = 0; ol < n_orders; ++ol) {
+                        for (std::size_t oa = 0; oa < n_orders; ++oa) {
+                            const std::size_t li = tl * n_orders + ol;
+                            const std::size_t ai = ta * n_orders + oa;
+                            if (options.prune && prunes(li, ai)) {
+                                ++out.pruned;
+                                continue;
+                            }
+                            batch.add(logit_costs[li], attend_costs[ai]);
+                            lane_meta.push_back({ol, oa});
+                            if (batch.full()) {
+                                flush();
                             }
                         }
-                        flush(); // lanes left over from this block
                     }
+                    flush(); // lanes left over from this block
                 }
             }
-            if (options.journal != nullptr) {
-                // Only COMPLETE slices reach this append (cancellation
-                // returns early above); workers journal their own
-                // slices, so a crash loses at most the unflushed batch.
-                options.journal->append(journal_scope,
-                                        slice_journal_key(slice),
-                                        encode_slice_outcome(out));
+        }
+        // Workers journal their own complete slices, so a crash loses
+        // at most the slices in flight.
+        search.journal_slice(options, si);
+    };
+
+    // Thread-invariant incumbent: pruned, slice k of the schedule
+    // prunes against the best of the restored slices and of schedule
+    // slices 0 .. max(0, k - kLagSlices), plus its own. The first slice
+    // (best bound, usually the best value) reaches every later one, and
+    // the rest trail by kLagSlices. That value depends on the schedule
+    // alone, so the evaluated/pruned split, not just the result, is the
+    // same at any thread count; a worker that claims slice k before
+    // that prefix is done waits for it (parallel_for hands slices out
+    // in order, so the prefix is always in flight). Unpruned, nothing
+    // waits: one plain parallel_for.
+    const std::vector<std::size_t>& schedule = search.schedule;
+    const std::size_t n = schedule.size();
+    std::mutex mutex;
+    std::condition_variable advanced;
+    std::vector<char> done(n, 0);
+    std::vector<double> prefix_best(n); ///< best of restored + 0..j
+    std::size_t complete = 0;           ///< slices [0, complete) done
+    bool failed = false; ///< a walk threw: waiters must not block
+    const auto finish = [&](std::size_t k) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        done[k] = 1;
+        for (; complete < n && done[complete] != 0; ++complete) {
+            prefix_best[complete] = std::min(
+                complete == 0 ? search.restored_best
+                              : prefix_best[complete - 1],
+                search.outcomes[schedule[complete]].value);
+        }
+        advanced.notify_all();
+    };
+    parallel_for(
+        n, options.threads,
+        [&](std::size_t k) {
+            double incumbent = search.restored_best;
+            if (options.prune && k > 0) {
+                const std::size_t seen =
+                    k > kLagSlices ? k - kLagSlices : 0;
+                std::unique_lock<std::mutex> lock(mutex);
+                advanced.wait(lock,
+                              [&] { return failed || complete > seen; });
+                if (failed) {
+                    return; // the search rethrows the first error
+                }
+                incumbent = prefix_best[seen];
             }
+            try {
+                walk(schedule[k], incumbent);
+            } catch (...) {
+                {
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    failed = true;
+                }
+                advanced.notify_all();
+                throw;
+            }
+            finish(k);
         },
         /*grain=*/1, options.cancel);
-
-    if (options.journal != nullptr) {
-        options.journal->flush();
-    }
-    if (options.cancel != nullptr) {
-        options.cancel->poll(); // throws CancelledError when tripped
-    }
-
-    // Deterministic reduction, in slice order, under the same total
-    // order used inside the slices.
-    AttentionSearchResult result;
-    double best_value = std::numeric_limits<double>::infinity();
-    std::string best_tag;
-    for (const SliceOutcome& out : outcomes) {
-        result.evaluated += out.evaluated;
-        result.pruned += out.pruned;
-        if (!out.found) {
-            continue;
-        }
-        if (!result.found ||
-            improves(out.value, out.tag, best_value, best_tag)) {
-            best_value = out.value;
-            best_tag = out.tag;
-            result.best = out.best;
-            result.found = true;
-        }
-    }
-    FLAT_CHECK(result.found, "attention DSE evaluated an empty space");
-    return result;
+    return finish_slice_search(search, options);
 }
 
 std::vector<DsePoint>

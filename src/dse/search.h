@@ -127,13 +127,19 @@ struct AttentionSearchOptions {
      * bit-identical for any thread count: each (cross-loop x
      * stationarity) slice keeps a local incumbent and a final
      * deterministic reduction breaks ties by (objective value, tag).
+     * The exhaustive sweep's evaluated/pruned counters are identical
+     * at any thread count too (for a fixed batch width): a slice prunes
+     * against the best of a fixed prefix of the schedule (the first
+     * slice and those at least eight places before it), never a value
+     * another thread may or may not have published yet.
      */
     unsigned threads = 0;
 
     /**
      * Incumbent lower-bound pruning: skip the full cost model whenever
-     * a cheap monotone bound (ideal compute cycles of the two staged
-     * GEMMs plus the softmax and cold-start terms) already exceeds the
+     * a cheap monotone bound — max(compute cycles of the two staged
+     * GEMMs plus the softmax and cold-start terms, the point's own
+     * DRAM bytes over the off-chip bandwidth) — already exceeds the
      * best objective seen so far. Never changes the returned optimum —
      * only strictly-worse points are skipped.
      */
@@ -146,9 +152,8 @@ struct AttentionSearchOptions {
      * already in the journal are restored (the winning dataflow is
      * re-evaluated through the cost model — cheap and deterministic)
      * instead of searched. A restored-then-finished search returns a
-     * result bit-identical to an uninterrupted one under the same
-     * determinism conditions that already govern repeated runs
-     * (fixed thread count, or pruning off).
+     * result bit-identical to an uninterrupted one, at any thread
+     * count and with pruning on or off.
      */
     RunJournal* journal = nullptr;
 
@@ -182,10 +187,11 @@ struct AttentionSearchResult {
     std::size_t evaluated = 0;
 
     /** Points skipped by the lower-bound test. evaluated + pruned is
-     *  the full space size and is stable across thread counts; the
-     *  split may shift with scheduling when threads > 1. (The analytic
-     *  mode counts every point it never visited as pruned, keeping the
-     *  same audit identity.) */
+     *  the full space size. The exhaustive sweep's split is the same
+     *  at any thread count for a fixed batch width; the analytic
+     *  mode's may shift with scheduling when threads > 1 (it counts
+     *  every point it never visited as pruned, keeping the same audit
+     *  identity). */
     std::size_t pruned = 0;
 
     bool found = false;

@@ -105,29 +105,37 @@ SlicedSpace build_sliced_space(const AccelConfig& accel,
 
 /**
  * Per-slice ingredients of the pruning lower bound, hoisted out of the
- * point loop. The cycle bound combines the per-slice GEMM aggregates
- * (scaled by the slice count, column blocks included) through the
- * slice's style — ExecutionStyle::bound_cycles() — so each style keeps
- * its own monotone bound: the serial/fused styles add summed GEMM
- * occupancy, softmax and cold start (the timeline's group latency is
- * at least its compute lane under either overlap policy); the
- * pipelined style, whose concurrent tracks can beat that sum, bounds
- * by max(slower stage, softmax); flash adds its online-softmax rescale
- * SFU time. All use the exact model_gemm_compute values the phase
- * emitters consume, so no bound exceeds the modeled cycles. The energy
- * bound keeps only the traffic-independent activity (MACs, SL, SFU,
- * rescale ops) plus the guaranteed SG streaming volume — the style
- * hook drops the intermediate round trip when it lives in the register
- * tier; DRAM/SG2 terms are dropped (>= 0).
+ * point loop. The cycle bound is max(style compute bound, DRAM floor).
+ * The compute bound combines the per-slice GEMM aggregates (scaled by
+ * the slice count, column blocks included) through the slice's style —
+ * ExecutionStyle::bound_cycles() — so each style keeps its own monotone
+ * bound: the serial/fused styles add summed GEMM occupancy, softmax and
+ * cold start (the timeline's group latency is at least its compute
+ * lane under either overlap policy); the pipelined style, whose
+ * concurrent tracks can beat that sum, bounds by its slower track on
+ * the half array it runs on plus the softmax serialized between the
+ * tracks; flash adds its online-softmax rescale SFU time. All use the
+ * exact model_gemm_compute values the phase emitters consume. The DRAM
+ * floor is the candidate's own plan_dram_traffic() bytes over the
+ * off-chip bandwidth: every style ledgers exactly those bytes in phases
+ * that are not pace-only, and every overlap group's latency is at least
+ * its off-chip lane, so the floor holds for all four styles and both
+ * baseline overlap policies. Neither term exceeds the modeled cycles.
+ * The energy bound keeps only the traffic-independent activity (MACs,
+ * SL, SFU, rescale ops) plus the guaranteed SG streaming volume — the
+ * style hook drops the intermediate round trip when it lives in the
+ * register tier; DRAM/SG2 energy is dropped (>= 0).
  */
 struct SliceBound {
     const ExecutionStyle* style = nullptr;
     double slices_count = 1.0;
-    double softmax_plus_cold = 0.0; ///< cycles added to every point
-    double rescale_cycles = 0.0;    ///< online-softmax rescale (flash)
-    double fixed_energy_j = 0.0;    ///< traffic-independent energy
-    double inter_sg_bytes = 0.0;    ///< intermediate SG round trip
+    double softmax_cycles = 0.0; ///< whole-softmax SFU time
+    double cold_cycles = 0.0;    ///< exposed first Q/K fetch
+    double rescale_cycles = 0.0; ///< online-softmax rescale (flash)
+    double fixed_energy_j = 0.0; ///< traffic-independent energy
+    double inter_sg_bytes = 0.0; ///< intermediate SG round trip
     double sg_pj_per_byte = 0.0;
+    double offchip_bytes_per_cycle = 1.0; ///< the DRAM floor's divisor
 
     /** Cost record per (tile, order), entry [t * n_orders + o]:
      *  { model_gemm_compute, stage_reuse } of the slice's shape and
@@ -137,29 +145,42 @@ struct SliceBound {
     std::vector<GemmSliceCost> logit_costs;
     std::vector<GemmSliceCost> attend_costs;
 
+    /** The same records on the style's stage_array(), same indexing:
+     *  the array each stage runs on (the whole array for every style
+     *  but the pipelined one). */
+    std::vector<GemmSliceCost> logit_stage_costs;
+    std::vector<GemmSliceCost> attend_stage_costs;
+
     /** Relative slack keeping the bound strictly below the modeled
      *  value even though the timeline evaluator may associate the same
      *  sums differently (a few ULP is all that is at stake; 1e-9 of a
      *  billion-cycle run is one cycle and costs no pruning power). */
     static constexpr double kAssocSlack = 1.0 - 1e-9;
 
+    /**
+     * Lower bound on the objective of candidate (@p li, @p ai) given
+     * the @p dram_bytes it moves (AttentionBatchEvaluator::dram_bytes);
+     * the default 0 leaves the compute bound alone, which is what the
+     * slice priorities use.
+     */
     double lower_bound(Objective objective, std::size_t li,
-                       std::size_t ai) const
+                       std::size_t ai, double dram_bytes = 0.0) const
     {
         const GemmComputeCost& lc = logit_costs[li].compute;
         const GemmComputeCost& ac = attend_costs[ai].compute;
-        // Cold start rides in softmax_plus_cold (folded once, up
-        // front) so the default style bound reproduces the historical
-        // sum bit for bit; the cold argument is therefore zero.
         const double gemm_sum =
             (lc.total_cycles() + ac.total_cycles()) * slices_count;
         const double gemm_max =
-            std::max(lc.total_cycles(), ac.total_cycles()) *
+            std::max(logit_stage_costs[li].compute.total_cycles(),
+                     attend_stage_costs[ai].compute.total_cycles()) *
             slices_count;
-        const double cycles_lb =
-            style->bound_cycles(gemm_sum, gemm_max, softmax_plus_cold,
-                                0.0, rescale_cycles) *
-            kAssocSlack;
+        double cycles = style->bound_cycles(gemm_sum, gemm_max,
+                                            softmax_cycles, cold_cycles,
+                                            rescale_cycles);
+        if (dram_bytes > 0.0) {
+            cycles = std::max(cycles, dram_bytes / offchip_bytes_per_cycle);
+        }
+        const double cycles_lb = cycles * kAssocSlack;
         if (objective == Objective::kRuntime) {
             return cycles_lb;
         }
@@ -191,6 +212,49 @@ struct SliceOutcome {
     std::size_t evaluated = 0;
     std::size_t pruned = 0;
 };
+
+/**
+ * The slice set-up and tear-down both search modes share: the sliced
+ * space, every slice's bound and priority (its best compute lower
+ * bound), the journal restore and the schedule of pending slices.
+ */
+struct SliceSearch {
+    SlicedSpace space;
+    std::vector<SliceBound> bounds;
+    std::vector<double> priority;
+    /** One per slice; restored slices arrive filled in. */
+    std::vector<SliceOutcome> outcomes;
+    /** Slices still to search, by ascending priority (stable). */
+    std::vector<std::size_t> schedule;
+    /** Best objective value among the restored slices (inf if none). */
+    double restored_best = std::numeric_limits<double>::infinity();
+    std::string journal_scope;
+
+    /** Appends the completed slice @p si to options.journal, if any.
+     *  Only complete slices may be journaled. */
+    void journal_slice(const AttentionSearchOptions& options,
+                       std::size_t si) const;
+};
+
+/**
+ * Builds the space and its bounds, restores journaled slices (their
+ * incumbents seed restored_best, so pending slices prune as if the
+ * restored ones had just run) and sorts the rest into the schedule:
+ * promising slices run first and the worse-bounded tail prunes harder.
+ */
+SliceSearch prepare_slice_search(const AccelConfig& accel,
+                                 const AttentionDims& dims,
+                                 const AttentionSearchOptions& options,
+                                 const EnergyTable& energy_table);
+
+/**
+ * Flushes the journal, turns a tripped cancellation into
+ * CancelledError, and reduces the outcomes in ORIGINAL slice order
+ * under improves(), so neither the schedule nor the thread count can
+ * change the result.
+ */
+AttentionSearchResult finish_slice_search(
+    const SliceSearch& search, const AttentionSearchOptions& options);
 
 /**
  * Canonical text of everything that shapes the search space and its

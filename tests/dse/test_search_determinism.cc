@@ -6,7 +6,10 @@
  * unpruned reference, and explore_attention must return the same point
  * sequence. Bit-exact equality is intentional — every point is modeled
  * by exactly one thread with an identical instruction sequence, and the
- * reduction only compares, never accumulates, across threads.
+ * reduction only compares, never accumulates, across threads. Where the
+ * thread count is the only difference, the evaluated/pruned split must
+ * match too: pruning reads a schedule-prefix incumbent no interleaving
+ * moves.
  */
 #include "dse/search.h"
 
@@ -14,6 +17,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "dse/search_internal.h"
@@ -78,10 +82,16 @@ run(const Config& cfg, unsigned threads, bool prune,
     return search_attention(cfg.accel, cfg.dims, opt);
 }
 
+/** How much of the audit split two runs must share. */
+enum class Split {
+    kSum,   ///< prune setting or batch width differs: the space size
+    kExact, ///< only the thread count differs: evaluated and pruned
+};
+
 void
 expect_same_best(const AttentionSearchResult& reference,
                  const AttentionSearchResult& candidate,
-                 const char* what)
+                 const char* what, Split split = Split::kSum)
 {
     ASSERT_TRUE(candidate.found) << what;
     EXPECT_EQ(candidate.best.dataflow.tag(),
@@ -90,11 +100,16 @@ expect_same_best(const AttentionSearchResult& reference,
     EXPECT_EQ(candidate.best.cost.cycles, reference.best.cost.cycles)
         << what;
     EXPECT_EQ(candidate.best.energy_j, reference.best.energy_j) << what;
-    // Pruning may skip points but never lose any: the audit counters
-    // must cover the full space.
-    EXPECT_EQ(candidate.evaluated + candidate.pruned,
-              reference.evaluated + reference.pruned)
-        << what;
+    if (split == Split::kExact) {
+        EXPECT_EQ(candidate.evaluated, reference.evaluated) << what;
+        EXPECT_EQ(candidate.pruned, reference.pruned) << what;
+    } else {
+        // Pruning may skip points but never lose any: the audit
+        // counters must cover the full space.
+        EXPECT_EQ(candidate.evaluated + candidate.pruned,
+                  reference.evaluated + reference.pruned)
+            << what;
+    }
 }
 
 TEST(SearchDeterminism, ParallelAndPrunedMatchSerialUnpruned)
@@ -106,14 +121,14 @@ TEST(SearchDeterminism, ParallelAndPrunedMatchSerialUnpruned)
         ASSERT_TRUE(reference.found);
         EXPECT_EQ(reference.pruned, 0u);
 
-        expect_same_best(reference, run(cfg, 1, true),
-                         "serial, pruned");
+        const AttentionSearchResult serial_pruned = run(cfg, 1, true);
+        expect_same_best(reference, serial_pruned, "serial, pruned");
         expect_same_best(reference, run(cfg, 4, false),
-                         "4 threads, unpruned");
-        expect_same_best(reference, run(cfg, 4, true),
-                         "4 threads, pruned");
-        expect_same_best(reference, run(cfg, 7, true),
-                         "7 threads, pruned");
+                         "4 threads, unpruned", Split::kExact);
+        expect_same_best(serial_pruned, run(cfg, 4, true),
+                         "4 threads, pruned", Split::kExact);
+        expect_same_best(serial_pruned, run(cfg, 7, true),
+                         "7 threads, pruned", Split::kExact);
     }
 }
 
@@ -168,10 +183,41 @@ TEST(SearchDeterminism, HoldsForGroupedQueryDecode)
     }
     EXPECT_LE(min_lb, reference.best.cost.cycles);
 
-    expect_same_best(reference, run(cfg, 1, true), "serial, pruned");
-    expect_same_best(reference, run(cfg, 4, true), "4 threads, pruned");
-    expect_same_best(reference, run(cfg, 16, true),
-                     "16 threads, pruned");
+    const AttentionSearchResult serial_pruned = run(cfg, 1, true);
+    expect_same_best(reference, serial_pruned, "serial, pruned");
+    expect_same_best(serial_pruned, run(cfg, 4, true),
+                     "4 threads, pruned", Split::kExact);
+    expect_same_best(serial_pruned, run(cfg, 16, true),
+                     "16 threads, pruned", Split::kExact);
+}
+
+TEST(SearchDeterminism, HoldsForPipelinedDecode)
+{
+    // Decode GEMMs are one row tall, so the array's fill and drain
+    // dominate them and the pipelined style's half-array tracks beat
+    // the full array. Its stage bound, priced on the full array, sat
+    // above the modeled cycles and pruned the tied winner: the pruned
+    // search picked M/... where the unpruned one picks B/....
+    AttentionDims d;
+    d.batch = 16;
+    d.heads = 32;
+    d.kv_heads = 8;
+    d.q_len = 1;
+    d.kv_len = 512;
+    d.head_dim = 128;
+    d.decode = true;
+    for (const char* style : {"pipelined", "all"}) {
+        AttentionSearchOptions opt;
+        opt.styles = {style};
+        opt.threads = 1;
+        opt.prune = false;
+        const AttentionSearchResult reference =
+            search_attention(cloud_accel(), d, opt);
+        ASSERT_TRUE(reference.found);
+        opt.prune = true;
+        expect_same_best(reference, search_attention(cloud_accel(), d, opt),
+                         style);
+    }
 }
 
 TEST(SearchDeterminism, HoldsForEnergyAndEdpObjectives)
@@ -181,8 +227,10 @@ TEST(SearchDeterminism, HoldsForEnergyAndEdpObjectives)
     for (Objective objective : {Objective::kEnergy, Objective::kEdp}) {
         SCOPED_TRACE(static_cast<int>(objective));
         const auto reference = run(cfg, 1, false, objective);
-        expect_same_best(reference, run(cfg, 4, true, objective),
-                         "objective variant");
+        const auto serial_pruned = run(cfg, 1, true, objective);
+        expect_same_best(reference, serial_pruned, "objective variant");
+        expect_same_best(serial_pruned, run(cfg, 4, true, objective),
+                         "objective variant, 4 threads", Split::kExact);
     }
 }
 
@@ -202,13 +250,46 @@ TEST(SearchDeterminism, PruningActuallyFires)
 TEST(SearchDeterminism, OneThreadMatchesThirtyTwoThreads)
 {
     // The oversubscribed extreme: 32 workers on any core count must
-    // still reduce to the bit-identical optimum (slice order is fixed,
-    // the shared incumbent only tightens pruning).
+    // still reduce to the bit-identical optimum over the same
+    // evaluated/pruned split (the schedule and each slice's incumbent
+    // prefix are fixed).
     for (const Config& cfg : configs()) {
         SCOPED_TRACE(cfg.name);
         const AttentionSearchResult reference = run(cfg, 1, true);
         expect_same_best(reference, run(cfg, 32, true),
-                         "32 threads, pruned");
+                         "32 threads, pruned", Split::kExact);
+    }
+}
+
+TEST(SearchDeterminism, PruneSplitIsIdenticalAtAnyThreadCount)
+{
+    // The work counters, not just the result, are thread-invariant for
+    // a fixed batch width: every slice prunes against the best of a
+    // fixed prefix of the schedule plus its own incumbent, never against
+    // a value another thread may or may not have published yet.
+    for (const Config& cfg : configs()) {
+        for (const bool prune : {true, false}) {
+            SCOPED_TRACE(std::string(cfg.name) +
+                         " prune=" + std::to_string(prune));
+            AttentionSearchOptions opt;
+            opt.quick = true;
+            opt.styles = {"all"};
+            opt.prune = prune;
+            opt.batch_width = 5; // flushes mid-block: a fixed width
+            opt.threads = 1;
+            const AttentionSearchResult serial =
+                search_attention(cfg.accel, cfg.dims, opt);
+            ASSERT_TRUE(serial.found);
+            for (const unsigned threads : {2u, 8u, 32u}) {
+                opt.threads = threads;
+                const std::string what =
+                    std::to_string(threads) + " threads";
+                expect_same_best(serial,
+                                 search_attention(cfg.accel, cfg.dims,
+                                                  opt),
+                                 what.c_str(), Split::kExact);
+            }
+        }
     }
 }
 

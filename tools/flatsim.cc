@@ -86,10 +86,12 @@ usage: flatsim [options]
                      shapes searched once; prints each layer's mapping
                      (composes with --search-mode analytic)
   --threads N        DSE worker threads (default: FLAT_THREADS env,
-                     else all hardware threads; result is identical
-                     for any thread count)
-  --no-prune         disable DSE lower-bound pruning (same result,
-                     every design point evaluated)
+                     else all hardware threads; the result and the
+                     exhaustive search's points evaluated / pruned are
+                     identical for any thread count)
+  --no-prune         disable DSE lower-bound pruning (compute bound and
+                     DRAM-traffic floor; same result, every design
+                     point evaluated)
   --batch-width N    lanes per batched DSE evaluation (default 0 =
                      one whole tiles-x-flags block; result is
                      identical for any width)
