@@ -6,9 +6,10 @@
  *   1. full-space search_attention throughput (points/s) — the
  *      headline points/s of the batched evaluator on a realistic
  *      search load;
- *   2. the per-point hot path in isolation — the plain (allocating)
- *      model_attention entry vs the scratch-buffer overload that
- *      reuses one AttentionEvalScratch across calls;
+ *   2. the per-point hot path in isolation — the reference
+ *      model_attention() on one dataflow vs one 9-lane loop-order
+ *      block of the same (tiles, flags) through the
+ *      AttentionBatchEvaluator the search prices with;
  *   3. heap allocations per evaluated point, via a replaced global
  *      operator new that counts every allocation in the process.
  *
@@ -152,12 +153,12 @@ struct HotPathLeg {
     double allocs_per_eval = 0.0;
 };
 
-/** Repeated single-point evaluation through @p eval. */
+/** Repeated calls of @p eval; the figures are per call. */
 template <typename Eval>
 HotPathLeg
 run_hot_path(unsigned iterations, const Eval& eval)
 {
-    // One warm-up call grows the scratch buffers to steady state.
+    // One warm-up call grows reused buffers to steady state.
     eval();
     const std::uint64_t allocs_before =
         g_allocations.load(std::memory_order_relaxed);
@@ -242,17 +243,48 @@ main(int argc, char** argv)
     const HotPathLeg plain = run_hot_path(kEvalIters, [&] {
         (void)model_attention(flat, accel, dims, dataflow);
     });
-    AttentionEvalScratch scratch;
-    const HotPathLeg reused = run_hot_path(kEvalIters, [&] {
-        (void)model_attention(flat, accel, dims, dataflow,
-                              BaselineOverlap::kFull, scratch);
-    });
-    std::printf("\nper-point eval (%u iters): plain %.0f ns "
-                "(%.1f allocs), scratch %.0f ns (%.2f allocs) — %s\n",
+
+    // The block's GEMM cost records, as the search's per-slice tables
+    // hold them: one per loop order of each stage.
+    const AttentionPlan plan = make_plan(accel, dims, dataflow);
+    const std::vector<LoopOrder> orders = loop_order_candidates({});
+    std::vector<GemmSliceCost> logit_costs;
+    std::vector<GemmSliceCost> attend_costs;
+    for (const LoopOrder order : orders) {
+        logit_costs.push_back(
+            {model_gemm_compute(accel, plan.logit_shape, dataflow.l2_logit,
+                                order, dataflow.stat_logit),
+             stage_reuse(plan.logit_shape, dataflow.l2_logit, order)});
+        attend_costs.push_back(
+            {model_gemm_compute(accel, plan.attend_shape,
+                                dataflow.l2_attend, order,
+                                dataflow.stat_attend),
+             stage_reuse(plan.attend_shape, dataflow.l2_attend, order)});
+    }
+    const std::size_t lanes = orders.size() * orders.size();
+    AttentionBatchEvaluator batch;
+    const HotPathLeg block_leg = run_hot_path(
+        static_cast<unsigned>(kEvalIters / lanes), [&] {
+            batch.begin(accel, dims, dataflow, flat,
+                        BaselineOverlap::kFull, lanes);
+            for (std::size_t ol = 0; ol < orders.size(); ++ol) {
+                for (std::size_t oa = 0; oa < orders.size(); ++oa) {
+                    batch.add(orders[ol], orders[oa], logit_costs[ol],
+                              attend_costs[oa]);
+                }
+            }
+            batch.evaluate();
+        });
+    HotPathLeg batched;
+    batched.ns_per_eval = block_leg.ns_per_eval / lanes;
+    batched.allocs_per_eval = block_leg.allocs_per_eval / lanes;
+    std::printf("\nper-point eval (%u points): plain %.0f ns "
+                "(%.1f allocs), %zu-lane block %.0f ns (%.2f allocs) "
+                "— %s\n",
                 kEvalIters, plain.ns_per_eval, plain.allocs_per_eval,
-                reused.ns_per_eval, reused.allocs_per_eval,
-                fmt_x(reused.ns_per_eval > 0.0
-                          ? plain.ns_per_eval / reused.ns_per_eval
+                lanes, batched.ns_per_eval, batched.allocs_per_eval,
+                fmt_x(batched.ns_per_eval > 0.0
+                          ? plain.ns_per_eval / batched.ns_per_eval
                           : 0.0)
                     .c_str());
 
@@ -272,11 +304,11 @@ main(int argc, char** argv)
     json.begin_object();
     json.field("plain_ns_per_eval", plain.ns_per_eval);
     json.field("plain_allocs_per_eval", plain.allocs_per_eval);
-    json.field("scratch_ns_per_eval", reused.ns_per_eval);
-    json.field("scratch_allocs_per_eval", reused.allocs_per_eval);
+    json.field("batch_ns_per_point", batched.ns_per_eval);
+    json.field("batch_allocs_per_point", batched.allocs_per_eval);
     json.field("speedup",
-               reused.ns_per_eval > 0.0
-                   ? plain.ns_per_eval / reused.ns_per_eval
+               batched.ns_per_eval > 0.0
+                   ? plain.ns_per_eval / batched.ns_per_eval
                    : 0.0);
     json.end_object();
     json.end_object();

@@ -62,8 +62,8 @@ struct RunJournalHeader {
     /** Hash of the canonical search-space description. Includes every
      *  knob that changes results (axes, scope, objective, overlap
      *  model, quick menus); excludes bit-identical execution knobs
-     *  (threads, prune, batch width), so a journal written at
-     *  --threads 8 resumes fine at --threads 1. */
+     *  (threads, prune), so a journal written at --threads 8 resumes
+     *  fine at --threads 1. */
     std::uint64_t space_hash = 0;
 
     /** Expected work-item count (sweep points); 0 for open-ended

@@ -64,7 +64,6 @@ attention_options(const DataflowPolicy& policy, const SimOptions& options)
     out.baseline_overlap = options.baseline_overlap;
     out.threads = options.threads;
     out.prune = options.prune;
-    out.batch_width = options.batch_width;
     out.journal = options.journal;
     out.cancel = options.cancel;
     out.fused = policy.fused();
@@ -97,7 +96,6 @@ attention_options(const AcceleratorSpec& spec, const SimOptions& options)
     out.baseline_overlap = options.baseline_overlap;
     out.threads = options.threads;
     out.prune = options.prune;
-    out.batch_width = options.batch_width;
     out.journal = options.journal;
     out.cancel = options.cancel;
     out.fused = policy.fused();

@@ -47,10 +47,6 @@ struct SimOptions {
      *  fewer cost-model evaluations). */
     bool prune = true;
 
-    /** Lanes per batched L-A evaluation; 0 = auto (one whole
-     *  tiles-x-flags block). Identical result at any width. */
-    std::size_t batch_width = 0;
-
     /** Optional checkpoint journal threaded into the L-A DSE (see
      *  AttentionSearchOptions::journal). Not owned. */
     RunJournal* journal = nullptr;

@@ -658,7 +658,7 @@ RunJournalHeader
 sweep_journal_header(const SweepSpec& spec, const SimOptions& sim)
 {
     // Canonical text of every knob that shapes the sweep's RESULTS.
-    // Execution knobs (threads, prune, batch width, deadlines) are
+    // Execution knobs (threads, prune, deadlines) are
     // excluded on purpose: a journal written under one execution
     // configuration must resume under another.
     std::ostringstream text;

@@ -10,7 +10,7 @@
 #ifndef FLAT_COSTMODEL_ATTENTION_COST_H
 #define FLAT_COSTMODEL_ATTENTION_COST_H
 
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "arch/accel_config.h"
@@ -25,7 +25,11 @@ namespace flat {
 
 /**
  * Models the fused L-A operator under @p style. @p overlap is read
- * only by the baseline style (see BaselineOverlap).
+ * only by the baseline style (see BaselineOverlap). This is the
+ * reference path — make_plan(), the style's emit_phases(), then
+ * evaluate_timeline() — that reports, restored journal slices and
+ * explore_attention() price through, and the one the search's
+ * AttentionBatchEvaluator is tested against.
  */
 OperatorCost model_attention(const ExecutionStyle& style,
                              const AccelConfig& accel,
@@ -76,90 +80,51 @@ AttentionPhases attention_phases(const ExecutionStyle& style,
                                      BaselineOverlap::kFull);
 
 /**
- * Reusable evaluation buffers for the DSE hot path (one instance per
- * worker). The scratch model overload below emits phases into
- * `timeline.phases` in place (Phase label strings keep their capacity)
- * and evaluates with evaluate_timeline_into(), so after the first call
- * the per-point evaluation performs zero heap allocations.
+ * Batched DSE point evaluator, the only pricer of searched L-A points:
+ * N candidates that share one plan base (cross loop, L2 tiles, staging
+ * flags — everything but the SG loop orders, the innermost search
+ * axes) are laid out as lanes of a TimelineBatch and evaluated in one
+ * SoA pass.
  *
- * The scratch also memoizes the loop-order-independent part of the
- * attention plan (extent, stage shapes, byte totals, footprint,
- * residency): consecutive evaluations that differ only in the SG loop
- * orders — the innermost DSE axes — reuse the base and patch the four
- * order-dependent compute/reuse fields. Same arithmetic on the same
- * inputs, so results stay bit-identical; the memo is invalidated by
- * any change to the fields the base depends on.
- */
-struct AttentionEvalScratch {
-    AttentionEvalScratch();
-    ~AttentionEvalScratch();
-    AttentionEvalScratch(const AttentionEvalScratch&) = delete;
-    AttentionEvalScratch& operator=(const AttentionEvalScratch&) = delete;
-
-    TimelineScratch timeline;
-
-    /** Plan-base memo (defined in attention_cost.cc). */
-    struct PlanMemo;
-    std::unique_ptr<PlanMemo> memo;
-};
-
-/**
- * Hot-path variant of model_attention(): bit-identical results to the
- * plain overload, but reusing @p scratch across calls and honoring
- * injected @p planned compute costs (see PlannedGemmCosts in
- * attention_plan.h).
- */
-OperatorCost model_attention(const ExecutionStyle& style,
-                             const AccelConfig& accel,
-                             const AttentionDims& dims,
-                             const FusedDataflow& dataflow,
-                             BaselineOverlap overlap,
-                             AttentionEvalScratch& scratch,
-                             const PlannedGemmCosts& planned = {});
-
-/**
- * Batched DSE point evaluator: N candidates that share one plan base
- * (cross loop, L2 tiles, staging flags — everything but the SG loop
- * orders and stationarities, the innermost search axes) are laid out
- * as lanes of a TimelineBatch and evaluated in one SoA pass.
- *
- * Bit-identity: add() runs the exact scalar phase emitter (the bound
- * style's emit_phases()) over the same memoized plan the scalar hot
- * path uses, and TimelineBatch::evaluate() replicates
- * evaluate_timeline_into()'s per-lane arithmetic — so cycles(),
- * activity() and cost() equal model_attention() bit for bit for every
- * lane, at any batch width.
+ * Bit-identity: add() runs the bound style's emit_phases() over the
+ * block's plan and the lane's own dataflow (the pipelined style reads
+ * its loop orders), and TimelineBatch::evaluate() replicates
+ * evaluate_timeline()'s per-lane arithmetic — so cycles(), activity()
+ * and cost() equal model_attention() bit for bit for every lane
+ * (tests/costmodel/test_timeline_batch.cc).
  *
  * Usage per block: begin() -> add() x N (at most `lane_capacity`) ->
- * evaluate() -> cycles()/activity() per lane, cost() for the winner ->
- * clear_lanes() (and more add() rounds) or the next begin().
+ * evaluate() -> cycles()/activity() per lane, dataflow()/cost() for
+ * the winner -> the next begin().
  */
 class AttentionBatchEvaluator
 {
   public:
     /**
      * Rebinds the evaluator to a plan-base block under @p style.
-     * @p base's loop orders/stationarities are irrelevant — each add()
-     * injects a lane's own GEMM cost records. @p baseline_overlap is
-     * read only by the baseline style. The plan memo and phase buffers
-     * live in @p scratch (shared with the scalar hot path, same reuse
-     * rules).
+     * @p base's loop orders are irrelevant — each add() supplies a
+     * lane's own orders and GEMM cost records. @p baseline_overlap is
+     * read only by the baseline style.
      */
     void begin(const AccelConfig& accel, const AttentionDims& dims,
                const FusedDataflow& base, const ExecutionStyle& style,
                BaselineOverlap baseline_overlap,
-               std::size_t lane_capacity,
-               AttentionEvalScratch& scratch);
+               std::size_t lane_capacity);
 
     std::size_t lanes() const { return batch_.lanes(); }
-    bool full() const { return batch_.lanes() >= lane_capacity_; }
+    const ExecutionStyle& style() const { return *style_; }
 
     /**
-     * Appends one candidate. @p logit / @p attend must be the
-     * GemmSliceCost records of the lane's (tile, order, stationarity)
-     * choices — the same contract as PlannedGemmCosts.
+     * Appends one candidate: the block's base with loop orders
+     * @p order_logit / @p order_attend. @p logit / @p attend must be
+     * the GemmSliceCost records of the lane's (tile, order,
+     * stationarity) choices — the same contract as PlannedGemmCosts.
      */
-    void add(const GemmSliceCost& logit, const GemmSliceCost& attend);
+    void add(LoopOrder order_logit, LoopOrder order_attend,
+             const GemmSliceCost& logit, const GemmSliceCost& attend);
+
+    /** Dataflow of lane @p lane: the block's base, the lane's orders. */
+    FusedDataflow dataflow(std::size_t lane) const;
 
     /**
      * DRAM bytes (read + write) the candidate @p logit / @p attend of
@@ -172,10 +137,8 @@ class AttentionBatchEvaluator
     double dram_bytes(const GemmSliceCost& logit,
                       const GemmSliceCost& attend);
 
-    /** Evaluates every lane added since begin()/clear_lanes(). */
+    /** Evaluates every lane added since begin(). */
     void evaluate();
-
-    void clear_lanes() { batch_.clear_lanes(); }
 
     double cycles(std::size_t lane) const
     {
@@ -188,24 +151,29 @@ class AttentionBatchEvaluator
 
     /**
      * Full cost report of lane @p lane — call only while the begin()
-     * block is still current (the plan memo supplies the shared
+     * block is still current (the block's plan supplies the shared
      * footprint/residency fields).
      */
     OperatorCost cost(std::size_t lane) const;
 
   private:
-    /** The block's memoized plan, patched with one candidate's GEMM
-     *  records (the first call per block binds the plan base). */
+    /** The block's plan, patched with one candidate's GEMM records.
+     *  The first call per block builds it with make_plan(); later
+     *  calls overwrite only the four order-dependent compute/reuse
+     *  fields, which are all that differ within a block. */
     const AttentionPlan& bind_plan(const GemmSliceCost& logit,
                                    const GemmSliceCost& attend);
 
     TimelineBatch batch_;
+    std::vector<Phase> phases_; ///< emission buffer, reused per lane
+    AttentionPlan plan_;
+    /** (logit, attend) loop orders of each lane. */
+    std::vector<std::pair<LoopOrder, LoopOrder>> lane_orders_;
     const AccelConfig* accel_ = nullptr;
     const AttentionDims* dims_ = nullptr;
-    AttentionEvalScratch* scratch_ = nullptr;
-    FusedDataflow base_;
+    FusedDataflow base_; ///< carries the last added lane's orders
     const ExecutionStyle* style_ = nullptr;
-    bool plan_bound_ = false;  ///< the block's plan base is memoized
+    bool plan_bound_ = false;  ///< plan_ holds this block's base
     bool configured_ = false;  ///< the batch holds the phase structure
     std::size_t lane_capacity_ = 0;
     OverlapKind overlap_ = OverlapKind::kOverlapped;

@@ -28,10 +28,9 @@ namespace flat {
  * Precomputed per-slice GEMM cost records injected into the plan. A
  * non-null pointer MUST equal {model_gemm_compute(), stage_reuse()} of
  * the same (accel, stage shape, tile, order, stationarity) — the DSE
- * engine feeds these from its per-slice cost tables (which the
- * evaluation cache memoizes), skipping two model_gemm_compute and two
- * stage_reuse calls per point. Null pointers fall back to computing in
- * place.
+ * engine feeds these from its per-slice cost tables, skipping two
+ * model_gemm_compute and two stage_reuse calls per point. Null
+ * pointers fall back to computing in place.
  */
 struct PlannedGemmCosts {
     const GemmSliceCost* logit = nullptr;

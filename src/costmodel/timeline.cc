@@ -4,22 +4,6 @@
 
 #include "common/status.h"
 
-/**
- * Vectorization hint for the batch evaluator's lane-innermost loops.
- * Only enabled under -DFLAT_SIMD=ON: the pragmas assert the absence of
- * loop-carried dependences (true here — every lane is independent and
- * the SoA rows never alias) but do NOT license reassociation, so the
- * per-lane floating-point operation order — and with it the
- * bit-identity contract — is unchanged.
- */
-#if defined(FLAT_SIMD) && defined(__clang__)
-#define FLAT_SIMD_LOOP _Pragma("clang loop vectorize(assume_safety)")
-#elif defined(FLAT_SIMD) && defined(__GNUC__)
-#define FLAT_SIMD_LOOP _Pragma("GCC ivdep")
-#else
-#define FLAT_SIMD_LOOP
-#endif
-
 namespace flat {
 namespace {
 
@@ -90,30 +74,16 @@ to_string(StageTag stage)
     return "compute";
 }
 
-namespace {
-
-/**
- * The one arbitration engine behind both evaluate_timeline() entry
- * points. Reads @p phases (never touching out.phases, so callers can
- * alias or reuse buffers), reuses @p group_order / @p track_cycles as
- * scratch and overwrites every field of @p out it is responsible for.
- * At steady state (same phase-list shape as the previous call on the
- * same buffers) it performs zero heap allocations.
- */
-void
-evaluate_core(const std::vector<Phase>& phases, const AccelConfig& accel,
-              OverlapKind overlap, double link_bytes_per_cycle,
-              std::vector<int>& group_order,
-              std::vector<std::pair<int, double>>& track_cycles,
-              bool summary_only, TimelineResult& out)
+TimelineResult
+evaluate_timeline(std::vector<Phase> phases, const AccelConfig& accel,
+                  OverlapKind overlap, double link_bytes_per_cycle)
 {
     accel.validate();
 
-    out.phase_timings.resize(summary_only ? 0 : phases.size());
-    out.cycles = 0.0;
-    out.cold_start_cycles = 0.0;
-    out.bound_by = BoundBy::kCompute;
-    out.activity = ActivityCounts{};
+    TimelineResult out;
+    out.phases = std::move(phases);
+    const std::vector<Phase>& emitted = out.phases;
+    out.phase_timings.resize(emitted.size());
 
     const double off_bpc = accel.offchip_bytes_per_cycle();
     const double on_bpc = accel.onchip_bytes_per_cycle();
@@ -145,8 +115,8 @@ evaluate_core(const std::vector<Phase>& phases, const AccelConfig& accel,
 
     // Group discovery in order of first appearance; evaluation never
     // reorders what the emitter laid out.
-    group_order.clear();
-    for (const Phase& phase : phases) {
+    std::vector<int> group_order;
+    for (const Phase& phase : emitted) {
         if (std::find(group_order.begin(), group_order.end(),
                       phase.group) == group_order.end()) {
             group_order.push_back(phase.group);
@@ -154,12 +124,12 @@ evaluate_core(const std::vector<Phase>& phases, const AccelConfig& accel,
     }
 
     out.groups.resize(group_order.size());
+    std::vector<std::pair<int, double>> track_cycles;
     for (std::size_t gi = 0; gi < group_order.size(); ++gi) {
         const int group_id = group_order[gi];
         GroupTiming& timing = out.groups[gi];
         timing.group = group_id;
         timing.overlap = overlap;
-        timing.phase_indices.clear();
 
         // Serial phases chain on the array/SFU; tracks >= 0 run
         // side by side (spatial pipelining), so only the slowest
@@ -169,16 +139,12 @@ evaluate_core(const std::vector<Phase>& phases, const AccelConfig& accel,
         TrafficBytes bytes;
         double link_latency = 0.0;
         bool all_pace_only = true;
-        std::size_t members = 0;
-        for (std::size_t i = 0; i < phases.size(); ++i) {
-            const Phase& phase = phases[i];
+        for (std::size_t i = 0; i < emitted.size(); ++i) {
+            const Phase& phase = emitted[i];
             if (phase.group != group_id) {
                 continue;
             }
-            ++members;
-            if (!summary_only) {
-                timing.phase_indices.push_back(i);
-            }
+            timing.phase_indices.push_back(i);
             const double occupancy =
                 phase.compute_cycles + phase.sfu_cycles;
             if (phase.track < 0) {
@@ -209,32 +175,23 @@ evaluate_core(const std::vector<Phase>& phases, const AccelConfig& accel,
         timing.latency = combine_lanes(timing.lanes, overlap);
         timing.bound_by = pick_bound(timing.lanes);
         out.cycles += timing.latency;
-        if (all_pace_only && members > 0) {
+        if (all_pace_only) {
             out.cold_start_cycles += timing.latency;
         }
     }
 
-    if (summary_only) {
-        for (const Phase& phase : phases) {
-            if (!phase.pace_only) {
-                out.activity += phase.activity;
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < phases.size(); ++i) {
-            const Phase& phase = phases[i];
-            PhaseTiming& timing = out.phase_timings[i];
-            timing.occupancy_cycles =
-                phase.compute_cycles + phase.sfu_cycles;
-            const LaneCycles lanes =
-                lanes_of(timing.occupancy_cycles, phase.activity.traffic,
-                         phase.link_latency_cycles);
-            timing.paced_cycles = combine_lanes(lanes, overlap);
-            timing.bound_by = pick_bound(lanes);
-            timing.on_critical_path = timing.occupancy_cycles > 0.0;
-            if (!phase.pace_only) {
-                out.activity += phase.activity;
-            }
+    for (std::size_t i = 0; i < emitted.size(); ++i) {
+        const Phase& phase = emitted[i];
+        PhaseTiming& timing = out.phase_timings[i];
+        timing.occupancy_cycles = phase.compute_cycles + phase.sfu_cycles;
+        const LaneCycles lanes =
+            lanes_of(timing.occupancy_cycles, phase.activity.traffic,
+                     phase.link_latency_cycles);
+        timing.paced_cycles = combine_lanes(lanes, overlap);
+        timing.bound_by = pick_bound(lanes);
+        timing.on_critical_path = timing.occupancy_cycles > 0.0;
+        if (!phase.pace_only) {
+            out.activity += phase.activity;
         }
     }
 
@@ -247,31 +204,7 @@ evaluate_core(const std::vector<Phase>& phases, const AccelConfig& accel,
             out.bound_by = group.bound_by;
         }
     }
-}
-
-} // namespace
-
-TimelineResult
-evaluate_timeline(std::vector<Phase> phases, const AccelConfig& accel,
-                  OverlapKind overlap, double link_bytes_per_cycle)
-{
-    TimelineResult out;
-    std::vector<int> group_order;
-    std::vector<std::pair<int, double>> track_cycles;
-    evaluate_core(phases, accel, overlap, link_bytes_per_cycle,
-                  group_order, track_cycles, /*summary_only=*/false,
-                  out);
-    out.phases = std::move(phases);
     return out;
-}
-
-void
-evaluate_timeline_into(TimelineScratch& scratch, const AccelConfig& accel,
-                       OverlapKind overlap, double link_bytes_per_cycle)
-{
-    evaluate_core(scratch.phases, accel, overlap, link_bytes_per_cycle,
-                  scratch.group_ids, scratch.track_cycles,
-                  scratch.summary_only, scratch.result);
 }
 
 void
@@ -287,7 +220,7 @@ TimelineBatch::configure(const std::vector<Phase>& structure,
 
     pace_only_.assign(phase_count_, false);
     // Group ids and per-group track ids in first-appearance order —
-    // the same discovery rule as evaluate_core(), so track slot 0 is
+    // the same discovery rule as evaluate_timeline(), so track slot 0 is
     // the first distinct track a group's member order encounters.
     // Retired GroupShape entries and the discovery scratch are reused
     // in place (no destroy/rebuild): reconfiguring per (tiles, flags)
@@ -378,7 +311,7 @@ TimelineBatch::set_phase(std::size_t lane, std::size_t phase,
                          const ActivityCounts& activity)
 {
     const std::size_t i = phase * capacity_ + lane;
-    // Same single addition evaluate_core() performs per phase.
+    // Same single addition evaluate_timeline() performs per phase.
     occupancy_[i] = compute_cycles + sfu_cycles;
     link_latency_[i] = link_latency_cycles;
     macs_[i] = activity.macs;
@@ -448,7 +381,6 @@ TimelineBatch::evaluate(const AccelConfig& accel,
         for (const std::size_t p : group.serial_phases) {
             const double* src = occupancy_.data() + p * capacity_;
             double* dst = serial_.data();
-            FLAT_SIMD_LOOP
             for (std::size_t l = 0; l < n; ++l) {
                 dst[l] += src[l];
             }
@@ -456,7 +388,6 @@ TimelineBatch::evaluate(const AccelConfig& accel,
         for (const auto& [p, slot] : group.track_phases) {
             const double* src = occupancy_.data() + p * capacity_;
             double* dst = tracks_.data() + slot * capacity_;
-            FLAT_SIMD_LOOP
             for (std::size_t l = 0; l < n; ++l) {
                 dst[l] += src[l];
             }
@@ -466,14 +397,12 @@ TimelineBatch::evaluate(const AccelConfig& accel,
                 const double* src =
                     byte_fields[f]->data() + p * capacity_;
                 double* dst = acc_bytes_.data() + f * capacity_;
-                FLAT_SIMD_LOOP
                 for (std::size_t l = 0; l < n; ++l) {
                     dst[l] += src[l];
                 }
             }
             const double* src = link_latency_.data() + p * capacity_;
             double* dst = acc_link_latency_.data();
-            FLAT_SIMD_LOOP
             for (std::size_t l = 0; l < n; ++l) {
                 dst[l] += src[l];
             }

@@ -192,52 +192,6 @@ TimelineResult evaluate_timeline(std::vector<Phase> phases,
                                  double link_bytes_per_cycle = 0.0);
 
 /**
- * Reusable buffers for repeated timeline evaluation (one instance per
- * worker thread). Emitters write into `phases` in place (reusing the
- * Phase label strings' capacity) and evaluate_timeline_into() fills
- * `result` without releasing any of its vectors, so a steady-state
- * evaluate loop performs zero heap allocations.
- */
-struct TimelineScratch {
-    /** Input: the phase list to evaluate (emitted in place). */
-    std::vector<Phase> phases;
-
-    /**
-     * Output of evaluate_timeline_into(). Unlike evaluate_timeline(),
-     * `result.phases` stays EMPTY — the phases live in `phases` above
-     * (phase_timings is parallel to it); moving them would defeat the
-     * buffer reuse.
-     */
-    TimelineResult result;
-
-    /** Internal evaluator scratch; contents are unspecified. */
-    std::vector<int> group_ids;
-    std::vector<std::pair<int, double>> track_cycles;
-
-    /**
-     * When set, evaluate_timeline_into() skips the per-phase
-     * PhaseTiming fill and the groups' member index lists —
-     * `result.phase_timings` is left empty and
-     * `result.groups[i].phase_indices` is cleared. The scalar summary
-     * (cycles, cold_start_cycles, bound_by, activity, group latencies)
-     * is computed with identical arithmetic either way. The DSE hot
-     * path reads only the summary and sets this to shed the per-phase
-     * bookkeeping.
-     */
-    bool summary_only = false;
-};
-
-/**
- * Identical arithmetic to evaluate_timeline() — same results bit for
- * bit — but reads `scratch.phases` and reuses every buffer inside
- * `scratch.result` instead of allocating a fresh TimelineResult.
- */
-void evaluate_timeline_into(TimelineScratch& scratch,
-                            const AccelConfig& accel,
-                            OverlapKind overlap = OverlapKind::kOverlapped,
-                            double link_bytes_per_cycle = 0.0);
-
-/**
  * Structure-of-arrays batch evaluator for summary-only timelines.
  *
  * The DSE hot path evaluates thousands of candidate plans that all
@@ -247,15 +201,14 @@ void evaluate_timeline_into(TimelineScratch& scratch,
  * lays N such candidates out as lanes of flat per-field arrays
  * (value index = phase * lane_capacity + lane) and evaluates them in
  * one pass: the per-phase accumulation loops run lane-innermost over
- * contiguous doubles, which the compiler auto-vectorizes (and which a
- * -DFLAT_SIMD=ON build annotates with ivdep-style pragmas).
+ * contiguous doubles, which the compiler auto-vectorizes.
  *
  * Bit-identity contract: evaluate() performs the exact floating-point
- * operations of evaluate_timeline_into() with summary_only set, in the
- * same order per lane — per-field accumulators only ever combine with
- * themselves, phase-order is preserved, and group max/combine logic is
- * shared with the scalar engine. A lane's summary therefore equals the
- * scalar result bit for bit (asserted by tests/costmodel/
+ * operations evaluate_timeline() performs for the summary fields, in
+ * the same order per lane — per-field accumulators only ever combine
+ * with themselves, phase-order is preserved, and group max/combine
+ * logic is shared with the scalar engine. A lane's summary therefore
+ * equals the scalar result bit for bit (asserted by tests/costmodel/
  * test_timeline_batch.cc across the golden catalog).
  */
 class TimelineBatch
@@ -280,8 +233,6 @@ class TimelineBatch
 
     std::size_t phase_count() const { return phase_count_; }
     std::size_t lanes() const { return lanes_; }
-    std::size_t capacity() const { return capacity_; }
-    bool full() const { return lanes_ == capacity_; }
 
     /** Appends a lane and returns its index; values are UNDEFINED until
      *  set_phase() has covered every phase of the lane. */

@@ -257,11 +257,9 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
 
     // Worker-lifetime evaluation state, shared with the exhaustive
     // sweep's contract: persistent pool threads reach allocation-free
-    // steady state, and the plan-base memo revalidates itself.
-    thread_local AttentionEvalScratch scratch;
+    // steady state, and begin() rebinds everything a block reads.
     thread_local AttentionBatchEvaluator batch;
     thread_local std::unordered_set<std::uint64_t> visited;
-    scratch.timeline.summary_only = true;
     visited.clear();
 
     PointCoords inc; // coordinates of the local incumbent
@@ -299,37 +297,20 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
         df.stat_attend = slice.stat_attend;
         df.stage = space.flag_sets[fi];
         batch.begin(accel, dims, df, *slice.style,
-                    options.baseline_overlap, lane_coords.size(),
-                    scratch);
+                    options.baseline_overlap, lane_coords.size());
         for (const PointCoords& p : lane_coords) {
-            batch.add(logit_costs[p.tl * n_orders + p.ol],
+            batch.add(orders[p.ol], orders[p.oa],
+                      logit_costs[p.tl * n_orders + p.ol],
                       attend_costs[p.ta * n_orders + p.oa]);
         }
         batch.evaluate();
         for (std::size_t i = 0; i < batch.lanes(); ++i) {
-            ++out.evaluated;
-            const double energy =
-                estimate_energy(energy_table, batch.activity(i)).total();
-            const double value = objective_value(
-                options.objective, batch.cycles(i), energy);
-            if (value <= out.value) {
-                df.order_logit = orders[lane_coords[i].ol];
-                df.order_attend = orders[lane_coords[i].oa];
-                const std::string tag = candidate_tag(*slice.style, df);
-                if (improves(value, tag, out.value, out.tag)) {
-                    out.value = value;
-                    out.tag = tag;
-                    out.best.dataflow = df;
-                    out.best.style = slice.style;
-                    out.best.cost = batch.cost(i);
-                    out.best.energy_j = energy;
-                    out.found = true;
-                    inc = lane_coords[i];
-                    update_shared_best(shared_best, value);
-                }
+            if (fold_lane(batch, i, options.objective, energy_table,
+                          out)) {
+                inc = lane_coords[i];
+                update_shared_best(shared_best, out.value);
             }
         }
-        batch.clear_lanes();
     };
     const auto eval_one = [&](const PointCoords& p) {
         eval_block(p.tl, p.ta, p.fi, {p});

@@ -200,12 +200,10 @@ for_each_slice_point(const SearchSlice& slice,
                      const std::vector<FusedStageFlags>& flag_sets,
                      Visit&& visit)
 {
-    // Loop orders vary innermost: consecutive points then differ only
-    // in the order axes, so the evaluator's plan-base memo (see
-    // AttentionEvalScratch) hits on all but the first point of each
-    // (tiles, flags) block. Enumeration order is otherwise free — the
-    // search's total order on candidates and the capped-explore
-    // prefix semantics are both self-consistent under any fixed order.
+    // Loop orders vary innermost, as in the search's (tiles, flags)
+    // blocks. Enumeration order is otherwise free — the search's total
+    // order on candidates and the capped-explore prefix semantics are
+    // both self-consistent under any fixed order.
     const std::vector<L2Tile>& tiles_l = *slice.tiles_logit;
     const std::vector<L2Tile>& tiles_a = *slice.tiles_attend;
     for (std::size_t tl = 0; tl < tiles_l.size(); ++tl) {
@@ -456,13 +454,23 @@ SliceOutcome
 restore_slice_outcome(const JsonValue& data, const AccelConfig& accel,
                       const AttentionDims& dims,
                       const AttentionSearchOptions& options,
-                      const SearchSlice& slice,
+                      const SlicedSpace& space, const SearchSlice& slice,
                       const EnergyTable& energy_table)
 {
+    const std::string key = slice_journal_key(slice);
     SliceOutcome out;
     out.evaluated =
         static_cast<std::size_t>(data.member_u64("evaluated"));
     out.pruned = static_cast<std::size_t>(data.member_u64("pruned"));
+    // Compared as a difference: a huge tampered count must not wrap
+    // the sum back onto the slice size.
+    const std::size_t points = space.slice_points(slice);
+    FLAT_CHECK(out.evaluated <= points &&
+                   out.pruned == points - out.evaluated,
+               "journaled slice " << key << " audits " << out.evaluated
+                                  << " evaluated + " << out.pruned
+                                  << " pruned points, but the slice has "
+                                  << points);
     if (!data.member_bool("found")) {
         return out;
     }
@@ -486,16 +494,42 @@ restore_slice_outcome(const JsonValue& data, const AccelConfig& accel,
     df.order_attend =
         static_cast<LoopOrder>(df_json->member_u64("ao"));
     df.stat_attend = slice.stat_attend;
-    df.stage = FusedStageFlags::decode(
-        static_cast<std::uint32_t>(df_json->member_u64("stage")));
-    df.validate();
+    const std::uint64_t stage = df_json->member_u64("stage");
 
-    AttentionEvalScratch scratch;
-    scratch.timeline.summary_only = true;
+    // The winner must be a point of this slice: the record key names
+    // the cross loop and stationarities, the space fixes the rest.
+    const auto in_menu = [](const std::vector<L2Tile>& menu,
+                            const L2Tile& tile) {
+        return std::any_of(menu.begin(), menu.end(), [&](const L2Tile& t) {
+            return t.m == tile.m && t.k == tile.k && t.n == tile.n;
+        });
+    };
+    const auto has_order = [&](LoopOrder order) {
+        return std::find(space.orders.begin(), space.orders.end(),
+                         order) != space.orders.end();
+    };
+    const bool member =
+        df.cross.granularity == slice.cross.granularity &&
+        df.cross.rows == slice.cross.rows &&
+        df.cross.cols == slice.cross.cols &&
+        in_menu(*slice.tiles_logit, df.l2_logit) &&
+        in_menu(*slice.tiles_attend, df.l2_attend) &&
+        has_order(df.order_logit) && has_order(df.order_attend) &&
+        std::any_of(space.flag_sets.begin(), space.flag_sets.end(),
+                    [&](const FusedStageFlags& flags) {
+                        return FusedStageFlags::encode(flags) == stage;
+                    });
+    FLAT_CHECK(member, "journaled slice "
+                           << key
+                           << " names a winning dataflow outside the "
+                              "slice (cross loop, tiles, loop orders or "
+                              "staging flags)");
+    df.stage = FusedStageFlags::decode(static_cast<std::uint32_t>(stage));
+
     out.best.dataflow = df;
     out.best.style = slice.style;
     out.best.cost = model_attention(*slice.style, accel, dims, df,
-                                    options.baseline_overlap, scratch);
+                                    options.baseline_overlap);
     out.best.energy_j =
         estimate_energy(energy_table, out.best.cost.activity).total();
     out.value = objective_value(options.objective, out.best.cost.cycles,
@@ -578,7 +612,7 @@ prepare_slice_search(const AccelConfig& accel, const AttentionDims& dims,
                 continue;
             }
             SliceOutcome& out = search.outcomes[si];
-            out = restore_slice_outcome(*rec, accel, dims, options,
+            out = restore_slice_outcome(*rec, accel, dims, options, space,
                                         space.slices[si], energy_table);
             restored[si] = 1;
             search.restored_best = std::min(search.restored_best,
@@ -741,36 +775,16 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
         const std::vector<GemmSliceCost>& attend_costs =
             bound.attend_costs;
         // Worker-lifetime evaluation state: the pool threads are
-        // persistent, so scratch buffers, the batch evaluator and the
-        // lane book-keeping all reach allocation-free steady state
-        // across slices AND searches (the plan-base memo re-validates
-        // itself against every input it depends on, so reuse cannot
-        // leak state between searches).
-        thread_local AttentionEvalScratch scratch;
+        // persistent, so the batch evaluator reaches allocation-free
+        // steady state across slices AND searches (begin() rebinds
+        // everything a block reads).
         thread_local AttentionBatchEvaluator batch;
-        // The DSE reads only the scalar cost summary; skip the
-        // per-phase timing fill inside the evaluator.
-        scratch.timeline.summary_only = true;
 
-        // Batched walk of the slice: the loop-order axes of each
-        // (tiles, flags) block — the innermost, plan-base-sharing axes
-        // — are buffered as lanes and evaluated SoA-style. Enumeration
-        // and improvement order match the scalar for_each_slice_point
-        // walk exactly, so the outcome is bit-identical at any width;
-        // pruning happens at add time against the slice incumbent as of
-        // the last flush, which only shifts the evaluated/pruned split
-        // between widths, never the result.
-        const std::size_t width = options.batch_width > 0
-                                      ? options.batch_width
-                                      : n_orders * n_orders;
-        struct LaneMeta {
-            std::size_t ol;
-            std::size_t oa;
-        };
-        thread_local std::vector<LaneMeta> lane_meta;
-        lane_meta.clear();
-        lane_meta.reserve(width);
-
+        // Batched walk of the slice: each (tiles, flags) block — its
+        // loop-order pairs share a plan base — is one batch, evaluated
+        // SoA-style and folded in enumeration order once the block is
+        // buffered. Pruning happens at add time against the slice
+        // incumbent as of the previous block.
         const std::vector<L2Tile>& tiles_l = *slice.tiles_logit;
         const std::vector<L2Tile>& tiles_a = *slice.tiles_attend;
         FusedDataflow df;
@@ -778,44 +792,9 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
         df.stat_logit = slice.stat_logit;
         df.stat_attend = slice.stat_attend;
 
-        const auto flush = [&]() {
-            if (batch.lanes() == 0) {
-                return;
-            }
-            batch.evaluate();
-            for (std::size_t i = 0; i < batch.lanes(); ++i) {
-                ++out.evaluated;
-                const double energy =
-                    estimate_energy(energy_table, batch.activity(i))
-                        .total();
-                const double value = objective_value(
-                    options.objective, batch.cycles(i), energy);
-                if (value <= out.value) {
-                    // Tag construction is deferred to the rare
-                    // improves/ties path; strictly worse points never
-                    // pay for it.
-                    df.order_logit = space.orders[lane_meta[i].ol];
-                    df.order_attend = space.orders[lane_meta[i].oa];
-                    const std::string tag =
-                        candidate_tag(*slice.style, df);
-                    if (improves(value, tag, out.value, out.tag)) {
-                        out.value = value;
-                        out.tag = tag;
-                        out.best.dataflow = df;
-                        out.best.style = slice.style;
-                        out.best.cost = batch.cost(i);
-                        out.best.energy_j = energy;
-                        out.found = true;
-                    }
-                }
-            }
-            batch.clear_lanes();
-            lane_meta.clear();
-        };
-
         // The point's bound: the compute bound first (no plan needed),
         // then — for the objectives with a cycle term — the DRAM floor
-        // of the point's own traffic, read off the block's plan memo.
+        // of the point's own traffic, read off the block's plan.
         const auto prunes = [&](std::size_t li, std::size_t ai) {
             const double best = std::min(incumbent, out.value);
             if (bound.lower_bound(options.objective, li, ai) > best) {
@@ -843,7 +822,8 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
                     }
                     df.stage = flags;
                     batch.begin(accel, dims, df, *slice.style,
-                                options.baseline_overlap, width, scratch);
+                                options.baseline_overlap,
+                                n_orders * n_orders);
                     for (std::size_t ol = 0; ol < n_orders; ++ol) {
                         for (std::size_t oa = 0; oa < n_orders; ++oa) {
                             const std::size_t li = tl * n_orders + ol;
@@ -852,14 +832,15 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
                                 ++out.pruned;
                                 continue;
                             }
-                            batch.add(logit_costs[li], attend_costs[ai]);
-                            lane_meta.push_back({ol, oa});
-                            if (batch.full()) {
-                                flush();
-                            }
+                            batch.add(space.orders[ol], space.orders[oa],
+                                      logit_costs[li], attend_costs[ai]);
                         }
                     }
-                    flush(); // lanes left over from this block
+                    batch.evaluate();
+                    for (std::size_t i = 0; i < batch.lanes(); ++i) {
+                        fold_lane(batch, i, options.objective,
+                                  energy_table, out);
+                    }
                 }
             }
         }
@@ -947,8 +928,6 @@ explore_attention(const AccelConfig& accel, const AttentionDims& dims,
         space.slices.size(), options.threads, [&](std::size_t si) {
             const SearchSlice& slice = space.slices[si];
             std::vector<DsePoint>& local = per_slice[si];
-            AttentionEvalScratch scratch;
-            scratch.timeline.summary_only = true;
             for_each_slice_point(
                 slice, space.orders, space.flag_sets,
                 [&](const FusedDataflow& df, std::size_t, std::size_t,
@@ -959,9 +938,9 @@ explore_attention(const AccelConfig& accel, const AttentionDims& dims,
                     DsePoint point;
                     point.dataflow = df;
                     point.style = slice.style;
-                    point.cost = model_attention(
-                        *slice.style, accel, dims, df,
-                        options.baseline_overlap, scratch);
+                    point.cost =
+                        model_attention(*slice.style, accel, dims, df,
+                                        options.baseline_overlap);
                     point.energy_j =
                         estimate_energy(energy_table,
                                         point.cost.activity)

@@ -128,10 +128,10 @@ struct AttentionSearchOptions {
      * stationarity) slice keeps a local incumbent and a final
      * deterministic reduction breaks ties by (objective value, tag).
      * The exhaustive sweep's evaluated/pruned counters are identical
-     * at any thread count too (for a fixed batch width): a slice prunes
-     * against the best of a fixed prefix of the schedule (the first
-     * slice and those at least eight places before it), never a value
-     * another thread may or may not have published yet.
+     * at any thread count too: a slice prunes against the best of a
+     * fixed prefix of the schedule (the first slice and those at least
+     * eight places before it), never a value another thread may or may
+     * not have published yet.
      */
     unsigned threads = 0;
 
@@ -165,17 +165,6 @@ struct AttentionSearchOptions {
      */
     const CancellationToken* cancel = nullptr;
 
-    /**
-     * Lanes per batched evaluation (see AttentionBatchEvaluator):
-     * the loop-order axes of each (tiles, staging flags) block are
-     * buffered and evaluated SoA-style in groups of this size.
-     * 0 = auto (one whole block, i.e. #loop-orders squared). The
-     * returned optimum is bit-identical for ANY width — smaller widths
-     * only update the pruning incumbent more often, which shifts the
-     * evaluated/pruned split, never the result.
-     */
-    std::size_t batch_width = 0;
-
     CandidateOptions candidates;
 };
 
@@ -188,10 +177,9 @@ struct AttentionSearchResult {
 
     /** Points skipped by the lower-bound test. evaluated + pruned is
      *  the full space size. The exhaustive sweep's split is the same
-     *  at any thread count for a fixed batch width; the analytic
-     *  mode's may shift with scheduling when threads > 1 (it counts
-     *  every point it never visited as pruned, keeping the same audit
-     *  identity). */
+     *  at any thread count; the analytic mode's may shift with
+     *  scheduling when threads > 1 (it counts every point it never
+     *  visited as pruned, keeping the same audit identity). */
     std::size_t pruned = 0;
 
     bool found = false;

@@ -259,8 +259,8 @@ AttentionSearchResult finish_slice_search(
 /**
  * Canonical text of everything that shapes the search space and its
  * outcome — accelerator resources, attention dims, space restrictions
- * and candidate menus. Execution knobs (threads, prune, batch width)
- * are deliberately EXCLUDED: they never change the returned optimum,
+ * and candidate menus. Execution knobs (threads, prune) are
+ * deliberately EXCLUDED: they never change the returned optimum,
  * so a journal written at one thread count resumes at another. The
  * search MODE is included (non-exhaustive modes only, so historical
  * exhaustive scope hashes are preserved): the analytic mapper journals
@@ -293,12 +293,19 @@ std::string candidate_tag(const ExecutionStyle& style,
  *  cheap, deterministic, and immune to float-formatting drift. */
 std::string encode_slice_outcome(const SliceOutcome& out);
 
-/** Rebuilds a slice outcome from its journal record by re-evaluating
- *  the winning dataflow through the cost model. */
+/**
+ * Rebuilds a slice outcome from its journal record by re-evaluating
+ * the winning dataflow through the cost model. A record that cannot
+ * have come from @p slice of @p space — counters that do not add up
+ * to the slice's points, or a winner whose cross loop, tiles, loop
+ * orders or staging flags the slice never enumerates — is a
+ * configuration error (flat::Error), not a result.
+ */
 SliceOutcome restore_slice_outcome(const JsonValue& data,
                                    const AccelConfig& accel,
                                    const AttentionDims& dims,
                                    const AttentionSearchOptions& options,
+                                   const SlicedSpace& space,
                                    const SearchSlice& slice,
                                    const EnergyTable& energy_table);
 
@@ -313,6 +320,42 @@ improves(double value, const std::string& tag, double best_value,
 {
     return value < best_value ||
            (value == best_value && tag < best_tag);
+}
+
+/**
+ * Folds lane @p lane of an evaluated @p batch into the slice outcome
+ * @p out: energy, objective value and — only for a lane that reaches
+ * the incumbent's value — the tie-break tag, then improves() decides.
+ * The one place the search's total order meets a priced point; both
+ * search modes fold through it. Returns true when the lane became the
+ * incumbent.
+ */
+inline bool
+fold_lane(const AttentionBatchEvaluator& batch, std::size_t lane,
+          Objective objective, const EnergyTable& energy_table,
+          SliceOutcome& out)
+{
+    ++out.evaluated;
+    const double energy =
+        estimate_energy(energy_table, batch.activity(lane)).total();
+    const double value =
+        objective_value(objective, batch.cycles(lane), energy);
+    if (value > out.value) {
+        return false; // strictly worse: never pays for its tag
+    }
+    const FusedDataflow df = batch.dataflow(lane);
+    std::string tag = candidate_tag(batch.style(), df);
+    if (!improves(value, tag, out.value, out.tag)) {
+        return false;
+    }
+    out.value = value;
+    out.tag = std::move(tag);
+    out.best.dataflow = df;
+    out.best.style = &batch.style();
+    out.best.cost = batch.cost(lane);
+    out.best.energy_j = energy;
+    out.found = true;
+    return true;
 }
 
 /** Monotonically lowers @p shared_best to @p value (relaxed is enough:

@@ -98,7 +98,6 @@ TEST_F(SweepResume, JournalHeaderTracksResultShapingKnobsOnly)
     SimOptions threaded = sim;
     threaded.threads = 8;
     threaded.prune = false;
-    threaded.batch_width = 4;
     EXPECT_EQ(sweep_journal_header(spec, threaded).space_hash,
               base.space_hash);
 

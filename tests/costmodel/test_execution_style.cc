@@ -216,44 +216,6 @@ TEST(ExecutionStyleSeam, ModelEqualsTimelineForEveryStyle)
     }
 }
 
-TEST(ExecutionStyleSeam, GenericEntryPointsMatchTheLegacyOnes)
-{
-    // The style-named wrappers are gone; what they reached — the plain
-    // entry point and the scratch-reusing hot path — must still agree
-    // bit for bit, with one scratch shared across styles.
-    const AccelConfig accel = edge_accel();
-    const AttentionDims dims = self_attention(1024);
-    AttentionEvalScratch scratch;
-
-    AttentionSearchOptions fused_opt;
-    fused_opt.quick = true;
-    const FusedDataflow flat_df =
-        search_attention(accel, dims, fused_opt).best.dataflow;
-    EXPECT_EQ(model_attention(kFlat, accel, dims, flat_df).cycles,
-              model_attention(kFlat, accel, dims, flat_df,
-                              BaselineOverlap::kFull, scratch)
-                  .cycles);
-    EXPECT_EQ(model_attention(kPipelined, accel, dims, flat_df).cycles,
-              model_attention(kPipelined, accel, dims, flat_df,
-                              BaselineOverlap::kFull, scratch)
-                  .cycles);
-
-    AttentionSearchOptions seq_opt;
-    seq_opt.quick = true;
-    seq_opt.fused = false;
-    const FusedDataflow base_df =
-        search_attention(accel, dims, seq_opt).best.dataflow;
-    for (const BaselineOverlap overlap :
-         {BaselineOverlap::kFull, BaselineOverlap::kSerialized}) {
-        EXPECT_EQ(
-            model_attention(kBaseline, accel, dims, base_df, overlap)
-                .cycles,
-            model_attention(kBaseline, accel, dims, base_df, overlap,
-                            scratch)
-                .cycles);
-    }
-}
-
 TEST(ExecutionStyleSeam, FlashFreesTheSgShareOfTheIntermediate)
 {
     // The flash win mechanism the paper-level ablation relies on: with

@@ -1,18 +1,20 @@
 /**
  * @file
- * Bit-identity contract of the SoA batch evaluators: a TimelineBatch
- * lane must reproduce evaluate_timeline_into()'s summary bit for bit
- * for the same phase values, and an AttentionBatchEvaluator lane must
- * reproduce model_attention() bit for bit — across the golden-catalog
- * accelerator presets, execution styles, overlap policies and batch
- * widths. Every EXPECT_EQ on a double below is an exact bit comparison
- * on purpose: the batched hot path is only admissible in the DSE
- * because it changes nothing.
+ * Bit-identity contract of the SoA batch evaluators against the
+ * reference path: a TimelineBatch lane must reproduce
+ * evaluate_timeline()'s summary bit for bit for the same phase values,
+ * and an AttentionBatchEvaluator lane must reproduce model_attention()
+ * bit for bit — across the golden-catalog accelerator presets, every
+ * execution style, prefill and decode shapes, overlap policies and
+ * batch widths. Every EXPECT_EQ on a double below is an exact bit
+ * comparison on purpose: the batched evaluator prices every searched
+ * point, so it is only admissible because it changes nothing.
  */
 #include "costmodel/timeline.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/catalog.h"
@@ -26,22 +28,18 @@ namespace {
 const ExecutionStyle& kBaseline = baseline_execution_style();
 const ExecutionStyle& kFlat = flat_execution_style();
 const ExecutionStyle& kPipelined = pipelined_execution_style();
+const ExecutionStyle& kFlash = flash_execution_style();
 
+/** Every field of the activity ledger, bit for bit. */
 void
-expect_same_summary(const TimelineBatch::LaneSummary& lane,
-                    const TimelineResult& scalar, const char* what)
+expect_same_activity(const ActivityCounts& got, const ActivityCounts& want,
+                     const char* what)
 {
-    EXPECT_EQ(lane.cycles, scalar.cycles) << what;
-    EXPECT_EQ(lane.cold_start_cycles, scalar.cold_start_cycles)
-        << what;
-    EXPECT_EQ(lane.bound_by, scalar.bound_by) << what;
-    EXPECT_EQ(lane.activity.macs, scalar.activity.macs) << what;
-    EXPECT_EQ(lane.activity.sl_accesses, scalar.activity.sl_accesses)
-        << what;
-    EXPECT_EQ(lane.activity.sfu_elems, scalar.activity.sfu_elems)
-        << what;
-    const TrafficBytes& a = lane.activity.traffic;
-    const TrafficBytes& b = scalar.activity.traffic;
+    EXPECT_EQ(got.macs, want.macs) << what;
+    EXPECT_EQ(got.sl_accesses, want.sl_accesses) << what;
+    EXPECT_EQ(got.sfu_elems, want.sfu_elems) << what;
+    const TrafficBytes& a = got.traffic;
+    const TrafficBytes& b = want.traffic;
     EXPECT_EQ(a.dram_read, b.dram_read) << what;
     EXPECT_EQ(a.dram_write, b.dram_write) << what;
     EXPECT_EQ(a.sg_read, b.sg_read) << what;
@@ -52,16 +50,15 @@ expect_same_summary(const TimelineBatch::LaneSummary& lane,
     EXPECT_EQ(a.link_out, b.link_out) << what;
 }
 
-/** Scalar reference: the summary-only path the DSE used before. */
-TimelineResult
-scalar_summary(const std::vector<Phase>& phases,
-               const AccelConfig& accel, OverlapKind overlap)
+void
+expect_same_summary(const TimelineBatch::LaneSummary& lane,
+                    const TimelineResult& scalar, const char* what)
 {
-    TimelineScratch scratch;
-    scratch.phases = phases;
-    scratch.summary_only = true;
-    evaluate_timeline_into(scratch, accel, overlap);
-    return scratch.result;
+    EXPECT_EQ(lane.cycles, scalar.cycles) << what;
+    EXPECT_EQ(lane.cold_start_cycles, scalar.cold_start_cycles)
+        << what;
+    EXPECT_EQ(lane.bound_by, scalar.bound_by) << what;
+    expect_same_activity(lane.activity, scalar.activity, what);
 }
 
 /** Loads @p phases' values into lane @p lane of @p batch. */
@@ -117,8 +114,8 @@ check_parity(const std::vector<Phase>& phases,
     for (std::size_t l = 0; l < lanes; ++l) {
         SCOPED_TRACE(l);
         expect_same_summary(batch.summary(l),
-                            scalar_summary(variants[l], accel,
-                                           overlap),
+                            evaluate_timeline(variants[l], accel,
+                                              overlap),
                             what);
     }
 }
@@ -227,25 +224,20 @@ TEST(TimelineBatch, MatchesScalarOnEmittedAttentionTimelines)
 }
 
 // -------------------------------------------------------------------
-// AttentionBatchEvaluator: whole-model parity against the plain
-// entry points, lane by lane.
+// AttentionBatchEvaluator: whole-model parity against the reference
+// model_attention(), lane by lane.
 
 void
 expect_same_cost(const OperatorCost& got, const OperatorCost& want,
                  const char* what)
 {
+    EXPECT_EQ(got.name, want.name) << what;
     EXPECT_EQ(got.cycles, want.cycles) << what;
     EXPECT_EQ(got.ideal_cycles, want.ideal_cycles) << what;
     EXPECT_EQ(got.live_footprint_bytes, want.live_footprint_bytes)
         << what;
     EXPECT_EQ(got.resident_fraction, want.resident_fraction) << what;
-    EXPECT_EQ(got.activity.macs, want.activity.macs) << what;
-    EXPECT_EQ(got.activity.traffic.dram_read,
-              want.activity.traffic.dram_read)
-        << what;
-    EXPECT_EQ(got.activity.traffic.sg_read,
-              want.activity.traffic.sg_read)
-        << what;
+    expect_same_activity(got.activity, want.activity, what);
 }
 
 /** The lane's GEMM cost records under the PlannedGemmCosts contract. */
@@ -260,95 +252,139 @@ slice_cost(const AccelConfig& accel, const GemmShape& shape,
 
 /**
  * Evaluates every (order_logit, order_attend) lane of @p base through
- * the batch evaluator at @p width lanes per flush and checks each
- * against the scalar model.
+ * @p batch, @p width lanes per begin() block, and checks each lane
+ * field by field against the reference model.
  */
 void
-check_evaluator_parity(const AccelConfig& accel,
+check_evaluator_parity(AttentionBatchEvaluator& batch,
+                       const AccelConfig& accel,
                        const AttentionDims& dims,
                        const FusedDataflow& base,
                        const ExecutionStyle& style,
                        BaselineOverlap overlap, std::size_t width,
                        const char* what)
 {
+    ASSERT_TRUE(style.admits(accel, dims, base.cross)) << what;
+    // The staged shapes the search feeds the records for: C-Gran
+    // streams kv in column blocks, so its stages cover one block.
     const CrossLoopExtent extent = cross_loop_extent(
         base.cross, dims.batch, dims.heads, dims.q_len);
+    const std::uint64_t kv_tile = cross_col_tile(base.cross, dims.kv_len);
     GemmShape logit_shape;
     logit_shape.m = extent.rows_per_pass;
     logit_shape.k = dims.head_dim;
-    logit_shape.n = dims.kv_len;
+    logit_shape.n = kv_tile;
     GemmShape attend_shape;
     attend_shape.m = extent.rows_per_pass;
-    attend_shape.k = dims.kv_len;
+    attend_shape.k = kv_tile;
     attend_shape.n = dims.head_dim;
 
     const std::vector<LoopOrder> orders = {
         LoopOrder::kMKN, LoopOrder::kNKM, LoopOrder::kKMN};
 
-    AttentionEvalScratch scratch;
-    AttentionBatchEvaluator batch;
-    batch.begin(accel, dims, base, style, overlap, width, scratch);
-
     std::vector<FusedDataflow> lane_df;
-    const auto flush_and_check = [&]() {
+    const auto evaluate_and_check = [&]() {
         batch.evaluate();
+        ASSERT_EQ(batch.lanes(), lane_df.size());
         for (std::size_t i = 0; i < batch.lanes(); ++i) {
             SCOPED_TRACE(lane_df[i].tag());
-            const OperatorCost scalar =
+            EXPECT_EQ(batch.dataflow(i).tag(), lane_df[i].tag()) << what;
+            const OperatorCost reference =
                 model_attention(style, accel, dims, lane_df[i], overlap);
-            EXPECT_EQ(batch.cycles(i), scalar.cycles) << what;
-            EXPECT_EQ(batch.activity(i).traffic.dram_read,
-                      scalar.activity.traffic.dram_read)
-                << what;
-            expect_same_cost(batch.cost(i), scalar, what);
+            EXPECT_EQ(batch.cycles(i), reference.cycles) << what;
+            expect_same_activity(batch.activity(i), reference.activity,
+                                 what);
+            expect_same_cost(batch.cost(i), reference, what);
         }
-        batch.clear_lanes();
         lane_df.clear();
     };
 
     for (const LoopOrder ol : orders) {
         for (const LoopOrder oa : orders) {
+            if (lane_df.empty()) {
+                batch.begin(accel, dims, base, style, overlap, width);
+            }
             FusedDataflow df = base;
             df.order_logit = ol;
             df.order_attend = oa;
-            batch.add(slice_cost(accel, logit_shape, base.l2_logit, ol,
+            batch.add(ol, oa,
+                      slice_cost(accel, logit_shape, base.l2_logit, ol,
                                  base.stat_logit),
                       slice_cost(accel, attend_shape, base.l2_attend,
                                  oa, base.stat_attend));
             lane_df.push_back(df);
-            if (batch.full()) {
-                flush_and_check();
+            if (lane_df.size() == width) {
+                evaluate_and_check();
             }
         }
     }
-    flush_and_check();
+    if (!lane_df.empty()) {
+        evaluate_and_check();
+    }
+}
+
+/** An admitted dataflow of @p style: H-Gran for the sequential
+ *  baseline, a C-Gran cross for flash, R-Gran otherwise. */
+FusedDataflow
+dataflow_for(const ExecutionStyle& style)
+{
+    FusedDataflow df;
+    df.l2_logit = {128, 64, 128};
+    df.l2_attend = {128, 128, 64};
+    if (&style == &kBaseline) {
+        df.cross = {Granularity::kHead, 0};
+    } else if (&style == &kFlash) {
+        df.cross = {Granularity::kColumn, 64, 256};
+    } else {
+        df.cross = {Granularity::kRow, 64};
+    }
+    return df;
 }
 
 TEST(AttentionBatchEvaluator, MatchesScalarModelAcrossCatalogStyles)
 {
-    const AttentionDims self = attention(8, 1024, 1024);
-    const AttentionDims cross = attention(4, 512, 2048);
+    AttentionDims gqa_decode;
+    gqa_decode.batch = 16;
+    gqa_decode.heads = 32;
+    gqa_decode.kv_heads = 8;
+    gqa_decode.q_len = 1;
+    gqa_decode.kv_len = 2048;
+    gqa_decode.head_dim = 128;
+    gqa_decode.decode = true;
+    const std::vector<std::pair<const char*, AttentionDims>> shapes = {
+        {"prefill", attention(8, 1024, 1024)},
+        {"cross", attention(4, 512, 2048)},
+        {"gqa decode", gqa_decode},
+    };
 
-    FusedDataflow flat_df;
-    flat_df.cross = {Granularity::kRow, 64};
-    flat_df.l2_logit = {128, 64, 128};
-    flat_df.l2_attend = {128, 128, 64};
+    // An SG2 level puts bytes in the sg2 ledger fields too.
+    AccelConfig edge_sg2 = edge_accel();
+    edge_sg2.name = "edge-sg2";
+    edge_sg2.sg2_bytes = 4ull << 20;
+    edge_sg2.sg2_bw = 200e9;
 
-    FusedDataflow base_df = flat_df;
-    base_df.cross = {Granularity::kHead, 0};
-    base_df.stage = FusedStageFlags{};
-
-    for (const AccelConfig& accel : {edge_accel(), cloud_accel()}) {
+    // One evaluator across every style, shape, staging and preset:
+    // begin() must rebind everything a block reads.
+    AttentionBatchEvaluator batch;
+    for (const AccelConfig& accel : {edge_accel(), cloud_accel(), edge_sg2}) {
         SCOPED_TRACE(accel.name);
-        for (const AttentionDims& dims : {self, cross}) {
-            check_evaluator_parity(accel, dims, flat_df, kFlat,
-                                   BaselineOverlap::kFull, 9, "flat");
-            check_evaluator_parity(accel, dims, base_df, kBaseline,
-                                   BaselineOverlap::kFull, 9,
-                                   "baseline full");
-            check_evaluator_parity(accel, dims, base_df, kBaseline,
-                                   BaselineOverlap::kSerialized, 9,
-                                   "baseline serialized");
+        ASSERT_GE(accel.pe_rows, 2u); // the pipelined style splits it
+        for (const auto& [shape, dims] : shapes) {
+            SCOPED_TRACE(shape);
+            for (const ExecutionStyle* style : execution_styles()) {
+                SCOPED_TRACE(style->id());
+                FusedDataflow df = dataflow_for(*style);
+                for (const std::uint32_t staged : {31u, 0u}) {
+                    df.stage = FusedStageFlags::decode(staged);
+                    for (const BaselineOverlap overlap :
+                         {BaselineOverlap::kFull,
+                          BaselineOverlap::kSerialized}) {
+                        check_evaluator_parity(batch, accel, dims, df,
+                                               *style, overlap, 9,
+                                               "whole block");
+                    }
+                }
+            }
         }
     }
 }
@@ -361,11 +397,14 @@ TEST(AttentionBatchEvaluator, WidthOneAndPartialFlushesStayExact)
     df.l2_logit = {128, 64, 128};
     df.l2_attend = {128, 128, 64};
     const AccelConfig accel = edge_accel();
-    // Degenerate 1-lane batches, a width that straddles the 9-lane
-    // block, and a width larger than the block.
+    // Degenerate 1-lane batches, a width that splits the 9-lane block
+    // into partial batches, and a width larger than the block (a
+    // batch with fewer lanes than its capacity, as when the search
+    // prunes part of a block).
+    AttentionBatchEvaluator batch;
     for (const std::size_t width : {1ul, 4ul, 16ul}) {
         SCOPED_TRACE(width);
-        check_evaluator_parity(accel, dims, df, kFlat,
+        check_evaluator_parity(batch, accel, dims, df, kFlat,
                                BaselineOverlap::kFull, width,
                                "width variant");
     }

@@ -181,10 +181,9 @@ draw_samples()
                     // candidate and patches it for every later one, so
                     // bind another order pair of the same block first
                     // and read the sampled floor off the patched plan.
-                    AttentionEvalScratch scratch;
                     AttentionBatchEvaluator batch;
                     batch.begin(platform.accel, shape.dims, df,
-                                *slice.style, overlap, 1, scratch);
+                                *slice.style, overlap, 1);
                     batch.dram_bytes(
                         bound.logit_costs[tl * n_orders +
                                           (ol + 1) % n_orders],

@@ -84,7 +84,7 @@ run(const Config& cfg, unsigned threads, bool prune,
 
 /** How much of the audit split two runs must share. */
 enum class Split {
-    kSum,   ///< prune setting or batch width differs: the space size
+    kSum,   ///< the prune setting differs: the space size
     kExact, ///< only the thread count differs: evaluated and pruned
 };
 
@@ -263,10 +263,10 @@ TEST(SearchDeterminism, OneThreadMatchesThirtyTwoThreads)
 
 TEST(SearchDeterminism, PruneSplitIsIdenticalAtAnyThreadCount)
 {
-    // The work counters, not just the result, are thread-invariant for
-    // a fixed batch width: every slice prunes against the best of a
-    // fixed prefix of the schedule plus its own incumbent, never against
-    // a value another thread may or may not have published yet.
+    // The work counters, not just the result, are thread-invariant:
+    // every slice prunes against the best of a fixed prefix of the
+    // schedule plus its own incumbent, never against a value another
+    // thread may or may not have published yet.
     for (const Config& cfg : configs()) {
         for (const bool prune : {true, false}) {
             SCOPED_TRACE(std::string(cfg.name) +
@@ -275,7 +275,6 @@ TEST(SearchDeterminism, PruneSplitIsIdenticalAtAnyThreadCount)
             opt.quick = true;
             opt.styles = {"all"};
             opt.prune = prune;
-            opt.batch_width = 5; // flushes mid-block: a fixed width
             opt.threads = 1;
             const AttentionSearchResult serial =
                 search_attention(cfg.accel, cfg.dims, opt);
@@ -288,41 +287,6 @@ TEST(SearchDeterminism, PruneSplitIsIdenticalAtAnyThreadCount)
                                  search_attention(cfg.accel, cfg.dims,
                                                   opt),
                                  what.c_str(), Split::kExact);
-            }
-        }
-    }
-}
-
-TEST(SearchDeterminism, BatchWidthNeverChangesTheResult)
-{
-    // The batched evaluator buffers lanes per (tiles, flags) block;
-    // a smaller width only flushes (and refreshes the pruning
-    // incumbent) more often. Any width — including degenerate 1-lane
-    // batches and widths that straddle block boundaries — must return
-    // the same optimum over the same audited space.
-    const Config cfg{"edge/self-1024", edge_accel(),
-                     self_attention(1024)};
-    AttentionSearchOptions opt;
-    opt.quick = true;
-    opt.threads = 1;
-    opt.batch_width = 0; // auto: one whole block
-    const AttentionSearchResult reference =
-        search_attention(cfg.accel, cfg.dims, opt);
-    ASSERT_TRUE(reference.found);
-
-    for (const std::size_t width : {1ul, 2ul, 3ul, 7ul, 64ul}) {
-        for (const bool prune : {false, true}) {
-            for (const unsigned threads : {1u, 4u}) {
-                SCOPED_TRACE("width=" + std::to_string(width) +
-                             " prune=" + std::to_string(prune) +
-                             " threads=" + std::to_string(threads));
-                opt.batch_width = width;
-                opt.prune = prune;
-                opt.threads = threads;
-                expect_same_best(
-                    reference,
-                    search_attention(cfg.accel, cfg.dims, opt),
-                    "batch width variant");
             }
         }
     }
@@ -356,11 +320,11 @@ TEST(SearchDeterminism, ExplicitFlatStyleMatchesTheLegacyFusedSpace)
 TEST(SearchDeterminism, HoldsForTheFourStyleSpace)
 {
     // The full style axis (baseline / flat / pipelined / flash) under
-    // every engine configuration: thread counts, pruning, and batch
-    // widths must all reduce to the serial unpruned optimum bit for
-    // bit. This also validates each style's pruning bound empirically:
-    // an invalid (too-high) bound would skip the optimum in some
-    // pruned run and fail the comparison.
+    // every engine configuration: thread counts and pruning must all
+    // reduce to the serial unpruned optimum bit for bit. This also
+    // validates each style's pruning bound empirically: an invalid
+    // (too-high) bound would skip the optimum in some pruned run and
+    // fail the comparison.
     for (const Config& cfg : configs()) {
         SCOPED_TRACE(cfg.name);
         AttentionSearchOptions opt;
@@ -375,17 +339,81 @@ TEST(SearchDeterminism, HoldsForTheFourStyleSpace)
 
         for (const unsigned threads : {1u, 8u}) {
             for (const bool prune : {false, true}) {
-                for (const std::size_t width : {0ul, 3ul}) {
-                    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                                 " prune=" + std::to_string(prune) +
-                                 " width=" + std::to_string(width));
-                    opt.threads = threads;
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " prune=" + std::to_string(prune));
+                opt.threads = threads;
+                opt.prune = prune;
+                expect_same_best(
+                    reference, search_attention(cfg.accel, cfg.dims, opt),
+                    "four-style space variant");
+            }
+        }
+    }
+}
+
+TEST(SearchDeterminism, ExploreMinimumMatchesTheSearch)
+{
+    // Search-vs-reference oracle: explore_attention() prices every
+    // point through the reference model_attention(); its minimum under
+    // the search's total order (objective value, then candidate tag)
+    // must be the batched, pruned search's best bit for bit.
+    AttentionDims decode;
+    decode.batch = 16;
+    decode.heads = 32;
+    decode.kv_heads = 8;
+    decode.q_len = 1;
+    decode.kv_len = 2048;
+    decode.head_dim = 128;
+    decode.decode = true;
+    const std::vector<Config> cases = {
+        {"edge/self-1024", edge_accel(), self_attention(1024)},
+        {"cloud/gqa-decode-2048", cloud_accel(), decode},
+    };
+    for (const Config& cfg : cases) {
+        for (const char* style :
+             {"flat", "baseline", "pipelined", "flash", "all"}) {
+            SCOPED_TRACE(std::string(cfg.name) + " styles=" + style);
+            AttentionSearchOptions opt;
+            opt.quick = true;
+            opt.styles = {style};
+            opt.threads = 2;
+            const std::vector<DsePoint> points =
+                explore_attention(cfg.accel, cfg.dims, opt);
+            ASSERT_FALSE(points.empty());
+            for (const Objective objective :
+                 {Objective::kRuntime, Objective::kEnergy,
+                  Objective::kEdp}) {
+                const DsePoint* best = nullptr;
+                double best_value = 0.0;
+                std::string best_tag;
+                for (const DsePoint& point : points) {
+                    const double value = point.objective_value(objective);
+                    const std::string tag =
+                        detail::candidate_tag(*point.style, point.dataflow);
+                    if (best == nullptr ||
+                        detail::improves(value, tag, best_value,
+                                         best_tag)) {
+                        best = &point;
+                        best_value = value;
+                        best_tag = tag;
+                    }
+                }
+                opt.objective = objective;
+                for (const bool prune : {false, true}) {
+                    SCOPED_TRACE("objective=" +
+                                 std::to_string(static_cast<int>(objective)) +
+                                 " prune=" + std::to_string(prune));
                     opt.prune = prune;
-                    opt.batch_width = width;
-                    expect_same_best(
-                        reference,
-                        search_attention(cfg.accel, cfg.dims, opt),
-                        "four-style space variant");
+                    const AttentionSearchResult result =
+                        search_attention(cfg.accel, cfg.dims, opt);
+                    ASSERT_TRUE(result.found);
+                    EXPECT_EQ(detail::candidate_tag(*result.best.style,
+                                                    result.best.dataflow),
+                              best_tag);
+                    EXPECT_EQ(result.best.cost.cycles, best->cost.cycles);
+                    EXPECT_EQ(result.best.energy_j, best->energy_j);
+                    EXPECT_EQ(result.evaluated + result.pruned,
+                              points.size());
                 }
             }
         }

@@ -12,10 +12,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/cancellation.h"
 #include "common/run_journal.h"
+#include "common/status.h"
 #include "workload/model_config.h"
 
 namespace flat {
@@ -242,6 +246,59 @@ TEST_F(SearchJournal, StyleRestrictedJournalIsScopedByStyleSet)
         search_attention(edge_accel(), self_attention(1024), plain);
     expect_same_best(reference, resumed, "style-disjoint space");
     EXPECT_EQ(resumed.evaluated, reference.evaluated);
+}
+
+TEST_F(SearchJournal, TamperedSliceRecordsAreRejected)
+{
+    // A restored record must be one the slice could have produced:
+    // counters that cover the slice's points and a winner built from
+    // the slice's cross loop, tile menus, loop orders and flag sets.
+    // Each edit below of the first slice record of a fresh journal is
+    // a configuration error on resume, not a quietly wrong result.
+    {
+        auto journal = RunJournal::create(path_, test_header());
+        run_search(1, false, journal.get());
+        journal->flush();
+    }
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path_);
+        for (std::string line; std::getline(in, line);) {
+            lines.push_back(line);
+        }
+    }
+    ASSERT_GE(lines.size(), 2u);
+    const std::string record = lines[1];
+    ASSERT_NE(record.find("\"found\":true"), std::string::npos);
+
+    const auto edit = [&](const char* pattern, const std::string& with) {
+        return std::regex_replace(record, std::regex(pattern), with);
+    };
+    const bool row64 =
+        record.find("\"gran\":3,\"rows\":64,") != std::string::npos;
+    const std::vector<std::pair<const char*, std::string>> edits = {
+        {"evaluated count",
+         edit("\"evaluated\":[0-9]+", "\"evaluated\":1000000000")},
+        {"granularity", edit("\"gran\":[0-9]+", "\"gran\":99")},
+        {"cross loop of another slice",
+         edit("\"gran\":[0-9]+,\"rows\":[0-9]+",
+              row64 ? "\"gran\":0,\"rows\":0"
+                    : "\"gran\":3,\"rows\":64")},
+        {"tiles in no menu",
+         edit("\"l([mkn])\":[0-9]+", "\"l$1\":512")},
+    };
+    for (const auto& [what, tampered] : edits) {
+        SCOPED_TRACE(what);
+        ASSERT_NE(tampered, record);
+        {
+            std::ofstream out(path_, std::ios::trunc);
+            for (std::size_t i = 0; i < lines.size(); ++i) {
+                out << (i == 1 ? tampered : lines[i]) << '\n';
+            }
+        }
+        auto journal = RunJournal::open_resume(path_, test_header());
+        EXPECT_THROW(run_search(1, true, journal.get()), Error);
+    }
 }
 
 TEST_F(SearchJournal, CancelledSearchThrowsAndFlushesCompletedSlices)

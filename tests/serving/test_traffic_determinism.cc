@@ -38,15 +38,13 @@ small_trace()
 }
 
 ServeOptions
-serve_options(unsigned threads, std::size_t batch_width,
-              RunJournal* journal = nullptr)
+serve_options(unsigned threads, bool prune = true)
 {
     ServeOptions opt;
     opt.sched.max_batch = 4;
     opt.sim.quick = true;
     opt.sim.threads = threads;
-    opt.sim.batch_width = batch_width;
-    opt.journal = journal;
+    opt.sim.prune = prune;
     return opt;
 }
 
@@ -89,18 +87,18 @@ TEST(TrafficDeterminism, ReportIsThreadAndBatchWidthInvariant)
     const std::vector<Request> requests = small_trace();
 
     const ServeReport reference =
-        run_serving(accel, model, requests, serve_options(1, 1));
+        run_serving(accel, model, requests, serve_options(1, false));
     ASSERT_EQ(reference.completed, requests.size());
     ASSERT_GT(reference.tokens_per_s, 0.0);
 
     for (const unsigned threads : {1u, 8u}) {
-        for (const std::size_t width : {std::size_t{1}, std::size_t{0}}) {
+        for (const bool prune : {false, true}) {
             const ServeReport candidate = run_serving(
-                accel, model, requests, serve_options(threads, width));
+                accel, model, requests, serve_options(threads, prune));
             expect_identical_reports(
                 reference, candidate,
                 (std::string("threads=") + std::to_string(threads) +
-                 " width=" + std::to_string(width))
+                 " prune=" + std::to_string(prune))
                     .c_str());
         }
     }
@@ -112,9 +110,9 @@ TEST(TrafficDeterminism, BothPoliciesDrainDeterministically)
     const ModelConfig model = model_by_name("bert");
     const std::vector<Request> requests = small_trace();
     for (const SchedPolicy policy : sched_policies()) {
-        ServeOptions a = serve_options(1, 0);
+        ServeOptions a = serve_options(1);
         a.sched.policy = policy;
-        ServeOptions b = serve_options(8, 0);
+        ServeOptions b = serve_options(8);
         b.sched.policy = policy;
         expect_identical_reports(run_serving(accel, model, requests, a),
                                  run_serving(accel, model, requests, b),
@@ -147,11 +145,11 @@ TEST_F(TrafficJournal, ResumedRunMatchesUninterruptedBitForBit)
     const std::vector<Request> requests = small_trace();
 
     const ServeReport uninterrupted =
-        run_serving(accel, model, requests, serve_options(1, 0));
+        run_serving(accel, model, requests, serve_options(1));
 
     // Journaled first run, then a resume that replays every step cost.
     {
-        ServeOptions opt = serve_options(1, 0);
+        ServeOptions opt = serve_options(1);
         auto journal = RunJournal::create(
             path_, serve_header(accel, model, requests, opt));
         opt.journal = journal.get();
@@ -161,7 +159,7 @@ TEST_F(TrafficJournal, ResumedRunMatchesUninterruptedBitForBit)
         EXPECT_EQ(journaled.cost_journal_hits, 0u);
     }
     {
-        ServeOptions opt = serve_options(8, 0);
+        ServeOptions opt = serve_options(8);
         auto journal = RunJournal::open_resume(
             path_, serve_header(accel, model, requests, opt));
         EXPECT_GT(journal->restored(), 0u);
@@ -184,10 +182,10 @@ TEST_F(TrafficJournal, ResumeFromTruncatedJournalMatchesUninterrupted)
     const std::vector<Request> requests = small_trace();
 
     const ServeReport uninterrupted =
-        run_serving(accel, model, requests, serve_options(1, 0));
+        run_serving(accel, model, requests, serve_options(1));
 
     {
-        ServeOptions opt = serve_options(1, 0);
+        ServeOptions opt = serve_options(1);
         auto journal = RunJournal::create(
             path_, serve_header(accel, model, requests, opt));
         opt.journal = journal.get();
@@ -207,7 +205,7 @@ TEST_F(TrafficJournal, ResumeFromTruncatedJournalMatchesUninterrupted)
         out << text.substr(0, cut); // mid-record: torn final line
     }
 
-    ServeOptions opt = serve_options(8, 0);
+    ServeOptions opt = serve_options(8);
     auto journal = RunJournal::open_resume(
         path_, serve_header(accel, model, requests, opt));
     opt.journal = journal.get();
@@ -223,7 +221,7 @@ TEST_F(TrafficJournal, StaleJournalIsRejected)
     const AccelConfig accel = edge_accel();
     const ModelConfig model = model_by_name("bert");
     const std::vector<Request> requests = small_trace();
-    ServeOptions opt = serve_options(1, 0);
+    ServeOptions opt = serve_options(1);
     {
         auto journal = RunJournal::create(
             path_, serve_header(accel, model, requests, opt));
@@ -249,7 +247,7 @@ TEST(ServingSearch, AutoPicksTheThroughputWinnerDeterministically)
     const ModelConfig model = model_by_name("bert");
     const std::vector<Request> requests = small_trace();
 
-    ServeOptions opt = serve_options(1, 0);
+    ServeOptions opt = serve_options(1);
     const ServingSearchResult a =
         search_serving(accel, model, requests, opt);
     ASSERT_TRUE(a.found);
@@ -260,7 +258,7 @@ TEST(ServingSearch, AutoPicksTheThroughputWinnerDeterministically)
         EXPECT_LE(r.tokens_per_s, a.report.tokens_per_s);
     }
 
-    ServeOptions opt8 = serve_options(8, 1);
+    ServeOptions opt8 = serve_options(8, false);
     const ServingSearchResult b =
         search_serving(accel, model, requests, opt8);
     ASSERT_TRUE(b.found);

@@ -48,7 +48,7 @@ HEADLINES = {
 SECONDARY = {
     "dse_throughput": [
         ("allocs/point", "allocs_per_point", -1),
-        ("hot path scratch ns/eval", "hot_path.scratch_ns_per_eval",
+        ("hot path batched ns/point", "hot_path.batch_ns_per_point",
          -1),
     ],
     "serving_throughput": [

@@ -92,9 +92,6 @@ usage: flatsim [options]
   --no-prune         disable DSE lower-bound pruning (compute bound and
                      DRAM-traffic floor; same result, every design
                      point evaluated)
-  --batch-width N    lanes per batched DSE evaluation (default 0 =
-                     one whole tiles-x-flags block; result is
-                     identical for any width)
   --serialized-baseline   model the baseline without transfer overlap
   --quick            smaller DSE menus
   --json             emit the report as JSON instead of tables
@@ -139,7 +136,7 @@ inference serving (request-level traffic simulator; src/serving/):
                      step-cost memo                          (default 64)
   (--serve composes with --journal/--resume: step costs checkpoint
   under scope "serve" and a resumed report is bit-identical. The
-  report is bit-identical at any --threads / --batch-width too.)
+  report is bit-identical at any --threads too.)
 
 batch sweeps (fault-isolated; see core/sweep.h for the spec syntax):
   --sweep FILE       evaluate the cross product described by FILE; a
@@ -237,7 +234,6 @@ struct Args {
                              ///< serve: analytic)
     bool block = false;      ///< --block: per-layer model view
     std::uint64_t threads = 0;
-    std::uint64_t batch_width = 0;
     bool no_prune = false;
     bool serialized_baseline = false;
     bool quick = false;
@@ -466,7 +462,6 @@ sim_options_from_args(const Args& args, SearchMode mode)
     options.quick = args.quick;
     options.threads = static_cast<unsigned>(args.threads);
     options.prune = !args.no_prune;
-    options.batch_width = static_cast<std::size_t>(args.batch_width);
     options.baseline_overlap = args.serialized_baseline
                                    ? BaselineOverlap::kSerialized
                                    : BaselineOverlap::kFull;
@@ -1143,7 +1138,6 @@ run_sweep_mode(const Args& args)
     options.deadline_ms = static_cast<double>(args.deadline_ms);
     options.fail_fast = args.fail_fast;
     options.sim.prune = !args.no_prune;
-    options.sim.batch_width = static_cast<std::size_t>(args.batch_width);
     options.sim.baseline_overlap = args.serialized_baseline
                                        ? BaselineOverlap::kSerialized
                                        : BaselineOverlap::kFull;
@@ -1244,8 +1238,6 @@ main(int argc, char** argv)
                 args.block = true;
             } else if (flag == "--threads") {
                 args.threads = parse_u64_flag(flag, next(), 0, 4096);
-            } else if (flag == "--batch-width") {
-                args.batch_width = parse_u64_flag(flag, next(), 0, 1 << 20);
             } else if (flag == "--sweep") {
                 args.sweep_file = next();
             } else if (flag == "--sweep-csv") {
