@@ -1,14 +1,16 @@
 /**
  * @file
  * Serving-layer throughput bench: serves one fixed seeded arrival
- * trace (edge, bert) under both batching policies and reports
+ * trace (edge, bert) under both batching policies, pricing steps the
+ * way `flatsim --serve` does (the analytic mapper over full menus),
+ * and reports
  *
  *  - the SIMULATED serving quality at that offered load — sustained
  *    tokens/s and p50/p99 request latency — which must not regress
  *    when the cost model or scheduler changes, and
  *  - the WALL-CLOCK simulator throughput (scheduler steps/s and
- *    step-cost lookups/s), the knob the step-cost memo and the eval
- *    cache underneath it exist to keep fast.
+ *    step-cost lookups/s), the knob the step-cost memo, the run's
+ *    GEMM-search memo and the mapper's climb pruning keep fast.
  *
  * Emits BENCH_serving.json (tools/bench_compare.py diffs two of them
  * and gates on the steps/s headline).
@@ -51,7 +53,7 @@ serve_leg(const AccelConfig& accel, const ModelConfig& model,
     ServeOptions options;
     options.sched.policy = policy;
     options.sched.max_batch = 8;
-    options.sim.quick = true;
+    options.sim.search_mode = SearchMode::kAnalytic;
     options.sim.threads = threads;
     Leg leg;
     ScopedTimer timer;

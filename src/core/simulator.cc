@@ -158,7 +158,7 @@ Simulator::run(const Workload& workload, Scope scope,
 {
     return run_impl(workload, scope,
                     {attention_options(policy, options),
-                     operator_options(policy, options)},
+                     operator_options(policy, options), options.gemm_memo},
                     policy.name());
 }
 
@@ -168,7 +168,7 @@ Simulator::run(const Workload& workload, Scope scope,
 {
     return run_impl(workload, scope,
                     {attention_options(spec, options),
-                     operator_options(spec, options)},
+                     operator_options(spec, options), options.gemm_memo},
                     spec.name());
 }
 

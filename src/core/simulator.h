@@ -54,6 +54,11 @@ struct SimOptions {
     /** Optional cooperative cancellation threaded into every search
      *  loop (see AttentionSearchOptions::cancel). Not owned. */
     const CancellationToken* cancel = nullptr;
+
+    /** Optional GEMM-search memo lent to block and model scope (see
+     *  BlockSearchOptions::gemm_memo); null = one memo per run. The
+     *  serving layer lends one per serving call. Not owned. */
+    GemmSearchMemo* gemm_memo = nullptr;
 };
 
 /** Per-category cycle/energy decomposition (Figure 11). */

@@ -49,9 +49,10 @@ model_attention(const ExecutionStyle& style, const AccelConfig& accel,
     const AttentionPlan plan = make_plan(accel, dims, dataflow);
     std::vector<Phase> phases;
     style.emit_phases(phases, accel, dims, plan, dataflow);
-    return finalize_cost(accel, dims, plan,
-                         evaluate_timeline(std::move(phases), accel,
-                                           style.overlap(overlap)),
+    const TimelineResult timeline = evaluate_timeline(
+        std::move(phases), accel, style.overlap(overlap));
+    return finalize_cost(plan, attention_ideal_cycles(accel, dims),
+                         timeline.cycles, timeline.activity,
                          style.cost_name());
 }
 
@@ -153,14 +154,8 @@ OperatorCost
 AttentionBatchEvaluator::cost(std::size_t lane) const
 {
     const TimelineBatch::LaneSummary& summary = batch_.summary(lane);
-    OperatorCost cost;
-    cost.name = style_->cost_name();
-    cost.ideal_cycles = ideal_cycles_;
-    cost.cycles = summary.cycles;
-    cost.live_footprint_bytes = plan_.footprint;
-    cost.resident_fraction = plan_.res.overall;
-    cost.activity = summary.activity;
-    return cost;
+    return finalize_cost(plan_, ideal_cycles_, summary.cycles,
+                         summary.activity, style_->cost_name());
 }
 
 } // namespace flat

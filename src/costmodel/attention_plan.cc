@@ -386,17 +386,17 @@ emit_gemm_phase(std::vector<Phase>& out, std::size_t& idx,
 }
 
 OperatorCost
-finalize_cost(const AccelConfig& accel, const AttentionDims& dims,
-              const AttentionPlan& plan, const TimelineResult& timeline,
+finalize_cost(const AttentionPlan& plan, double ideal_cycles,
+              double cycles, const ActivityCounts& activity,
               const char* name)
 {
     OperatorCost cost;
     cost.name = name;
-    cost.ideal_cycles = attention_ideal_cycles(accel, dims);
-    cost.cycles = timeline.cycles;
+    cost.ideal_cycles = ideal_cycles;
+    cost.cycles = cycles;
     cost.live_footprint_bytes = plan.footprint;
     cost.resident_fraction = plan.res.overall;
-    cost.activity = timeline.activity;
+    cost.activity = activity;
     return cost;
 }
 

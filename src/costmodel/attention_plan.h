@@ -190,12 +190,12 @@ Phase& emit_gemm_phase(std::vector<Phase>& out, std::size_t& idx,
                        double occupancy_cycles, const AttentionDims& dims,
                        double slices);
 
-/** Cost report from a plan and its evaluated timeline: the cycles and
- *  the activity ledger ARE the timeline's — no re-aggregation. */
-OperatorCost finalize_cost(const AccelConfig& accel,
-                           const AttentionDims& dims,
-                           const AttentionPlan& plan,
-                           const TimelineResult& timeline,
+/** Cost report from a plan and its evaluated timeline's @p cycles and
+ *  @p activity — no re-aggregation. Both L-A pricers fill their
+ *  OperatorCost here (model_attention from evaluate_timeline(), the
+ *  batch evaluator from a lane summary), so they cannot diverge. */
+OperatorCost finalize_cost(const AttentionPlan& plan, double ideal_cycles,
+                           double cycles, const ActivityCounts& activity,
                            const char* name);
 
 /** Ideal PE cycles of the whole L-A pair (both GEMMs, no stalls). */

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/status.h"
+#include "costmodel/attention_plan.h"
 #include "costmodel/gemm_engine.h"
-#include "costmodel/timeline.h"
 #include "dataflow/reuse.h"
 
 namespace flat {
@@ -24,12 +25,12 @@ effective_fetches(bool staged, double resident_fraction,
 }
 
 OperatorCost
-model_gemm_operator(const AccelConfig& accel, const Operator& op,
-                    const OperatorDataflow& dataflow)
+gemm_operator_phases(const AccelConfig& accel, const Operator& op,
+                     const OperatorDataflow& dataflow,
+                     std::vector<Phase>& phases)
 {
     FLAT_CHECK(op.kind == OpKind::kGemm,
                op.name << ": model_gemm_operator needs a GEMM");
-    accel.validate();
     dataflow.validate();
     const GemmShape& shape = op.gemm;
     const std::uint32_t bpe = accel.bytes_per_element;
@@ -94,31 +95,26 @@ model_gemm_operator(const AccelConfig& accel, const Operator& op,
     // fetch, then one double-buffered window where the GEMM's compute
     // arbitrates against the prefetch/writeback streams. The on-chip
     // ledger covers operand streaming into the array plus the DRAM
-    // transfers landing in / leaving SG.
-    std::vector<Phase> phases;
-
-    Phase cold;
-    cold.label = "cold start (first A/B tile fetch)";
-    cold.stage = StageTag::kColdStart;
-    cold.group = 0;
+    // transfers landing in / leaving SG. The phases are overwritten in
+    // place (next_phase), so a reused vector keeps its label buffers.
+    std::size_t idx = 0;
+    Phase& cold = next_phase(phases, idx,
+                             "cold start (first A/B tile fetch)",
+                             StageTag::kColdStart, 0);
     cold.pace_only = true;
     cold.activity.traffic.dram_read =
         static_cast<double>(tile.a_bytes(bpe) + tile.b_bytes(bpe));
-    phases.push_back(cold);
 
-    Phase prefetch;
-    prefetch.label = "prefetch (DRAM->SG, overlapped)";
-    prefetch.stage = StageTag::kPrefetch;
-    prefetch.group = 1;
+    Phase& prefetch = next_phase(phases, idx,
+                                 "prefetch (DRAM->SG, overlapped)",
+                                 StageTag::kPrefetch, 1);
     prefetch.activity.traffic.dram_read = dram.dram_read;
     prefetch.activity.traffic.sg_write =
         dram.dram_read; // SG write on the way in from DRAM
-    phases.push_back(prefetch);
 
-    Phase gemm;
-    gemm.label = op.name + " GEMM";
-    gemm.stage = StageTag::kCompute;
-    gemm.group = 1;
+    Phase& gemm = next_phase(phases, idx, op.name.c_str(),
+                             StageTag::kCompute, 1);
+    gemm.label += " GEMM";
     gemm.compute_cycles = compute_cycles;
     gemm.activity.macs = static_cast<double>(shape.macs());
     // Each MAC reads two operands from and accumulates into the SL.
@@ -126,17 +122,24 @@ model_gemm_operator(const AccelConfig& accel, const Operator& op,
     gemm.activity.traffic.sg_read =
         (compute.sg_read_bytes + compute.sg_psum_read_bytes) * instances;
     gemm.activity.traffic.sg_write = compute.sg_write_bytes * instances;
-    phases.push_back(gemm);
 
-    Phase writeback;
-    writeback.label = "writeback (SG->DRAM, overlapped)";
-    writeback.stage = StageTag::kWriteback;
-    writeback.group = 1;
+    Phase& writeback = next_phase(phases, idx,
+                                  "writeback (SG->DRAM, overlapped)",
+                                  StageTag::kWriteback, 1);
     writeback.activity.traffic.dram_write = dram.dram_write;
     writeback.activity.traffic.sg_read =
         dram.dram_write; // SG read on the way out to DRAM
-    phases.push_back(writeback);
+    phases.resize(idx);
+    return cost;
+}
 
+OperatorCost
+model_gemm_operator(const AccelConfig& accel, const Operator& op,
+                    const OperatorDataflow& dataflow)
+{
+    accel.validate();
+    std::vector<Phase> phases;
+    OperatorCost cost = gemm_operator_phases(accel, op, dataflow, phases);
     const TimelineResult timeline =
         evaluate_timeline(std::move(phases), accel);
     cost.cycles = timeline.cycles;

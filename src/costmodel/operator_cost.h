@@ -7,8 +7,11 @@
 #ifndef FLAT_COSTMODEL_OPERATOR_COST_H
 #define FLAT_COSTMODEL_OPERATOR_COST_H
 
+#include <vector>
+
 #include "arch/accel_config.h"
 #include "costmodel/cost_types.h"
+#include "costmodel/timeline.h"
 #include "dataflow/operator_dataflow.h"
 #include "workload/operator.h"
 
@@ -16,7 +19,9 @@ namespace flat {
 
 /**
  * Models one GEMM operator (all its instances) on @p accel with
- * @p dataflow.
+ * @p dataflow: gemm_operator_phases() evaluated by evaluate_timeline().
+ * This is the reference search_operator's batched lanes are tested
+ * against, and the pricer of its winner.
  *
  * Runtime = max(compute + array fill/drain, off-chip transfer time,
  * on-chip transfer time) + cold-start, i.e. compute and double-buffered
@@ -28,6 +33,19 @@ namespace flat {
 OperatorCost model_gemm_operator(const AccelConfig& accel,
                                  const Operator& op,
                                  const OperatorDataflow& dataflow);
+
+/**
+ * The phase emitter of model_gemm_operator: overwrites @p phases with
+ * the operator's timeline — an exposed cold-start fetch (group 0), then
+ * prefetch, GEMM and writeback overlapped in group 1; the same four-
+ * phase skeleton for every dataflow — and returns the cost fields the
+ * timeline does not decide (name, ideal cycles, live footprint,
+ * resident fraction). @p accel must already be validated.
+ */
+OperatorCost gemm_operator_phases(const AccelConfig& accel,
+                                  const Operator& op,
+                                  const OperatorDataflow& dataflow,
+                                  std::vector<Phase>& phases);
 
 /**
  * Models the baseline softmax: reads the logits tensor from DRAM,

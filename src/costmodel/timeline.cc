@@ -207,18 +207,27 @@ evaluate_timeline(std::vector<Phase> phases, const AccelConfig& accel,
     return out;
 }
 
-void
+bool
 TimelineBatch::configure(const std::vector<Phase>& structure,
                          OverlapKind overlap, std::size_t lane_capacity)
 {
     FLAT_CHECK(lane_capacity > 0,
                "TimelineBatch needs at least one lane of capacity");
-    overlap_ = overlap;
-    phase_count_ = structure.size();
-    capacity_ = lane_capacity;
     lanes_ = 0;
+    const auto same_phase = [](const SkeletonPhase& kept,
+                               const Phase& phase) {
+        return kept.group == phase.group && kept.track == phase.track &&
+               kept.pace_only == phase.pace_only;
+    };
+    if (capacity_ >= lane_capacity && overlap_ == overlap &&
+        std::equal(skeleton_.begin(), skeleton_.end(), structure.begin(),
+                   structure.end(), same_phase)) {
+        return true; // the layout is a function of the skeleton alone
+    }
+    overlap_ = overlap;
+    capacity_ = lane_capacity;
 
-    pace_only_.assign(phase_count_, false);
+    skeleton_.resize(structure.size());
     // Group ids and per-group track ids in first-appearance order —
     // the same discovery rule as evaluate_timeline(), so track slot 0 is
     // the first distinct track a group's member order encounters.
@@ -229,7 +238,7 @@ TimelineBatch::configure(const std::vector<Phase>& structure,
     group_ids_.clear();
     for (std::size_t i = 0; i < structure.size(); ++i) {
         const Phase& phase = structure[i];
-        pace_only_[i] = phase.pace_only;
+        skeleton_[i] = {phase.group, phase.track, phase.pace_only};
         std::size_t gi = 0;
         while (gi < group_ids_.size() && group_ids_[gi] != phase.group) {
             ++gi;
@@ -272,7 +281,7 @@ TimelineBatch::configure(const std::vector<Phase>& structure,
         }
     }
 
-    const std::size_t values = phase_count_ * capacity_;
+    const std::size_t values = skeleton_.size() * capacity_;
     occupancy_.resize(values);
     link_latency_.resize(values);
     macs_.resize(values);
@@ -287,6 +296,7 @@ TimelineBatch::configure(const std::vector<Phase>& structure,
     link_in_.resize(values);
     link_out_.resize(values);
     summaries_.resize(capacity_);
+    return false;
 }
 
 std::size_t
@@ -457,8 +467,8 @@ TimelineBatch::evaluate(const AccelConfig& accel,
 
     // Ledger sum over non-pace-only phases, phase order per lane —
     // field-for-field the scalar `activity += phase.activity` chain.
-    for (std::size_t p = 0; p < phase_count_; ++p) {
-        if (pace_only_[p]) {
+    for (std::size_t p = 0; p < skeleton_.size(); ++p) {
+        if (skeleton_[p].pace_only) {
             continue;
         }
         const std::size_t base = p * capacity_;

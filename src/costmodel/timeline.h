@@ -224,14 +224,17 @@ class TimelineBatch
 
     /**
      * Rebinds the batch to @p structure's phase skeleton (group, track
-     * and pace_only of each phase; labels/values are ignored) with room
-     * for @p lane_capacity lanes, and drops all lanes. Buffers are
-     * reused when the shape matches the previous configure call.
+     * and pace_only of each phase, plus @p overlap; labels/values are
+     * ignored) with room for at least @p lane_capacity lanes, and drops
+     * all lanes. When the skeleton equals the current one and the
+     * capacity fits, the layout is kept as it is — the common case for
+     * a search, whose blocks share one style — and configure() returns
+     * true; otherwise it rebuilds (reusing buffers) and returns false.
      */
-    void configure(const std::vector<Phase>& structure,
+    bool configure(const std::vector<Phase>& structure,
                    OverlapKind overlap, std::size_t lane_capacity);
 
-    std::size_t phase_count() const { return phase_count_; }
+    std::size_t phase_count() const { return skeleton_.size(); }
     std::size_t lanes() const { return lanes_; }
 
     /** Appends a lane and returns its index; values are UNDEFINED until
@@ -274,11 +277,17 @@ class TimelineBatch
         return store.data() + phase * capacity_;
     }
 
-    std::size_t phase_count_ = 0;
+    /** The part of a phase the layout depends on. */
+    struct SkeletonPhase {
+        int group = 0;
+        int track = -1;
+        bool pace_only = false;
+    };
+
     std::size_t capacity_ = 0;
     std::size_t lanes_ = 0;
     OverlapKind overlap_ = OverlapKind::kOverlapped;
-    std::vector<bool> pace_only_;
+    std::vector<SkeletonPhase> skeleton_; ///< one per phase
 
     // groups_[0..group_count_) are live; entries past group_count_ are
     // retired but keep their heap buffers so the per-block reconfigure

@@ -1,6 +1,6 @@
 #include "dataflow/fused_dataflow.h"
 
-#include <cstdio>
+#include <charconv>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -80,55 +80,44 @@ FusedDataflow::tag() const
     // Byte-identical to
     //   cross.tag() + "/" + l2_logit.tag() + "/" + l2_attend.tag() +
     //   "/" + stage.tag()
-    // but built in one pass: the DSE tie-break constructs this tag for
-    // every candidate that matches the incumbent's objective value, so
-    // the string-concatenation temporaries were a measurable slice of
-    // the per-point cost.
-    char buf[128];
-    int len;
-    if (cross.granularity == Granularity::kColumn) {
-        len = std::snprintf(
-            buf, sizeof(buf),
-            "R%lluC%llu/%llux%llux%llu/%llux%llux%llu/",
-            static_cast<unsigned long long>(cross.rows),
-            static_cast<unsigned long long>(cross.cols),
-            static_cast<unsigned long long>(l2_logit.m),
-            static_cast<unsigned long long>(l2_logit.k),
-            static_cast<unsigned long long>(l2_logit.n),
-            static_cast<unsigned long long>(l2_attend.m),
-            static_cast<unsigned long long>(l2_attend.k),
-            static_cast<unsigned long long>(l2_attend.n));
-    } else if (cross.granularity == Granularity::kRow) {
-        len = std::snprintf(
-            buf, sizeof(buf), "R%llu/%llux%llux%llu/%llux%llux%llu/",
-            static_cast<unsigned long long>(cross.rows),
-            static_cast<unsigned long long>(l2_logit.m),
-            static_cast<unsigned long long>(l2_logit.k),
-            static_cast<unsigned long long>(l2_logit.n),
-            static_cast<unsigned long long>(l2_attend.m),
-            static_cast<unsigned long long>(l2_attend.k),
-            static_cast<unsigned long long>(l2_attend.n));
+    // but built in one pass with std::to_chars: the DSE tie-break
+    // constructs this tag for every candidate that reaches the
+    // incumbent's objective value — most of the analytic mapper's lanes
+    // on serve's decode steps — and printf's format parsing was a fifth
+    // of serve's profile.
+    std::string out;
+    out.reserve(64);
+    const auto put = [&](std::uint64_t value) {
+        char digits[20]; // 2^64 - 1 has 20 decimal digits
+        out.append(digits,
+                   std::to_chars(digits, digits + sizeof(digits), value).ptr);
+    };
+    if (cross.granularity == Granularity::kColumn ||
+        cross.granularity == Granularity::kRow) {
+        out += 'R';
+        put(cross.rows);
+        if (cross.granularity == Granularity::kColumn) {
+            out += 'C';
+            put(cross.cols);
+        }
     } else {
-        len = std::snprintf(
-            buf, sizeof(buf), "%s/%llux%llux%llu/%llux%llux%llu/",
-            to_string(cross.granularity).c_str(),
-            static_cast<unsigned long long>(l2_logit.m),
-            static_cast<unsigned long long>(l2_logit.k),
-            static_cast<unsigned long long>(l2_logit.n),
-            static_cast<unsigned long long>(l2_attend.m),
-            static_cast<unsigned long long>(l2_attend.k),
-            static_cast<unsigned long long>(l2_attend.n));
+        out += to_string(cross.granularity);
     }
-    FLAT_ASSERT(len > 0 &&
-                    static_cast<std::size_t>(len) + 5 < sizeof(buf),
-                "dataflow tag overflows its buffer");
-    char* p = buf + len;
-    *p++ = stage.query ? 'Q' : '-';
-    *p++ = stage.key ? 'K' : '-';
-    *p++ = stage.value ? 'V' : '-';
-    *p++ = stage.output ? 'O' : '-';
-    *p++ = stage.intermediate ? 'I' : '-';
-    return std::string(buf, static_cast<std::size_t>(p - buf));
+    for (const L2Tile* tile : {&l2_logit, &l2_attend}) {
+        out += '/';
+        put(tile->m);
+        out += 'x';
+        put(tile->k);
+        out += 'x';
+        put(tile->n);
+    }
+    out += '/';
+    out += stage.query ? 'Q' : '-';
+    out += stage.key ? 'K' : '-';
+    out += stage.value ? 'V' : '-';
+    out += stage.output ? 'O' : '-';
+    out += stage.intermediate ? 'I' : '-';
+    return out;
 }
 
 void

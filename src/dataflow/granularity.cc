@@ -35,6 +35,17 @@ CrossLoop::tag() const
 void
 CrossLoop::validate() const
 {
+    switch (granularity) {
+      case Granularity::kMulti:
+      case Granularity::kBatch:
+      case Granularity::kHead:
+      case Granularity::kRow:
+      case Granularity::kColumn:
+        break;
+      default:
+        FLAT_FAIL("unknown cross-loop granularity "
+                  << static_cast<long long>(granularity));
+    }
     if (granularity == Granularity::kRow) {
         FLAT_CHECK(rows > 0, "R-Gran requires a positive row-tile size");
     }

@@ -49,7 +49,8 @@ struct CrossLoop {
     /** Human-readable tag, e.g. "M", "B", "H", "R64", "R64C256". */
     std::string tag() const;
 
-    /** Throws flat::Error if R/C-Gran lack positive tile sizes. */
+    /** Throws flat::Error if the granularity is none of the five
+     *  enumerators or R/C-Gran lack positive tile sizes. */
     void validate() const;
 };
 

@@ -238,6 +238,14 @@ constexpr int kMaxRefineRounds = 8;
  * slice-local, so the outcome is identical for any thread count; the
  * visited set guarantees every point is evaluated at most once and the
  * audit identity evaluated + pruned == slice points holds exactly.
+ *
+ * With pruning on, a candidate whose lower bound strictly exceeds the
+ * slice's OWN incumbent is marked visited and never priced: it could
+ * not pass improves() against that incumbent or any later one, so the
+ * climb takes the same path to the same winner and only the
+ * evaluated/pruned split moves. The shared cross-slice incumbent is
+ * never used here — a point that loses to another slice's best can
+ * still move this slice's climb, and with it the slice's winner.
  */
 void
 refine_slice(const AccelConfig& accel, const AttentionDims& dims,
@@ -275,29 +283,59 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
     };
 
     // One begin() block: every lane shares (tiles, flags) and varies
-    // only the order axes — the same batching shape as the sweep.
+    // only the order axes — the same batching shape as the sweep. The
+    // block is begun lazily: the DRAM floor reads its plan, but a block
+    // whose points are all visited or compute-pruned needs none.
     std::vector<PointCoords> lane_coords;
     const auto eval_block = [&](std::size_t tl, std::size_t ta,
                                 std::size_t fi,
                                 const std::vector<PointCoords>& points) {
+        bool begun = false;
+        const auto open_block = [&] {
+            FusedDataflow df;
+            df.cross = slice.cross;
+            df.l2_logit = tiles_l[tl];
+            df.stat_logit = slice.stat_logit;
+            df.l2_attend = tiles_a[ta];
+            df.stat_attend = slice.stat_attend;
+            df.stage = space.flag_sets[fi];
+            batch.begin(accel, dims, df, *slice.style,
+                        options.baseline_overlap, points.size());
+            begun = true;
+        };
+        // The exhaustive walk's point test, against out.value alone.
+        const auto prunes = [&](std::size_t li, std::size_t ai) {
+            if (bound.lower_bound(options.objective, li, ai) > out.value) {
+                return true;
+            }
+            if (options.objective == Objective::kEnergy) {
+                return false;
+            }
+            if (!begun) {
+                open_block();
+            }
+            return bound.lower_bound(
+                       options.objective, li, ai,
+                       batch.dram_bytes(logit_costs[li],
+                                        attend_costs[ai])) > out.value;
+        };
         lane_coords.clear();
         for (const PointCoords& p : points) {
-            if (visited.insert(encode(p)).second) {
-                lane_coords.push_back(p);
+            if (!visited.insert(encode(p)).second) {
+                continue;
             }
+            if (options.prune && prunes(p.tl * n_orders + p.ol,
+                                        p.ta * n_orders + p.oa)) {
+                continue;
+            }
+            lane_coords.push_back(p);
         }
         if (lane_coords.empty()) {
             return;
         }
-        FusedDataflow df;
-        df.cross = slice.cross;
-        df.l2_logit = tiles_l[tl];
-        df.stat_logit = slice.stat_logit;
-        df.l2_attend = tiles_a[ta];
-        df.stat_attend = slice.stat_attend;
-        df.stage = space.flag_sets[fi];
-        batch.begin(accel, dims, df, *slice.style,
-                    options.baseline_overlap, lane_coords.size());
+        if (!begun) {
+            open_block();
+        }
         for (const PointCoords& p : lane_coords) {
             batch.add(orders[p.ol], orders[p.oa],
                       logit_costs[p.tl * n_orders + p.ol],
@@ -404,9 +442,10 @@ analytic_core(const AccelConfig& accel, const AttentionDims& dims,
     // Slice priorities double as whole-slice prune bounds: a slice
     // whose best lower bound exceeds the shared incumbent cannot
     // contain the winner (the incumbent only decreases, so the final
-    // optimum is below it too) and is skipped wholesale. The mapper
-    // keeps a shared atomic incumbent: its slices are few and cheap,
-    // and pruning points inside the hill-climb would change its path.
+    // optimum is below it too) and is skipped wholesale. The shared
+    // atomic incumbent serves only this skip; points inside a climb
+    // prune against their own slice's incumbent (refine_slice), since
+    // pruning them against another slice's best could change the path.
     std::atomic<double> shared_best{search.restored_best};
 
     parallel_for(

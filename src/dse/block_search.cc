@@ -1,12 +1,93 @@
 #include "dse/block_search.h"
 
-#include <map>
-#include <tuple>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 
 namespace flat {
+
+namespace {
+
+/** Appends the object representation of @p value to @p key. */
+template <typename T>
+void
+append_raw(std::string& key, const T& value)
+{
+    key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/** Appends a length-prefixed list, so adjacent lists cannot alias. */
+template <typename T>
+void
+append_raw(std::string& key, const std::vector<T>& values)
+{
+    append_raw(key, values.size());
+    for (const T& value : values) {
+        append_raw(key, value);
+    }
+}
+
+} // namespace
+
+const OperatorSearchResult&
+GemmSearchMemo::search(const AccelConfig& accel, const Operator& op,
+                       const OperatorSearchOptions& options, bool& reused)
+{
+    // Identical GEMM shapes share one search: Q/K/V/O are the same
+    // activation-weight GEMM under MHA (GQA shrinks K/V), and decode
+    // steps repeat their projection/FC shapes at every context. The
+    // key is the raw bytes of everything search_operator reads, so
+    // equal keys mean bit-equal inputs.
+    const GemmShape& shape = op.gemm;
+    const CandidateOptions& cand = options.candidates;
+    std::string key;
+    for (const std::uint64_t dim :
+         {shape.m, shape.k, shape.n, shape.instances}) {
+        append_raw(key, dim);
+    }
+    append_raw(key, shape.a_kind);
+    append_raw(key, shape.b_kind);
+    append_raw(key, options.objective);
+    append_raw(key, options.allow_l3);
+    append_raw(key, options.quick);
+    append_raw(key, cand.tile_budget_fractions);
+    append_raw(key, cand.row_candidates);
+    append_raw(key, cand.col_candidates);
+    append_raw(key, cand.loop_orders);
+    append_raw(key, cand.stationarities);
+    append_raw(key, cand.sweep_stage_flags);
+    append_raw(key, accel.pe_rows);
+    append_raw(key, accel.pe_cols);
+    for (const std::uint64_t bytes :
+         {accel.sl_bytes, accel.sg_bytes, accel.sg2_bytes, accel.rf_bytes,
+          accel.dram_bytes}) {
+        append_raw(key, bytes);
+    }
+    for (const double rate : {accel.sg2_bw, accel.onchip_bw,
+                              accel.offchip_bw, accel.clock_hz,
+                              accel.sfu_lanes}) {
+        append_raw(key, rate);
+    }
+    append_raw(key, accel.bytes_per_element);
+    append_raw(key, accel.distribution_noc);
+    append_raw(key, accel.reduction_noc);
+    append_raw(key, accel.caps.flexible_intra_dataflow);
+    append_raw(key, accel.caps.l3_tiling);
+    append_raw(key, accel.caps.fused_execution);
+    key += accel.name;
+
+    auto it = results_.find(key);
+    reused = it != results_.end();
+    if (!reused) {
+        it = results_
+                 .emplace(std::move(key),
+                          search_operator(accel, op, options))
+                 .first;
+    }
+    return it->second;
+}
 
 BlockLayerPlan
 search_attention_layer(const AccelConfig& accel, const Workload& workload,
@@ -39,14 +120,9 @@ search_block(const AccelConfig& accel, const Workload& workload,
     BlockSearchResult result;
     result.blocks = workload.scope_multiplier(Scope::kModel);
 
-    // Identical GEMM shapes share one search: Q/K/V/O are the same
-    // activation-weight GEMM under MHA (GQA shrinks K/V), so the memo
-    // typically collapses four searches into one. The key is the whole
-    // shape, so a reused result is the one its own search would pick.
-    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
-                        std::uint64_t, OperandKind, OperandKind>,
-             OperatorSearchResult>
-        gemm_memo;
+    GemmSearchMemo call_memo;
+    GemmSearchMemo& memo =
+        options.gemm_memo != nullptr ? *options.gemm_memo : call_memo;
 
     bool la_done = false;
     for (const Operator& op : workload.ops) {
@@ -63,19 +139,9 @@ search_block(const AccelConfig& accel, const Workload& workload,
         FLAT_CHECK(op.kind == OpKind::kGemm,
                    op.name << ": unexpected non-GEMM outside the L-A "
                            << "group");
-        const GemmShape& shape = op.gemm;
-        const auto key = std::make_tuple(shape.m, shape.k, shape.n,
-                                         shape.instances, shape.a_kind,
-                                         shape.b_kind);
-        auto it = gemm_memo.find(key);
-        const bool reused = it != gemm_memo.end();
-        if (!reused) {
-            it = gemm_memo
-                     .emplace(key,
-                              search_operator(accel, op, options.op))
-                     .first;
-        }
-        const OperatorSearchResult& best = it->second;
+        bool reused = false;
+        const OperatorSearchResult& best =
+            memo.search(accel, op, options.op, reused);
         BlockLayerPlan layer;
         layer.name = op.name;
         layer.category = op.category;

@@ -5,7 +5,8 @@
  * costs are additive, so this is one independent search per layer —
  * search_attention for the fused L-A layer, search_operator for each
  * GEMM — with a memo that runs identical GEMM shapes once (Q/K/V/O
- * share one search under MHA). Every SearchMode works; the analytic
+ * share one search under MHA; a serving run shares one memo across all
+ * of its steps). Every SearchMode works; the analytic
  * mapper (SearchMode::kAnalytic) makes the attention layer cheap.
  *
  * This is the one block/model-scope decomposition: Simulator::run
@@ -16,6 +17,7 @@
 #define FLAT_DSE_BLOCK_SEARCH_H
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,12 +26,38 @@
 
 namespace flat {
 
+/**
+ * search_operator results keyed by GEMM shape (m, k, n, instances and
+ * operand kinds), operator-search options and accelerator: a hit is the
+ * result its own search would return. search_block keeps one per call
+ * by default; a caller that prices many blocks (a serving run) owns one
+ * for its whole run and lends it through BlockSearchOptions::gemm_memo.
+ * Not thread-safe: one owner, serial lookups.
+ */
+class GemmSearchMemo
+{
+  public:
+    /** The search of @p op under @p options on @p accel, run on a miss;
+     *  @p reused reports a hit. */
+    const OperatorSearchResult& search(const AccelConfig& accel,
+                                       const Operator& op,
+                                       const OperatorSearchOptions& options,
+                                       bool& reused);
+
+  private:
+    std::map<std::string, OperatorSearchResult> results_;
+};
+
 /** Options of the two per-layer searches. The attention options carry
  *  the SearchMode; quick/objective/cancel should usually agree between
  *  the two (simulator wiring keeps them in sync). */
 struct BlockSearchOptions {
     AttentionSearchOptions attention;
     OperatorSearchOptions op;
+
+    /** Optional memo of GEMM searches that outlives this call (see
+     *  GemmSearchMemo); null = a fresh memo per call. Not owned. */
+    GemmSearchMemo* gemm_memo = nullptr;
 };
 
 /** The chosen mapping of one layer in the chain. Exactly one of the
@@ -60,7 +88,8 @@ struct BlockLayerPlan {
     double verified_ratio = 1.0;
 
     /** The mapping was memoized from an earlier identical GEMM shape
-     *  (Q/K/V share one search for MHA) — audit counters stay with the
+     *  (Q/K/V share one search for MHA; under a lent memo, also a
+     *  shape an earlier block searched) — audit counters stay with the
      *  layer that ran the search. */
     bool reused = false;
 };
@@ -91,7 +120,8 @@ BlockLayerPlan search_attention_layer(const AccelConfig& accel,
  * Searches every layer of @p workload's block (attention via
  * search_attention_layer under options.attention — including its
  * SearchMode — projections/FCs via search_operator, memoized across
- * identical GEMM shapes) and returns the per-layer winners plus chain
+ * identical GEMM shapes in options.gemm_memo, or in a per-call memo
+ * when that is null) and returns the per-layer winners plus chain
  * totals in layer order.
  */
 BlockSearchResult search_block(const AccelConfig& accel,

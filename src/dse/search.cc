@@ -973,9 +973,6 @@ search_operator(const AccelConfig& accel, const Operator& op,
         effective_candidates(options.candidates, options.quick);
     const EnergyTable energy_table = EnergyTable::for_accel(accel);
 
-    OperatorSearchResult result;
-    double best_value = std::numeric_limits<double>::infinity();
-
     const std::vector<LoopOrder> orders = loop_order_candidates(cand);
     const std::vector<Stationarity> stats = stationarity_candidates(cand);
 
@@ -991,6 +988,7 @@ search_operator(const AccelConfig& accel, const Operator& op,
         }
     }
 
+    std::vector<OperatorDataflow> candidates;
     for (Stationarity stat : stats) {
         for (const L2Tile& tile :
              tile_candidates(accel, op.gemm, cand, stat)) {
@@ -1005,28 +1003,58 @@ search_operator(const AccelConfig& accel, const Operator& op,
                     df.stationarity = stat;
                     df.l3 = l3;
                     df.cross = {Granularity::kMulti, 0};
-
-                    const OperatorCost cost =
-                        model_gemm_operator(accel, op, df);
-                    const double energy =
-                        estimate_energy(energy_table, cost.activity)
-                            .total();
-                    ++result.evaluated;
-
-                    const double value = objective_value(
-                        options.objective, cost.cycles, energy);
-                    if (value < best_value) {
-                        best_value = value;
-                        result.dataflow = df;
-                        result.cost = cost;
-                        result.energy_j = energy;
-                        result.found = true;
-                    }
+                    candidates.push_back(df);
                 }
             }
         }
     }
+    FLAT_CHECK(!candidates.empty(), "operator DSE evaluated an empty space");
+
+    // Every candidate's timeline has the same four-phase skeleton, so
+    // all of them are lanes of one batch. The batch and the phase buffer
+    // live as long as the worker, as in the L-A walk.
+    thread_local TimelineBatch batch;
+    thread_local std::vector<Phase> phases;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        gemm_operator_phases(accel, op, candidates[i], phases);
+        if (i == 0) {
+            batch.configure(phases, OverlapKind::kOverlapped,
+                            candidates.size());
+        }
+        const std::size_t lane = batch.add_lane();
+        for (std::size_t p = 0; p < phases.size(); ++p) {
+            const Phase& phase = phases[p];
+            batch.set_phase(lane, p, phase.compute_cycles,
+                            phase.sfu_cycles, phase.link_latency_cycles,
+                            phase.activity);
+        }
+    }
+    batch.evaluate(accel);
+
+    // Enumeration order under the strict <: the first candidate with
+    // the lowest objective wins.
+    OperatorSearchResult result;
+    result.evaluated = candidates.size();
+    double best_value = std::numeric_limits<double>::infinity();
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const TimelineBatch::LaneSummary& lane = batch.summary(i);
+        const double value = objective_value(
+            options.objective, lane.cycles,
+            estimate_energy(energy_table, lane.activity).total());
+        if (value < best_value) {
+            best_value = value;
+            best = i;
+            result.found = true;
+        }
+    }
     FLAT_CHECK(result.found, "operator DSE evaluated an empty space");
+    // The reference model prices the winner: the same phases through
+    // evaluate_timeline(), so its numbers are the lane's bit for bit.
+    result.dataflow = candidates[best];
+    result.cost = model_gemm_operator(accel, op, result.dataflow);
+    result.energy_j =
+        estimate_energy(energy_table, result.cost.activity).total();
     return result;
 }
 

@@ -53,19 +53,25 @@ style_tag(const SimOptions& sim)
     return tag;
 }
 
+/** Step costs (seconds) by step-cost key; the key carries the style. */
+using StepMemo = std::map<std::string, double>;
+
 /**
- * Prices prefill and decode steps: an in-memory memo keyed by
- * (kind, batch, token bucket) in front of the model-scope DSE, with an
- * optional journal underneath so resumed runs replay recorded costs.
+ * Prices prefill and decode steps: a memo keyed by (style, kind, batch,
+ * token bucket) in front of the model-scope DSE, with an optional
+ * journal underneath so resumed runs replay recorded costs. The memo
+ * and the GEMM-search memo in `options.sim` belong to the serving call
+ * (run_serving, or search_serving across all its combinations).
  */
 class StepCostModel
 {
   public:
     StepCostModel(const AccelConfig& accel, const ModelConfig& model,
-                  const ServeOptions& options, ServeReport* report)
+                  const ServeOptions& options, StepMemo& memo,
+                  ServeReport* report)
         : simulator_(accel), model_(model), options_(options),
           policy_(DataflowPolicy::parse(options.policy)),
-          style_(style_tag(options.sim)), report_(report)
+          style_(style_tag(options.sim)), memo_(memo), report_(report)
     {
     }
 
@@ -138,8 +144,8 @@ class StepCostModel
     const ServeOptions& options_;
     DataflowPolicy policy_;
     std::string style_;
+    StepMemo& memo_;
     ServeReport* report_;
-    std::map<std::string, double> memo_;
 };
 
 } // namespace
@@ -188,10 +194,14 @@ serving_space_canonical(const AccelConfig& accel,
     return text.str();
 }
 
+namespace {
+
+/** run_serving's event loop over caller-owned memos (@p options.sim
+ *  lends the GEMM-search memo). */
 ServeReport
-run_serving(const AccelConfig& accel, const ModelConfig& model,
+serve_trace(const AccelConfig& accel, const ModelConfig& model,
             const std::vector<Request>& requests,
-            const ServeOptions& options)
+            const ServeOptions& options, StepMemo& steps)
 {
     FLAT_CHECK(!requests.empty(), "nothing to serve: empty trace");
     FLAT_CHECK(options.ctx_bucket > 0,
@@ -206,7 +216,7 @@ run_serving(const AccelConfig& accel, const ModelConfig& model,
     report.max_batch = options.sched.max_batch;
     report.offered = requests.size();
 
-    StepCostModel costs(accel, model, options, &report);
+    StepCostModel costs(accel, model, options, steps, &report);
     ContinuousBatchScheduler scheduler(options.sched);
     const CancellationToken* cancel = options.sim.cancel;
 
@@ -310,6 +320,20 @@ run_serving(const AccelConfig& accel, const ModelConfig& model,
     return report;
 }
 
+} // namespace
+
+ServeReport
+run_serving(const AccelConfig& accel, const ModelConfig& model,
+            const std::vector<Request>& requests,
+            const ServeOptions& options)
+{
+    GemmSearchMemo gemms;
+    StepMemo steps;
+    ServeOptions scoped = options;
+    scoped.sim.gemm_memo = &gemms;
+    return serve_trace(accel, model, requests, scoped, steps);
+}
+
 ServingSearchResult
 search_serving(const AccelConfig& accel, const ModelConfig& model,
                const std::vector<Request>& requests,
@@ -326,6 +350,12 @@ search_serving(const AccelConfig& accel, const ModelConfig& model,
         }
     }
 
+    // A step's cost depends on its style, not on the batching policy:
+    // each style prices a step once for both policies (the memo key
+    // carries the style), and every combination shares the GEMM
+    // searches.
+    GemmSearchMemo gemms;
+    StepMemo steps;
     ServingSearchResult result;
     for (const std::string& style : styles) {
         for (const SchedPolicy policy : sched_policies()) {
@@ -338,9 +368,10 @@ search_serving(const AccelConfig& accel, const ModelConfig& model,
             combo.sim.styles = {style};
             combo.sim.search_mode = options.dse_mode;
             combo.sched.policy = policy;
+            combo.sim.gemm_memo = &gemms;
             ServeReport report;
             try {
-                report = run_serving(accel, model, requests, combo);
+                report = serve_trace(accel, model, requests, combo, steps);
             } catch (const Error&) {
                 continue; // style infeasible for this trace's shapes
             }

@@ -9,8 +9,11 @@
  * The event loop is strictly serial — the DSE inside each step-cost
  * lookup may fan out across threads, but its result is bit-identical
  * at any thread count, so the serving report is too. Step costs are
- * memoized per (kind, batch, context-bucket) and optionally journaled,
- * so a resumed run replays recorded costs instead of re-searching.
+ * memoized per (style, kind, batch, context-bucket) and optionally
+ * journaled, so a resumed run replays recorded costs instead of
+ * re-searching. Both memos below the event loop live for one serving
+ * call: the step memo, and a GemmSearchMemo that searches each
+ * projection/FC GEMM shape once however many steps repeat it.
  */
 #ifndef FLAT_SERVING_SERVING_H
 #define FLAT_SERVING_SERVING_H
@@ -40,7 +43,8 @@ struct ServeOptions {
     std::uint64_t ctx_bucket = 64;
 
     /** Inner cost-model/DSE options (threads, styles, quick menus,
-     *  cancel token). `sim.cancel` also drains the serving loop. */
+     *  cancel token). `sim.cancel` also drains the serving loop. The
+     *  serving call sets `sim.gemm_memo` to a memo of its own. */
     SimOptions sim;
 
     /** Search mode of the auto-DSE (search_serving): the per-step
@@ -85,7 +89,13 @@ struct ServeReport {
     std::uint64_t decode_steps = 0;
 
     /** Step-cost lookups vs. memo/journal hits (the SoA evaluator
-     *  sits below the misses). */
+     *  sits below the misses); lookups - memo hits - journal hits is
+     *  the number of steps this run priced. In a search_serving
+     *  report the step memo is the whole call's, shared by both
+     *  batching policies of a style: cost_memo_hits also counts steps
+     *  an earlier combination priced or restored, and
+     *  cost_journal_hits counts only steps restored from the journal
+     *  at their first lookup in the call. */
     std::uint64_t cost_lookups = 0;
     std::uint64_t cost_memo_hits = 0;
     std::uint64_t cost_journal_hits = 0;

@@ -307,6 +307,67 @@ TEST(Simulator, IdenticalGemmShapesShareOneSearch)
     }
 }
 
+TEST(Simulator, LentGemmMemoSpansRunsWithoutChangingThem)
+{
+    // Decode projections and FCs depend on the batch, not the context,
+    // so a memo lent across two decode steps serves the second step's
+    // GEMMs from the first's searches. Another accelerator or other
+    // menus must search again, and so must the edge preset with one
+    // field changed under its own name (`flatsim --offchip-bw` keeps
+    // the preset's name).
+    const DataflowPolicy policy = DataflowPolicy::parse("flat-opt");
+    AccelConfig slow_dram = edge_accel();
+    slow_dram.offchip_bw /= 2.0;
+    AccelConfig small_sg = edge_accel();
+    small_sg.sg_bytes /= 2;
+    const Workload ctx256 = make_decode_workload(bert_base(), 4, 256);
+    const Workload ctx512 = make_decode_workload(bert_base(), 4, 512);
+    GemmSearchMemo memo;
+    SimOptions lent = quick();
+    lent.gemm_memo = &memo;
+    SimOptions lent_full = lent;
+    lent_full.quick = false;
+
+    struct Step {
+        const char* what;
+        AccelConfig accel;
+        const Workload* workload;
+        SimOptions options;
+        bool all_reused; ///< every GEMM layer comes from the memo
+    };
+    const Step steps[] = {
+        {"edge ctx 256", edge_accel(), &ctx256, lent, false},
+        {"edge ctx 512", edge_accel(), &ctx512, lent, true},
+        {"cloud ctx 512", cloud_accel(), &ctx512, lent, false},
+        {"edge full menus", edge_accel(), &ctx512, lent_full, false},
+        {"edge half off-chip bandwidth", slow_dram, &ctx512, lent, false},
+        {"edge half SG", small_sg, &ctx512, lent, false},
+    };
+    for (const Step& step : steps) {
+        SCOPED_TRACE(step.what);
+        const Simulator sim(step.accel);
+        const ScopeReport report =
+            sim.run(*step.workload, Scope::kModel, policy, step.options);
+        SimOptions unlent = step.options;
+        unlent.gemm_memo = nullptr;
+        const ScopeReport reference =
+            sim.run(*step.workload, Scope::kModel, policy, unlent);
+        expect_same_breakdown(report, reference.breakdown);
+        ASSERT_EQ(report.block.layers.size(),
+                  reference.block.layers.size());
+        bool all_reused = true;
+        for (std::size_t i = 0; i < report.block.layers.size(); ++i) {
+            const BlockLayerPlan& layer = report.block.layers[i];
+            if (!layer.attention) {
+                all_reused = all_reused && layer.reused;
+                EXPECT_EQ(layer.dataflow.tag(),
+                          reference.block.layers[i].dataflow.tag());
+            }
+        }
+        EXPECT_EQ(all_reused, step.all_reused);
+    }
+}
+
 TEST(Simulator, RejectsInvalidAccel)
 {
     AccelConfig bad = edge_accel();

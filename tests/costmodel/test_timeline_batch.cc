@@ -93,16 +93,16 @@ scaled(std::vector<Phase> phases, double factor)
 }
 
 /**
- * Checks every lane of a batch filled with per-lane scaled variants of
- * @p phases against per-lane scalar evaluations.
+ * Configures @p batch for @p phases and checks every lane of it, filled
+ * with per-lane scaled variants of @p phases, against per-lane scalar
+ * evaluations. Returns what configure() returned (layout kept).
  */
-void
-check_parity(const std::vector<Phase>& phases,
-             const AccelConfig& accel, OverlapKind overlap,
-             std::size_t lanes, const char* what)
+bool
+check_parity_on(TimelineBatch& batch, const std::vector<Phase>& phases,
+                const AccelConfig& accel, OverlapKind overlap,
+                std::size_t lanes, const char* what)
 {
-    TimelineBatch batch;
-    batch.configure(phases, overlap, lanes);
+    const bool kept = batch.configure(phases, overlap, lanes);
     EXPECT_EQ(batch.phase_count(), phases.size());
     std::vector<std::vector<Phase>> variants;
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -118,6 +118,17 @@ check_parity(const std::vector<Phase>& phases,
                                               overlap),
                             what);
     }
+    return kept;
+}
+
+/** check_parity_on() on a fresh batch. */
+void
+check_parity(const std::vector<Phase>& phases,
+             const AccelConfig& accel, OverlapKind overlap,
+             std::size_t lanes, const char* what)
+{
+    TimelineBatch batch;
+    check_parity_on(batch, phases, accel, overlap, lanes, what);
 }
 
 Phase
@@ -220,6 +231,45 @@ TEST(TimelineBatch, MatchesScalarOnEmittedAttentionTimelines)
             attention_phases(kPipelined, accel, dims, flat_df);
         check_parity(pipe_p.phases, accel, pipe_p.overlap, 2,
                      "pipelined");
+    }
+}
+
+TEST(TimelineBatch, SkeletonCacheKeepsOnlyAMatchingLayout)
+{
+    const AttentionDims dims = attention(8, 1024, 1024);
+    FusedDataflow flat_df;
+    flat_df.cross = {Granularity::kRow, 64};
+    flat_df.l2_logit = {128, 64, 128};
+    flat_df.l2_attend = {128, 128, 64};
+    FusedDataflow base_df = flat_df;
+    base_df.cross = {Granularity::kMulti, 0};
+
+    for (const AccelConfig& accel : {edge_accel(), cloud_accel()}) {
+        SCOPED_TRACE(accel.name);
+        const AttentionPhases flat_p =
+            attention_phases(kFlat, accel, dims, flat_df);
+        const AttentionPhases base_p = attention_phases(
+            kBaseline, accel, dims, base_df, BaselineOverlap::kSerialized);
+        // One batch, reconfigured the way a search reuses its own: the
+        // layout is kept only for the same skeleton at a capacity that
+        // fits, and every lane stays exact whether it was kept or not.
+        TimelineBatch batch;
+        EXPECT_FALSE(check_parity_on(batch, flat_p.phases, accel,
+                                     flat_p.overlap, 4, "flat, first"));
+        EXPECT_TRUE(check_parity_on(batch, flat_p.phases, accel,
+                                    flat_p.overlap, 3, "flat, hit"));
+        EXPECT_FALSE(check_parity_on(batch, base_p.phases, accel,
+                                     base_p.overlap, 3, "baseline, miss"));
+        EXPECT_FALSE(check_parity_on(batch, flat_p.phases, accel,
+                                     flat_p.overlap, 2, "flat, rebuilt"));
+        EXPECT_TRUE(check_parity_on(batch, flat_p.phases, accel,
+                                    flat_p.overlap, 2, "flat, hit again"));
+        EXPECT_FALSE(check_parity_on(batch, flat_p.phases, accel,
+                                     flat_p.overlap, 5, "flat, wider"));
+        // Same phases under the other overlap policy: a new skeleton.
+        EXPECT_FALSE(check_parity_on(batch, flat_p.phases, accel,
+                                     OverlapKind::kSerialTransfers, 5,
+                                     "flat, serialized"));
     }
 }
 

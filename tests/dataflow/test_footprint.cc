@@ -147,6 +147,26 @@ TEST(StageFlags, TagShowsEnabledTensors)
     EXPECT_EQ(flags.tag(), "Q-VO-");
 }
 
+TEST(FusedDataflowTag, IsTheConcatenationOfItsParts)
+{
+    // The one-pass tag must stay byte-identical to the parts' own tags:
+    // the search's tie-break and every report compare these strings.
+    const std::uint64_t huge = ~std::uint64_t{0};
+    for (const CrossLoop& cross :
+         {CrossLoop{Granularity::kMulti, 0}, CrossLoop{Granularity::kBatch, 0},
+          CrossLoop{Granularity::kHead, 0}, CrossLoop{Granularity::kRow, 64},
+          CrossLoop{Granularity::kColumn, 128, 512},
+          CrossLoop{Granularity::kColumn, huge, huge}}) {
+        FusedDataflow df;
+        df.cross = cross;
+        df.l2_logit = {128, 64, 1};
+        df.l2_attend = {huge, 10, 999};
+        df.stage = FusedStageFlags::decode(0b10110);
+        EXPECT_EQ(df.tag(), cross.tag() + "/" + df.l2_logit.tag() + "/" +
+                                df.l2_attend.tag() + "/" + df.stage.tag());
+    }
+}
+
 TEST(OperatorFootprint, StagedWeightNotScaledByInstances)
 {
     GemmShape shape;

@@ -64,6 +64,24 @@ TEST(Granularity, RowRequiresPositiveRows)
                  Error);
 }
 
+TEST(Granularity, ValidateRejectsOutOfRangeGranularity)
+{
+    // A raw decode (a journal record, a cast) can carry any integer;
+    // the extent must not fall through its switch to a default.
+    for (const int raw : {5, 99, -1}) {
+        SCOPED_TRACE(raw);
+        const CrossLoop cross{static_cast<Granularity>(raw), 64};
+        EXPECT_THROW(cross.validate(), Error);
+        EXPECT_THROW(cross_loop_extent(cross, 8, 12, 512), Error);
+    }
+    for (const Granularity g :
+         {Granularity::kMulti, Granularity::kBatch, Granularity::kHead,
+          Granularity::kRow}) {
+        EXPECT_NO_THROW((CrossLoop{g, 64}.validate()));
+    }
+    EXPECT_NO_THROW((CrossLoop{Granularity::kColumn, 64, 256}.validate()));
+}
+
 TEST(Granularity, RejectsZeroDims)
 {
     EXPECT_THROW(cross_loop_extent({Granularity::kMulti, 0}, 0, 1, 1),

@@ -220,37 +220,79 @@ TEST(AnalyticSearch, NeverBeatsExhaustiveAndRespectsBounds)
 // Determinism: threads x pruning.
 // ---------------------------------------------------------------------
 
+/** Serve's traffic: a GQA decode step (one query row per sequence,
+ *  four query heads per KV head). */
+AttentionDims
+gqa_decode(std::uint64_t batch, std::uint64_t context)
+{
+    AttentionDims d;
+    d.batch = batch;
+    d.heads = 32;
+    d.kv_heads = 8;
+    d.q_len = 1;
+    d.kv_len = context;
+    d.head_dim = 128;
+    d.decode = true;
+    return d;
+}
+
 TEST(AnalyticSearch, DeterministicAcrossThreadsAndPruning)
 {
+    // The quick-menu configs plus two full-menu ones: a GQA decode step
+    // and `flatsim --model xlm --platform edge --seq 4096 --batch 8
+    // --scope la --style all`, whose pick changes if the climb prunes
+    // against the shared cross-slice incumbent instead of its slice's.
+    struct Case {
+        Config cfg;
+        bool quick;
+    };
+    std::vector<Case> cases;
     for (const Config& cfg : configs()) {
-        SCOPED_TRACE(cfg.name);
-        const AttentionSearchResult reference =
-            run(cfg, SearchMode::kAnalytic, Objective::kRuntime, 1,
-                /*prune=*/false, /*quick=*/true);
-        ASSERT_TRUE(reference.found);
-        const std::size_t space_points =
-            reference.evaluated + reference.pruned;
+        cases.push_back({cfg, true});
+    }
+    cases.push_back({{"cloud/gqa-decode-16x2048", cloud_accel(),
+                      gqa_decode(16, 2048)},
+                     false});
+    cases.push_back(
+        {{"edge/xlm-4096", edge_accel(),
+          AttentionDims::from_workload(
+              make_workload(model_by_name("xlm"), 8, 4096))},
+         false});
 
-        const unsigned thread_counts[] = {1, 8};
-        const bool prune_settings[] = {false, true};
-        for (const unsigned threads : thread_counts) {
-            for (const bool prune : prune_settings) {
-                SCOPED_TRACE("threads=" + std::to_string(threads) +
-                             " prune=" + std::to_string(prune));
-                const AttentionSearchResult result =
-                    run(cfg, SearchMode::kAnalytic,
-                        Objective::kRuntime, threads, prune,
-                        /*quick=*/true);
-                ASSERT_TRUE(result.found);
-                EXPECT_EQ(result.best.dataflow.tag(),
-                          reference.best.dataflow.tag());
-                EXPECT_EQ(result.best.style, reference.best.style);
-                EXPECT_EQ(result.best.cost.cycles,
-                          reference.best.cost.cycles);
-                EXPECT_EQ(result.best.energy_j,
-                          reference.best.energy_j);
-                EXPECT_EQ(result.evaluated + result.pruned,
-                          space_points);
+    for (const Case& c : cases) {
+        for (const Objective objective :
+             {Objective::kRuntime, Objective::kEnergy, Objective::kEdp}) {
+            SCOPED_TRACE(std::string(c.cfg.name) + " objective=" +
+                         std::to_string(static_cast<int>(objective)));
+            const AttentionSearchResult reference =
+                run(c.cfg, SearchMode::kAnalytic, objective, 1,
+                    /*prune=*/false, c.quick);
+            ASSERT_TRUE(reference.found);
+            const std::size_t space_points =
+                reference.evaluated + reference.pruned;
+
+            for (const unsigned threads : {1u, 8u}) {
+                for (const bool prune : {false, true}) {
+                    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                                 " prune=" + std::to_string(prune));
+                    const AttentionSearchResult result =
+                        run(c.cfg, SearchMode::kAnalytic, objective,
+                            threads, prune, c.quick);
+                    ASSERT_TRUE(result.found);
+                    EXPECT_EQ(result.best.dataflow.tag(),
+                              reference.best.dataflow.tag());
+                    EXPECT_EQ(result.best.style, reference.best.style);
+                    EXPECT_EQ(result.best.cost.cycles,
+                              reference.best.cost.cycles);
+                    EXPECT_EQ(result.best.energy_j,
+                              reference.best.energy_j);
+                    EXPECT_EQ(result.evaluated + result.pruned,
+                              space_points);
+                    if (!prune) {
+                        // Unpruned, every climb visits the same points.
+                        EXPECT_EQ(result.evaluated, reference.evaluated);
+                    }
+                }
             }
         }
     }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "dse/search_internal.h"
 #include "workload/attention.h"
 #include "workload/model_config.h"
 
@@ -200,6 +203,99 @@ TEST(Search, BestPointNeverBeatsIdealCycles)
     const auto res = search_attention(edge_accel(), d, opt);
     EXPECT_GE(res.best.cost.cycles,
               attention_ideal_cycles(edge_accel(), d) * 0.9999);
+}
+
+/** The operator search as one model_gemm_operator() call per
+ *  candidate, in enumeration order under the strict < — the reference
+ *  the batched search must reproduce. */
+OperatorSearchResult
+reference_operator_search(const AccelConfig& accel, const Operator& op,
+                          const OperatorSearchOptions& options)
+{
+    const CandidateOptions cand =
+        detail::effective_candidates(options.candidates, options.quick);
+    const EnergyTable table = EnergyTable::for_accel(accel);
+    std::vector<L3StageFlags> l3_sets = {L3StageFlags{}};
+    if (options.allow_l3) {
+        for (std::uint32_t code = 1; code < 8; ++code) {
+            l3_sets.push_back(L3StageFlags{(code & 1) != 0,
+                                           (code & 2) != 0,
+                                           (code & 4) != 0});
+        }
+    }
+    OperatorSearchResult result;
+    double best = std::numeric_limits<double>::infinity();
+    for (const Stationarity stat : stationarity_candidates(cand)) {
+        for (const L2Tile& tile :
+             tile_candidates(accel, op.gemm, cand, stat)) {
+            for (const LoopOrder order : loop_order_candidates(cand)) {
+                for (const L3StageFlags& l3 : l3_sets) {
+                    OperatorDataflow df;
+                    df.l2 = tile;
+                    df.order = order;
+                    df.stationarity = stat;
+                    df.l3 = l3;
+                    df.cross = {Granularity::kMulti, 0};
+                    const OperatorCost cost =
+                        model_gemm_operator(accel, op, df);
+                    const double energy =
+                        estimate_energy(table, cost.activity).total();
+                    ++result.evaluated;
+                    const double value = objective_value(
+                        options.objective, cost.cycles, energy);
+                    if (value < best) {
+                        best = value;
+                        result.dataflow = df;
+                        result.cost = cost;
+                        result.energy_j = energy;
+                        result.found = true;
+                    }
+                }
+            }
+        }
+    }
+    return result;
+}
+
+TEST(OperatorSearch, BatchedLanesMatchTheReferenceLoop)
+{
+    // Prefill projections/FCs and the batched L/A GEMMs of an MHA
+    // model, plus a GQA decode step's (narrow K/V projections, one
+    // query row per sequence).
+    std::vector<Operator> ops;
+    for (const Workload& w :
+         {make_workload(bert_base(), 8, 512),
+          make_decode_workload(model_by_name("mistral"), 16, 2048)}) {
+        for (const Operator& op : w.ops) {
+            if (op.kind == OpKind::kGemm) {
+                ops.push_back(op);
+            }
+        }
+    }
+    for (const AccelConfig& accel : {edge_accel(), cloud_accel()}) {
+        for (const Operator& op : ops) {
+            for (const bool allow_l3 : {false, true}) {
+                for (const bool quick : {true, false}) {
+                    SCOPED_TRACE(accel.name + " " + op.name + " m=" +
+                                 std::to_string(op.gemm.m) +
+                                 " l3=" + std::to_string(allow_l3) +
+                                 " quick=" + std::to_string(quick));
+                    OperatorSearchOptions opt;
+                    opt.allow_l3 = allow_l3;
+                    opt.quick = quick;
+                    const OperatorSearchResult want =
+                        reference_operator_search(accel, op, opt);
+                    const OperatorSearchResult got =
+                        search_operator(accel, op, opt);
+                    ASSERT_TRUE(got.found);
+                    EXPECT_EQ(got.dataflow.tag(), want.dataflow.tag());
+                    EXPECT_EQ(got.cost.cycles, want.cost.cycles);
+                    EXPECT_EQ(got.energy_j, want.energy_j);
+                    EXPECT_EQ(got.evaluated, want.evaluated);
+                }
+            }
+        }
+    }
 }
 
 TEST(OperatorSearch, RejectsSoftmax)

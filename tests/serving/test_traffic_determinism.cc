@@ -19,6 +19,7 @@
 
 #include "common/run_journal.h"
 #include "common/status.h"
+#include "costmodel/execution_style.h"
 #include "workload/model_config.h"
 
 namespace flat {
@@ -265,6 +266,52 @@ TEST(ServingSearch, AutoPicksTheThroughputWinnerDeterministically)
     EXPECT_EQ(a.best.style, b.best.style);
     EXPECT_EQ(a.best.sched, b.best.sched);
     expect_identical_reports(a.report, b.report, "serving search");
+}
+
+TEST(ServingSearch, EveryCombinationMatchesItsStandaloneRun)
+{
+    // search_serving prices each (style, step) once for both batching
+    // policies and shares its GEMM searches across all combinations;
+    // neither memo may change a report.
+    const AccelConfig accel = edge_accel();
+    const ModelConfig model = model_by_name("bert");
+    const std::vector<Request> requests = small_trace();
+    const ServeOptions opt = serve_options(1);
+    const ServingSearchResult result =
+        search_serving(accel, model, requests, opt);
+    ASSERT_TRUE(result.found);
+
+    std::size_t i = 0;
+    std::uint64_t searched_priced = 0;
+    std::uint64_t standalone_priced = 0;
+    const auto priced = [](const ServeReport& r) {
+        return r.cost_lookups - r.cost_memo_hits - r.cost_journal_hits;
+    };
+    for (const ExecutionStyle* style : execution_styles()) {
+        for (const SchedPolicy policy : sched_policies()) {
+            SCOPED_TRACE(std::string(style->id()) + " " +
+                         to_string(policy));
+            ServeOptions combo = opt;
+            combo.sim.styles = {style->id()};
+            combo.sim.search_mode = opt.dse_mode;
+            combo.sched.policy = policy;
+            const ServeReport standalone =
+                run_serving(accel, model, requests, combo);
+            ASSERT_LT(i, result.evaluated.size());
+            const ServeReport& searched = result.evaluated[i++];
+            EXPECT_EQ(searched.sched_policy, standalone.sched_policy);
+            EXPECT_EQ(searched.generated_tokens,
+                      standalone.generated_tokens);
+            EXPECT_EQ(searched.cost_lookups, standalone.cost_lookups);
+            expect_identical_reports(searched, standalone,
+                                     "search vs standalone");
+            searched_priced += priced(searched);
+            standalone_priced += priced(standalone);
+        }
+    }
+    EXPECT_EQ(i, result.evaluated.size());
+    // The second policy of each style finds its steps already priced.
+    EXPECT_LT(searched_priced, standalone_priced);
 }
 
 } // namespace

@@ -91,7 +91,8 @@ usage: flatsim [options]
                      identical for any thread count)
   --no-prune         disable DSE lower-bound pruning (compute bound and
                      DRAM-traffic floor; same result, every design
-                     point evaluated)
+                     point evaluated; the analytic mapper's climb then
+                     prices every point it visits and skips no slice)
   --serialized-baseline   model the baseline without transfer overlap
   --quick            smaller DSE menus
   --json             emit the report as JSON instead of tables
@@ -134,6 +135,8 @@ inference serving (request-level traffic simulator; src/serving/):
   --output-tokens N  generated tokens per request            (default 32)
   --ctx-bucket N     context-length rounding granule for the
                      step-cost memo                          (default 64)
+  (one serve run searches each projection/FC GEMM shape once and, under
+  --sched auto, prices each style's steps once for both policies)
   (--serve composes with --journal/--resume: step costs checkpoint
   under scope "serve" and a resumed report is bit-identical. The
   report is bit-identical at any --threads too.)

@@ -13,6 +13,11 @@ the committed baseline (default: BENCH_work.json at the repo root). A
 weakened prune bound, a lost memo or a thread-dependent split then
 fails with no noise at all.
 
+The analytic mapper's requests (--search-mode analytic) run at
+--threads 1 only: its whole-slice skip reads a shared atomic incumbent,
+so above one thread its evaluated/pruned split depends on scheduling
+(its pick does not).
+
 --update rewrites the baseline from this run instead of comparing
 (after a deliberate change to the search); the thread-count check still
 applies.
@@ -61,6 +66,21 @@ REQUESTS = [
      "--policy base-opt --scope block --buffer 1MiB --offchip-bw 25GB/s"),
 ]
 
+# The mapper at one thread: a GQA model, an off-chip-bound accelerator
+# spec and every style. Its climb prunes against its own slice.
+MAPPER_REQUESTS = [
+    ("mistral-cloud-2k-gqa-analytic",
+     "--model mistral --platform cloud --seq 2048 --batch 8 "
+     "--policy flat-opt --scope la --search-mode analytic"),
+    ("bert-edge-1k-attacc-bw-bound-analytic",
+     "--model bert --platform edge --seq 1024 --batch 8 "
+     "--accel attacc --scope la --offchip-bw 25GB/s "
+     "--search-mode analytic"),
+    ("xlm-edge-32k-style-all-analytic",
+     "--model xlm --platform edge --seq 32768 --batch 8 "
+     "--policy flat-opt --scope la --style all --search-mode analytic"),
+]
+
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
@@ -94,12 +114,14 @@ def measure(flatsim):
     counter is reported and fails the gate."""
     measured = {}
     failures = []
-    for name, argv in REQUESTS:
-        runs = [counters(flatsim, argv, t) for t in THREADS]
-        for threads, run in zip(THREADS[1:], runs[1:]):
+    pinned = ([(name, argv, THREADS) for name, argv in REQUESTS] +
+              [(name, argv, THREADS[:1]) for name, argv in MAPPER_REQUESTS])
+    for name, argv, thread_counts in pinned:
+        runs = [counters(flatsim, argv, t) for t in thread_counts]
+        for threads, run in zip(thread_counts[1:], runs[1:]):
             if run != runs[0]:
                 failures.append(f"{name}: --threads {threads} gives "
-                                f"{run}, --threads {THREADS[0]} gives "
+                                f"{run}, --threads {thread_counts[0]} gives "
                                 f"{runs[0]}")
         measured[name] = {"argv": argv, "counters": runs[0]}
     return measured, failures
