@@ -8,8 +8,9 @@
  *      search load;
  *   2. the per-point hot path in isolation — the reference
  *      model_attention() on one dataflow vs one 9-lane loop-order
- *      block of the same (tiles, flags) through the
- *      AttentionBatchEvaluator the search prices with;
+ *      block (the exhaustive walk's shape) and one 1-lane block (the
+ *      analytic mapper's usual shape) of the same (tiles, flags)
+ *      through the AttentionBatchEvaluator the searches price with;
  *   3. heap allocations per evaluated point, via a replaced global
  *      operator new that counts every allocation in the process.
  *
@@ -31,69 +32,18 @@
  * Usage: dse_throughput [--threads N] [--repeats R] [--out FILE]
  */
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_util.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "costmodel/attention_cost.h"
 #include "dse/search.h"
-
-// ---------------------------------------------------------------------
-// Instrumented allocator: counts every heap allocation in the process.
-// Replacing these in any TU of the executable replaces them globally;
-// the counter is relaxed-atomic so the hot path stays cheap.
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-} // namespace
-
-void*
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size > 0 ? size : 1)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 using namespace flat;
 using namespace flat::bench;
@@ -126,7 +76,7 @@ run_searches(const AccelConfig& accel,
 {
     SearchLeg leg;
     const std::uint64_t allocs_before =
-        g_allocations.load(std::memory_order_relaxed);
+        allocations_so_far();
     std::vector<double> best(sweep.size(),
                              std::numeric_limits<double>::infinity());
     std::vector<std::uint64_t> points(sweep.size(), 0);
@@ -143,7 +93,7 @@ run_searches(const AccelConfig& accel,
         leg.seconds += best[i];
         leg.points += points[i];
     }
-    leg.allocations = g_allocations.load(std::memory_order_relaxed) -
+    leg.allocations = allocations_so_far() -
                       allocs_before;
     return leg;
 }
@@ -161,14 +111,14 @@ run_hot_path(unsigned iterations, const Eval& eval)
     // One warm-up call grows reused buffers to steady state.
     eval();
     const std::uint64_t allocs_before =
-        g_allocations.load(std::memory_order_relaxed);
+        allocations_so_far();
     const ScopedTimer timer;
     for (unsigned i = 0; i < iterations; ++i) {
         eval();
     }
     const double seconds = timer.seconds();
     const std::uint64_t allocs =
-        g_allocations.load(std::memory_order_relaxed) - allocs_before;
+        allocations_so_far() - allocs_before;
     HotPathLeg leg;
     leg.ns_per_eval = iterations > 0 ? seconds * 1e9 / iterations : 0.0;
     leg.allocs_per_eval =
@@ -261,32 +211,43 @@ main(int argc, char** argv)
                                 dataflow.stat_attend),
              stage_reuse(plan.attend_shape, dataflow.l2_attend, order)});
     }
-    const std::size_t lanes = orders.size() * orders.size();
+    // One (tiles, flags) block as the searches price it: the slice is
+    // bound once, each block pays its begin() and its lanes. The
+    // exhaustive walk prices whole 9-lane order blocks; the analytic
+    // mapper mostly one-lane blocks.
     AttentionBatchEvaluator batch;
-    const HotPathLeg block_leg = run_hot_path(
-        static_cast<unsigned>(kEvalIters / lanes), [&] {
-            batch.begin(accel, dims, dataflow, flat,
-                        BaselineOverlap::kFull, lanes);
-            for (std::size_t ol = 0; ol < orders.size(); ++ol) {
-                for (std::size_t oa = 0; oa < orders.size(); ++oa) {
+    batch.bind_slice(accel, dims, dataflow.cross, flat,
+                     BaselineOverlap::kFull);
+    const auto block_leg = [&](std::size_t lanes) {
+        const HotPathLeg leg = run_hot_path(
+            static_cast<unsigned>(kEvalIters / lanes), [&] {
+                batch.begin(dataflow);
+                for (std::size_t i = 0; i < lanes; ++i) {
+                    const std::size_t ol = i / orders.size();
+                    const std::size_t oa = i % orders.size();
                     batch.add(orders[ol], orders[oa], logit_costs[ol],
                               attend_costs[oa]);
                 }
-            }
-            batch.evaluate();
-        });
-    HotPathLeg batched;
-    batched.ns_per_eval = block_leg.ns_per_eval / lanes;
-    batched.allocs_per_eval = block_leg.allocs_per_eval / lanes;
+                batch.evaluate();
+            });
+        HotPathLeg per_point;
+        per_point.ns_per_eval = leg.ns_per_eval / lanes;
+        per_point.allocs_per_eval = leg.allocs_per_eval / lanes;
+        return per_point;
+    };
+    const std::size_t lanes = orders.size() * orders.size();
+    const HotPathLeg batched = block_leg(lanes);
+    const HotPathLeg single = block_leg(1);
     std::printf("\nper-point eval (%u points): plain %.0f ns "
                 "(%.1f allocs), %zu-lane block %.0f ns (%.2f allocs) "
-                "— %s\n",
+                "— %s, 1-lane block %.0f ns (%.2f allocs)\n",
                 kEvalIters, plain.ns_per_eval, plain.allocs_per_eval,
                 lanes, batched.ns_per_eval, batched.allocs_per_eval,
                 fmt_x(batched.ns_per_eval > 0.0
                           ? plain.ns_per_eval / batched.ns_per_eval
                           : 0.0)
-                    .c_str());
+                    .c_str(),
+                single.ns_per_eval, single.allocs_per_eval);
 
     JsonWriter json;
     json.begin_object();
@@ -306,6 +267,8 @@ main(int argc, char** argv)
     json.field("plain_allocs_per_eval", plain.allocs_per_eval);
     json.field("batch_ns_per_point", batched.ns_per_eval);
     json.field("batch_allocs_per_point", batched.allocs_per_eval);
+    json.field("one_lane_ns_per_point", single.ns_per_eval);
+    json.field("one_lane_allocs_per_point", single.allocs_per_eval);
     json.field("speedup",
                batched.ns_per_eval > 0.0
                    ? plain.ns_per_eval / batched.ns_per_eval

@@ -18,7 +18,11 @@
  *   3. winner quality: the analytic pick's objective on each sweep
  *      dims as a ratio of the exhaustive optimum, plus exact-parity
  *      counts over the 12-golden catalog via
- *      SearchMode::kAnalyticVerified.
+ *      SearchMode::kAnalyticVerified;
+ *   4. the mapper's heap allocations per evaluated point, from one
+ *      warm single-threaded analytic pass under a counting global
+ *      operator new (alloc_counter.h), next to its allocations per
+ *      search (slices, tables and outcomes it sets up once).
  *
  * The sweep uses long-sequence, memory-bound shapes (the paper's
  * regime of interest). There the compute-cycle lower bound is loose,
@@ -40,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_util.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
@@ -181,6 +186,26 @@ main(int argc, char** argv)
                        analytic.points - analytic.evaluated,
                        analytic.seconds);
 
+    // Allocations: one warm single-threaded pass (the first grew the
+    // worker's buffers), so the count is the searches' own set-up plus
+    // whatever the climb allocates per point.
+    AttentionSearchOptions serial = options;
+    serial.threads = 1;
+    (void)run_leg(accel, sweep, serial, 1);
+    const std::uint64_t allocs_before = allocations_so_far();
+    const SearchLeg counted = run_leg(accel, sweep, serial, 1);
+    const double allocs = static_cast<double>(allocations_so_far() -
+                                              allocs_before);
+    const double allocs_per_point =
+        counted.evaluated > 0
+            ? allocs / static_cast<double>(counted.evaluated)
+            : 0.0;
+    const double allocs_per_search =
+        allocs / static_cast<double>(sweep.size());
+    std::printf("analytic allocations (1 thread): %.2f per evaluated "
+                "point, %.0f per search\n",
+                allocs_per_point, allocs_per_search);
+
     const double speedup =
         exhaustive.points_per_sec() > 0.0
             ? analytic.points_per_sec() / exhaustive.points_per_sec()
@@ -244,6 +269,8 @@ main(int argc, char** argv)
     write_leg(json, "exhaustive", exhaustive);
     write_leg(json, "exhaustive_pruned", pruned);
     write_leg(json, "analytic", analytic);
+    json.field("analytic_allocs_per_point", allocs_per_point);
+    json.field("analytic_allocs_per_search", allocs_per_search);
     json.field("speedup_x", speedup);
     json.field("speedup_vs_pruned_x", speedup_pruned);
     json.field("sweep_worst_objective_ratio", worst_ratio);

@@ -51,60 +51,67 @@ model_attention(const ExecutionStyle& style, const AccelConfig& accel,
     style.emit_phases(phases, accel, dims, plan, dataflow);
     const TimelineResult timeline = evaluate_timeline(
         std::move(phases), accel, style.overlap(overlap));
-    return finalize_cost(plan, attention_ideal_cycles(accel, dims),
-                         timeline.cycles, timeline.activity,
+    return finalize_cost(plan, timeline.cycles, timeline.activity,
                          style.cost_name());
 }
 
 void
-AttentionBatchEvaluator::begin(const AccelConfig& accel,
-                               const AttentionDims& dims,
-                               const FusedDataflow& base,
-                               const ExecutionStyle& style,
-                               BaselineOverlap baseline_overlap,
-                               std::size_t lane_capacity)
+AttentionBatchEvaluator::bind_slice(const AccelConfig& accel,
+                                    const AttentionDims& dims,
+                                    const CrossLoop& cross,
+                                    const ExecutionStyle& style,
+                                    BaselineOverlap baseline_overlap)
 {
-    accel.validate();
     accel_ = &accel;
     dims_ = &dims;
-    base_ = base;
     style_ = &style;
-    lane_capacity_ = lane_capacity;
     overlap_ = style.overlap(baseline_overlap);
-    ideal_cycles_ = attention_ideal_cycles(accel, dims);
-    // Plan binding and batch configuration are deferred to the first
-    // candidate: its GEMM cost records seed the plan, so a block never
-    // computes a gemm cost it was going to overwrite anyway.
-    plan_bound_ = false;
-    configured_ = false;
+    static_cast<AttentionSlicePlan&>(plan_) =
+        make_slice_plan(accel, dims, cross);
+    style.emit_skeleton(skeleton_, accel, dims, cross);
+    batch_.configure(skeleton_, overlap_);
+    block_bound_ = false;
+    traffic_valid_ = false;
+    lane_orders_.clear();
+}
+
+void
+AttentionBatchEvaluator::begin(const FusedDataflow& block)
+{
+    // The block part is bound on first use: a block whose candidates
+    // all fall to the compute bound never needs it.
+    base_ = block;
+    block_bound_ = false;
+    traffic_valid_ = false;
     batch_.clear_lanes();
     lane_orders_.clear();
 }
 
-const AttentionPlan&
-AttentionBatchEvaluator::bind_plan(const GemmSliceCost& logit,
-                                   const GemmSliceCost& attend)
+const TrafficBytes&
+AttentionBatchEvaluator::traffic(const GemmSliceCost& logit,
+                                 const GemmSliceCost& attend)
 {
-    if (!plan_bound_) {
-        plan_ = make_plan(*accel_, *dims_, base_, {&logit, &attend});
-        plan_bound_ = true;
-    } else {
-        // Everything else in the plan is a pure function of the
-        // block's cross loop, tiles and flags.
-        plan_.logit_compute = logit.compute;
-        plan_.logit_reuse = logit.reuse;
-        plan_.attend_compute = attend.compute;
-        plan_.attend_reuse = attend.reuse;
+    if (!block_bound_) {
+        bind_block_plan(plan_, *accel_, *dims_, base_);
+        block_bound_ = true;
     }
-    return plan_;
+    // Within a block the traffic is a function of the two reuse
+    // records alone, so equal records give the same bytes.
+    if (!traffic_valid_ || !(plan_.logit_reuse == logit.reuse) ||
+        !(plan_.attend_reuse == attend.reuse)) {
+        plan_.logit_reuse = logit.reuse;
+        plan_.attend_reuse = attend.reuse;
+        traffic_ = plan_dram_traffic(plan_, base_.stage);
+        traffic_valid_ = true;
+    }
+    return traffic_;
 }
 
 double
 AttentionBatchEvaluator::dram_bytes(const GemmSliceCost& logit,
                                     const GemmSliceCost& attend)
 {
-    return plan_dram_traffic(bind_plan(logit, attend), base_.stage)
-        .total_dram();
+    return traffic(logit, attend).total_dram();
 }
 
 void
@@ -112,25 +119,14 @@ AttentionBatchEvaluator::add(LoopOrder order_logit, LoopOrder order_attend,
                              const GemmSliceCost& logit,
                              const GemmSliceCost& attend)
 {
-    // The scalar emitter IS the batch fill path: identical phase
-    // arithmetic by construction, only the evaluation is batched.
+    const TrafficBytes& dram = traffic(logit, attend);
+    plan_.logit_compute = logit.compute;
+    plan_.attend_compute = attend.compute;
     base_.order_logit = order_logit;
     base_.order_attend = order_attend;
     lane_orders_.emplace_back(order_logit, order_attend);
-    style_->emit_phases(phases_, *accel_, *dims_,
-                        bind_plan(logit, attend), base_);
-
-    if (!configured_) {
-        batch_.configure(phases_, overlap_, lane_capacity_);
-        configured_ = true;
-    }
-    const std::size_t lane = batch_.add_lane();
-    for (std::size_t p = 0; p < phases_.size(); ++p) {
-        const Phase& phase = phases_[p];
-        batch_.set_phase(lane, p, phase.compute_cycles,
-                         phase.sfu_cycles, phase.link_latency_cycles,
-                         phase.activity);
-    }
+    style_->emit_values(batch_.add_lane(), *accel_, *dims_, plan_, base_,
+                        dram);
 }
 
 void
@@ -154,8 +150,8 @@ OperatorCost
 AttentionBatchEvaluator::cost(std::size_t lane) const
 {
     const TimelineBatch::LaneSummary& summary = batch_.summary(lane);
-    return finalize_cost(plan_, ideal_cycles_, summary.cycles,
-                         summary.activity, style_->cost_name());
+    return finalize_cost(plan_, summary.cycles, summary.activity,
+                         style_->cost_name());
 }
 
 } // namespace flat

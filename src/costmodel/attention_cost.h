@@ -80,45 +80,63 @@ AttentionPhases attention_phases(const ExecutionStyle& style,
                                      BaselineOverlap::kFull);
 
 /**
- * Batched DSE point evaluator, the only pricer of searched L-A points:
- * N candidates that share one plan base (cross loop, L2 tiles, staging
- * flags — everything but the SG loop orders, the innermost search
- * axes) are laid out as lanes of a TimelineBatch and evaluated in one
- * SoA pass.
+ * Batched DSE point evaluator, the only pricer of searched L-A points.
+ * A searched point pays only for the values that differ between
+ * points, at three levels:
  *
- * Bit-identity: add() runs the bound style's emit_phases() over the
- * block's plan and the lane's own dataflow (the pipelined style reads
- * its loop orders), and TimelineBatch::evaluate() replicates
- * evaluate_timeline()'s per-lane arithmetic — so cycles(), activity()
- * and cost() equal model_attention() bit for bit for every lane
+ *   bind_slice()  per (accel, dims, cross loop, style, overlap): the
+ *                 plan's slice part, the style's skeleton, the batch
+ *                 layout;
+ *   begin()       per (tiles, flags) block: the plan's block part
+ *                 (footprint and residency), bound on first use;
+ *   add()         per lane, i.e. per loop-order pair: the two GEMMs'
+ *                 records, the DRAM traffic (reused from the lane's
+ *                 dram_bytes() check) and the style's values pass,
+ *                 written straight into the lane.
+ *
+ * Bit-identity: the values pass is the one the reference
+ * emit_phases() runs, over a plan with the same parts, and
+ * TimelineBatch::evaluate() replicates evaluate_timeline()'s per-lane
+ * arithmetic — so cycles(), activity() and cost() equal
+ * model_attention() bit for bit for every lane
  * (tests/costmodel/test_timeline_batch.cc).
  *
- * Usage per block: begin() -> add() x N (at most `lane_capacity`) ->
- * evaluate() -> cycles()/activity() per lane, dataflow()/cost() for
- * the winner -> the next begin().
+ * Inputs are not checked here: a search validates its accel and dims
+ * at its entry, its cross loops and tiles where their menus are built.
+ *
+ * Usage: bind_slice() -> per block: begin() -> dram_bytes()/add() per
+ * candidate -> evaluate() -> cycles()/activity() per lane,
+ * dataflow()/cost() for the winner.
  */
 class AttentionBatchEvaluator
 {
   public:
     /**
-     * Rebinds the evaluator to a plan-base block under @p style.
-     * @p base's loop orders are irrelevant — each add() supplies a
-     * lane's own orders and GEMM cost records. @p baseline_overlap is
-     * read only by the baseline style.
+     * Rebinds the evaluator to a slice: rebuilds the plan's slice part
+     * from the current values of @p accel, @p dims and @p cross, takes
+     * @p style's skeleton and configures the batch. The evaluator keeps
+     * the @p accel and @p dims references until the next bind_slice().
+     * @p baseline_overlap is read only by the baseline style.
      */
-    void begin(const AccelConfig& accel, const AttentionDims& dims,
-               const FusedDataflow& base, const ExecutionStyle& style,
-               BaselineOverlap baseline_overlap,
-               std::size_t lane_capacity);
+    void bind_slice(const AccelConfig& accel, const AttentionDims& dims,
+                    const CrossLoop& cross, const ExecutionStyle& style,
+                    BaselineOverlap baseline_overlap);
+
+    /**
+     * Begins a (tiles, flags) block of the bound slice and drops the
+     * lanes. @p block's cross loop must be the slice's; its loop orders
+     * are irrelevant — each add() supplies a lane's own.
+     */
+    void begin(const FusedDataflow& block);
 
     std::size_t lanes() const { return batch_.lanes(); }
     const ExecutionStyle& style() const { return *style_; }
 
     /**
-     * Appends one candidate: the block's base with loop orders
-     * @p order_logit / @p order_attend. @p logit / @p attend must be
-     * the GemmSliceCost records of the lane's (tile, order,
-     * stationarity) choices — the same contract as PlannedGemmCosts.
+     * Appends one candidate: the block with loop orders @p order_logit
+     * / @p order_attend. @p logit / @p attend must be the records
+     * {model_gemm_compute(), stage_reuse()} of the lane's (stage shape,
+     * tile, order, stationarity) on the whole array.
      */
     void add(LoopOrder order_logit, LoopOrder order_attend,
              const GemmSliceCost& logit, const GemmSliceCost& attend);
@@ -128,11 +146,12 @@ class AttentionBatchEvaluator
 
     /**
      * DRAM bytes (read + write) the candidate @p logit / @p attend of
-     * the current block moves: plan_dram_traffic() of the same plan
-     * add() would emit from, without emitting or evaluating anything.
-     * Every style ledgers exactly these bytes in phases that are not
+     * the current block moves: plan_dram_traffic() of the plan add()
+     * would emit from, without emitting or evaluating anything. Every
+     * style ledgers exactly these bytes in phases that are not
      * pace-only, so they equal the evaluated activity's total_dram().
-     * Same argument contract as add(); adds no lane.
+     * Same argument contract as add(); adds no lane, but an add() of
+     * the same candidate reuses the traffic.
      */
     double dram_bytes(const GemmSliceCost& logit,
                       const GemmSliceCost& attend);
@@ -157,15 +176,14 @@ class AttentionBatchEvaluator
     OperatorCost cost(std::size_t lane) const;
 
   private:
-    /** The block's plan, patched with one candidate's GEMM records.
-     *  The first call per block builds it with make_plan(); later
-     *  calls overwrite only the four order-dependent compute/reuse
-     *  fields, which are all that differ within a block. */
-    const AttentionPlan& bind_plan(const GemmSliceCost& logit,
-                                   const GemmSliceCost& attend);
+    /** plan_dram_traffic() of the block with these GEMM records; the
+     *  plan's reuse records are set to theirs. Recomputed only when the
+     *  reuse records differ from the last call's in this block. */
+    const TrafficBytes& traffic(const GemmSliceCost& logit,
+                                const GemmSliceCost& attend);
 
     TimelineBatch batch_;
-    std::vector<Phase> phases_; ///< emission buffer, reused per lane
+    std::vector<Phase> skeleton_; ///< the bound style's skeleton
     AttentionPlan plan_;
     /** (logit, attend) loop orders of each lane. */
     std::vector<std::pair<LoopOrder, LoopOrder>> lane_orders_;
@@ -173,11 +191,10 @@ class AttentionBatchEvaluator
     const AttentionDims* dims_ = nullptr;
     FusedDataflow base_; ///< carries the last added lane's orders
     const ExecutionStyle* style_ = nullptr;
-    bool plan_bound_ = false;  ///< plan_ holds this block's base
-    bool configured_ = false;  ///< the batch holds the phase structure
-    std::size_t lane_capacity_ = 0;
     OverlapKind overlap_ = OverlapKind::kOverlapped;
-    double ideal_cycles_ = 0.0;
+    bool block_bound_ = false; ///< plan_ holds this block's part
+    bool traffic_valid_ = false; ///< traffic_ is this block's
+    TrafficBytes traffic_;
 };
 
 } // namespace flat

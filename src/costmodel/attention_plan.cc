@@ -24,6 +24,10 @@ split_fetches(bool staged, double rho_sg, double rho_sg2,
     return out;
 }
 
+namespace {
+
+/** Greedy SG allocation producing per-tensor resident fractions. The
+ *  stage shapes must be the plan's (column-clamped at C-Gran). */
 Residency
 allocate_residency(const AccelConfig& accel, const FusedDataflow& dataflow,
                    const AttentionDims& dims, const CrossLoopExtent& extent,
@@ -137,21 +141,18 @@ allocate_residency(const AccelConfig& accel, const FusedDataflow& dataflow,
     return res;
 }
 
-AttentionPlan
-make_plan(const AccelConfig& accel, const AttentionDims& dims,
-          const FusedDataflow& dataflow, const PlannedGemmCosts& planned)
-{
-    dims.validate();
-    dataflow.validate();
+} // namespace
 
-    AttentionPlan plan;
-    plan.extent = cross_loop_extent(dataflow.cross, dims.batch, dims.heads,
-                                    dims.q_len);
+AttentionSlicePlan
+make_slice_plan(const AccelConfig& accel, const AttentionDims& dims,
+                const CrossLoop& cross)
+{
+    AttentionSlicePlan plan;
+    plan.extent =
+        cross_loop_extent(cross, dims.batch, dims.heads, dims.q_len);
     const std::uint64_t rows = plan.extent.rows_per_pass;
-    const bool column =
-        dataflow.cross.granularity == Granularity::kColumn;
-    const std::uint64_t cols_eff =
-        cross_col_tile(dataflow.cross, dims.kv_len);
+    const bool column = cross.granularity == Granularity::kColumn;
+    const std::uint64_t cols_eff = cross_col_tile(cross, dims.kv_len);
     plan.inter_in_rf = column;
 
     plan.logit_shape.m = rows;
@@ -171,33 +172,9 @@ make_plan(const AccelConfig& accel, const AttentionDims& dims,
     plan.slices = static_cast<double>(plan.extent.passes) *
                   plan.extent.instances_per_pass;
     if (column) {
-        plan.col_blocks = static_cast<double>(
-            cross_col_blocks(dataflow.cross, dims.kv_len));
+        plan.col_blocks =
+            static_cast<double>(cross_col_blocks(cross, dims.kv_len));
         plan.slices *= plan.col_blocks;
-    }
-
-    // Injected costs come from the DSE's per-slice tables (see
-    // PlannedGemmCosts): same pure functions of the same inputs, so the
-    // plan is bit-identical either way — just cheaper.
-    if (planned.logit != nullptr) {
-        plan.logit_compute = planned.logit->compute;
-        plan.logit_reuse = planned.logit->reuse;
-    } else {
-        plan.logit_compute =
-            model_gemm_compute(accel, plan.logit_shape, dataflow.l2_logit,
-                               dataflow.order_logit, dataflow.stat_logit);
-        plan.logit_reuse = stage_reuse(plan.logit_shape, dataflow.l2_logit,
-                                       dataflow.order_logit);
-    }
-    if (planned.attend != nullptr) {
-        plan.attend_compute = planned.attend->compute;
-        plan.attend_reuse = planned.attend->reuse;
-    } else {
-        plan.attend_compute = model_gemm_compute(
-            accel, plan.attend_shape, dataflow.l2_attend,
-            dataflow.order_attend, dataflow.stat_attend);
-        plan.attend_reuse = stage_reuse(
-            plan.attend_shape, dataflow.l2_attend, dataflow.order_attend);
     }
 
     const double bpe = accel.bytes_per_element;
@@ -214,12 +191,42 @@ make_plan(const AccelConfig& accel, const AttentionDims& dims,
 
     plan.kv_chunks = static_cast<double>(
         ceil_div(dims.q_len, plan.extent.rows_per_pass));
+    plan.ideal_cycles = attention_ideal_cycles(accel, dims);
+    return plan;
+}
 
-    plan.footprint =
-        fused_live_footprint(dataflow, dims, accel.bytes_per_element);
+void
+bind_block_plan(AttentionPlan& plan, const AccelConfig& accel,
+                const AttentionDims& dims, const FusedDataflow& dataflow)
+{
+    plan.footprint = fused_live_footprint(dataflow, dims, plan.extent,
+                                          accel.bytes_per_element);
     plan.res = allocate_residency(accel, dataflow, dims, plan.extent,
                                   plan.logit_shape, plan.attend_shape,
                                   plan.inter_in_rf);
+}
+
+AttentionPlan
+make_plan(const AccelConfig& accel, const AttentionDims& dims,
+          const FusedDataflow& dataflow)
+{
+    dims.validate();
+    dataflow.validate();
+
+    AttentionPlan plan;
+    static_cast<AttentionSlicePlan&>(plan) =
+        make_slice_plan(accel, dims, dataflow.cross);
+    plan.logit_compute =
+        model_gemm_compute(accel, plan.logit_shape, dataflow.l2_logit,
+                           dataflow.order_logit, dataflow.stat_logit);
+    plan.logit_reuse = stage_reuse(plan.logit_shape, dataflow.l2_logit,
+                                   dataflow.order_logit);
+    plan.attend_compute =
+        model_gemm_compute(accel, plan.attend_shape, dataflow.l2_attend,
+                           dataflow.order_attend, dataflow.stat_attend);
+    plan.attend_reuse = stage_reuse(plan.attend_shape, dataflow.l2_attend,
+                                    dataflow.order_attend);
+    bind_block_plan(plan, accel, dims, dataflow);
     return plan;
 }
 
@@ -337,16 +344,16 @@ next_phase(std::vector<Phase>& out, std::size_t& idx, const char* label,
     return phase;
 }
 
-void
-emit_cold_start(std::vector<Phase>& out, std::size_t& idx,
-                const AttentionPlan& plan, const AttentionDims& dims)
+const char*
+cold_start_label(const AttentionDims& dims)
 {
-    Phase& phase = next_phase(out, idx,
-                              dims.decode
-                                  ? "cold start (first KV-cache fetch)"
-                                  : "cold start (first Q/K slice fetch)",
-                              StageTag::kColdStart, 0);
-    phase.pace_only = true;
+    return dims.decode ? "cold start (first KV-cache fetch)"
+                       : "cold start (first Q/K slice fetch)";
+}
+
+void
+cold_start_values(PhaseValues& phase, const AttentionPlan& plan)
+{
     phase.activity.traffic.dram_read =
         (plan.q_bytes + plan.k_bytes) /
         (plan.slices > 0.0 ? plan.slices : 1.0);
@@ -369,30 +376,26 @@ kv_cache_admitted(const AccelConfig& accel, const AttentionDims& dims)
            accel.dram_bytes;
 }
 
-Phase&
-emit_gemm_phase(std::vector<Phase>& out, std::size_t& idx,
-                const char* label, StageTag stage, int group,
-                const GemmComputeCost& compute, double occupancy_cycles,
-                const AttentionDims& dims, double slices)
+void
+gemm_values(PhaseValues& phase, const GemmComputeCost& compute,
+            double occupancy_cycles, const AttentionDims& dims,
+            double slices)
 {
-    Phase& phase = next_phase(out, idx, label, stage, group);
     phase.compute_cycles = occupancy_cycles;
     phase.activity.macs = half_macs(dims);
     phase.activity.sl_accesses = 3.0 * phase.activity.macs;
     phase.activity.traffic.sg_read =
         (compute.sg_read_bytes + compute.sg_psum_read_bytes) * slices;
     phase.activity.traffic.sg_write = compute.sg_write_bytes * slices;
-    return phase;
 }
 
 OperatorCost
-finalize_cost(const AttentionPlan& plan, double ideal_cycles,
-              double cycles, const ActivityCounts& activity,
-              const char* name)
+finalize_cost(const AttentionPlan& plan, double cycles,
+              const ActivityCounts& activity, const char* name)
 {
     OperatorCost cost;
     cost.name = name;
-    cost.ideal_cycles = ideal_cycles;
+    cost.ideal_cycles = plan.ideal_cycles;
     cost.cycles = cycles;
     cost.live_footprint_bytes = plan.footprint;
     cost.resident_fraction = plan.res.overall;

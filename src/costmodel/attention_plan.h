@@ -6,7 +6,8 @@
  *
  * This is internal machinery factored out of attention_cost.cc so the
  * pluggable ExecutionStyle emitters (execution_style.h) and the scalar /
- * batched evaluators can share one plan computation. It is not a stable
+ * batched evaluators can share one plan computation, split by how often
+ * a search changes each part. It is not a stable
  * public surface — include attention_cost.h for the model entry points.
  */
 #ifndef FLAT_COSTMODEL_ATTENTION_PLAN_H
@@ -23,19 +24,6 @@
 #include "dataflow/fused_dataflow.h"
 
 namespace flat {
-
-/**
- * Precomputed per-slice GEMM cost records injected into the plan. A
- * non-null pointer MUST equal {model_gemm_compute(), stage_reuse()} of
- * the same (accel, stage shape, tile, order, stationarity) — the DSE
- * engine feeds these from its per-slice cost tables, skipping two
- * model_gemm_compute and two stage_reuse calls per point. Null
- * pointers fall back to computing in place.
- */
-struct PlannedGemmCosts {
-    const GemmSliceCost* logit = nullptr;
-    const GemmSliceCost* attend = nullptr;
-};
 
 /**
  * Per-tensor resident fractions of the staged working set. The SG is
@@ -79,17 +67,16 @@ struct FetchSplit {
 FetchSplit split_fetches(bool staged, double rho_sg, double rho_sg2,
                          double unstaged_events);
 
-/** Everything the phase emitters need, computed once. */
-struct AttentionPlan {
+/**
+ * The slice part of a plan: a pure function of (accel, dims, cross
+ * loop), so a search builds it once per slice
+ * (AttentionBatchEvaluator::bind_slice) and make_plan() once per call.
+ */
+struct AttentionSlicePlan {
     CrossLoopExtent extent;
     GemmShape logit_shape;  ///< per staged slice
     GemmShape attend_shape; ///< per staged slice
     double slices = 0.0;    ///< passes * instances (* column blocks)
-
-    GemmComputeCost logit_compute;  ///< per slice
-    GemmComputeCost attend_compute; ///< per slice
-    StageReuse logit_reuse;
-    StageReuse attend_reuse;
 
     double q_bytes = 0.0;     ///< total Q rows bytes (B*H*N*dk)
     double k_bytes = 0.0;     ///< total K bytes
@@ -110,23 +97,48 @@ struct AttentionPlan {
      *  moves zero DRAM/SG2 bytes. */
     bool inter_in_rf = false;
 
+    /** attention_ideal_cycles() of the (accel, dims). */
+    double ideal_cycles = 0.0;
+};
+
+/**
+ * Everything the phase emitters read, in three parts by how often they
+ * change in a search: the slice part (base class); the block part —
+ * footprint and residency, per (tiles, flags); and the two GEMMs'
+ * compute and reuse records, per loop-order pair.
+ */
+struct AttentionPlan : AttentionSlicePlan {
+    GemmComputeCost logit_compute;  ///< per slice
+    GemmComputeCost attend_compute; ///< per slice
+    StageReuse logit_reuse;
+    StageReuse attend_reuse;
+
     std::uint64_t footprint = 0;
     Residency res;
 };
 
-/** Greedy SG allocation producing per-tensor resident fractions. The
- *  stage shapes must be the plan's (column-clamped at C-Gran). */
-Residency allocate_residency(const AccelConfig& accel,
-                             const FusedDataflow& dataflow,
-                             const AttentionDims& dims,
-                             const CrossLoopExtent& extent,
-                             const GemmShape& logit_shape,
-                             const GemmShape& attend_shape,
-                             bool inter_in_rf);
+/** The slice part of make_plan(). Unchecked: make_plan() checks dims
+ *  and the cross loop first; a search checks its dims at its entry and
+ *  its cross loops where it builds their menu. */
+AttentionSlicePlan make_slice_plan(const AccelConfig& accel,
+                                   const AttentionDims& dims,
+                                   const CrossLoop& cross);
 
+/**
+ * Fills the block part of @p plan — live footprint and greedy SG
+ * residency of @p dataflow's tiles and staging flags — over the slice
+ * part @p plan already holds for the same (accel, dims,
+ * dataflow.cross). Unchecked, like make_slice_plan(); the search's tile
+ * menus are validated where their cost tables are built.
+ */
+void bind_block_plan(AttentionPlan& plan, const AccelConfig& accel,
+                     const AttentionDims& dims,
+                     const FusedDataflow& dataflow);
+
+/** The reference composition: checks @p dims and @p dataflow, then the
+ *  slice part, both GEMMs' records and the block part. */
 AttentionPlan make_plan(const AccelConfig& accel, const AttentionDims& dims,
-                        const FusedDataflow& dataflow,
-                        const PlannedGemmCosts& planned = {});
+                        const FusedDataflow& dataflow);
 
 /**
  * Memory traffic of the whole L-A pipeline given the staging flags:
@@ -159,14 +171,24 @@ double half_macs(const AttentionDims& dims);
 Phase& next_phase(std::vector<Phase>& out, std::size_t& idx,
                   const char* label, StageTag stage, int group);
 
+/** Zeroes the values at @p idx of @p out and advances @p idx: the
+ *  values-pass twin of next_phase(). */
+inline PhaseValues&
+next_values(PhaseValues* out, std::size_t& idx)
+{
+    return out[idx++] = PhaseValues{};
+}
+
+/** Label of the exposed first-fetch window every style but the
+ *  pipelined one opens with (pace-only, group 0). */
+const char* cold_start_label(const AttentionDims& dims);
+
 /**
- * Exposed first-fetch window: the first Q/K slice cannot hide under
- * any compute. Pace-only — its bytes are already in the steady-state
- * prefetch ledger.
+ * Values of the exposed first-fetch window: the first Q/K slice cannot
+ * hide under any compute. Pace-only — its bytes are already in the
+ * steady-state prefetch ledger.
  */
-void emit_cold_start(std::vector<Phase>& out, std::size_t& idx,
-                     const AttentionPlan& plan,
-                     const AttentionDims& dims);
+void cold_start_values(PhaseValues& phase, const AttentionPlan& plan);
 
 /**
  * KV-cache footprint of a decode step in DRAM: K and V rows for every
@@ -183,19 +205,17 @@ std::uint64_t kv_cache_bytes(const AttentionDims& dims,
 bool kv_cache_admitted(const AccelConfig& accel,
                        const AttentionDims& dims);
 
-/** GEMM phase skeleton: array occupancy, MACs/SL, SG streaming. */
-Phase& emit_gemm_phase(std::vector<Phase>& out, std::size_t& idx,
-                       const char* label, StageTag stage, int group,
-                       const GemmComputeCost& compute,
-                       double occupancy_cycles, const AttentionDims& dims,
-                       double slices);
+/** GEMM phase values: array occupancy, MACs/SL, SG streaming. */
+void gemm_values(PhaseValues& phase, const GemmComputeCost& compute,
+                 double occupancy_cycles, const AttentionDims& dims,
+                 double slices);
 
 /** Cost report from a plan and its evaluated timeline's @p cycles and
  *  @p activity — no re-aggregation. Both L-A pricers fill their
  *  OperatorCost here (model_attention from evaluate_timeline(), the
  *  batch evaluator from a lane summary), so they cannot diverge. */
-OperatorCost finalize_cost(const AttentionPlan& plan, double ideal_cycles,
-                           double cycles, const ActivityCounts& activity,
+OperatorCost finalize_cost(const AttentionPlan& plan, double cycles,
+                           const ActivityCounts& activity,
                            const char* name);
 
 /** Ideal PE cycles of the whole L-A pair (both GEMMs, no stalls). */

@@ -36,7 +36,73 @@ ExecutionStyle::inter_sg_round_trip_bytes(double inter_bytes) const
     return 2.0 * inter_bytes;
 }
 
+void
+ExecutionStyle::emit_phases(std::vector<Phase>& phases,
+                            const AccelConfig& accel,
+                            const AttentionDims& dims,
+                            const AttentionPlan& plan,
+                            const FusedDataflow& dataflow) const
+{
+    emit_skeleton(phases, accel, dims, dataflow.cross);
+    FLAT_ASSERT(phases.size() <= kMaxPhases,
+                id() << " emits " << phases.size() << " phases");
+    PhaseValues values[kMaxPhases];
+    emit_values(values, accel, dims, plan, dataflow,
+                plan_dram_traffic(plan, dataflow.stage));
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+        static_cast<PhaseValues&>(phases[p]) = values[p];
+    }
+}
+
 namespace {
+
+const char*
+prefetch_label(const AttentionDims& dims)
+{
+    return dims.decode ? "KV-cache read (DRAM->SG, overlapped)"
+                       : "prefetch (DRAM->SG, overlapped)";
+}
+
+constexpr const char* kOverlappedWriteback =
+    "writeback (SG->DRAM, overlapped)";
+
+/** The overlapped prefetch window: every DRAM read lands in the SG. */
+void
+prefetch_values(PhaseValues& phase, const TrafficBytes& dram)
+{
+    phase.activity.traffic.dram_read = dram.dram_read;
+    phase.activity.traffic.sg_write = dram.dram_read; // pass-through
+    phase.activity.traffic.sg2_read = dram.sg2_read;
+}
+
+/** The overlapped writeback window: every DRAM write leaves the SG. */
+void
+writeback_values(PhaseValues& phase, const TrafficBytes& dram)
+{
+    phase.activity.traffic.dram_write = dram.dram_write;
+    phase.activity.traffic.sg_read = dram.dram_write; // pass-through
+    phase.activity.traffic.sg2_write = dram.sg2_write;
+}
+
+/** Softmax on the SFU, one SG round trip of the intermediate. */
+void
+staged_softmax_values(PhaseValues& phase, const AccelConfig& accel,
+                      const AttentionPlan& plan)
+{
+    phase.sfu_cycles = softmax_sfu_cycles(accel, plan);
+    phase.activity.sfu_elems = plan.inter_bytes / accel.bytes_per_element;
+    phase.activity.traffic.sg_read = plan.inter_bytes;
+    phase.activity.traffic.sg_write = plan.inter_bytes;
+}
+
+/** A GEMM stage on the whole array: its full-array cycles per slice. */
+void
+whole_array_gemm_values(PhaseValues& phase, const GemmComputeCost& compute,
+                        const AttentionDims& dims, const AttentionPlan& plan)
+{
+    gemm_values(phase, compute, compute.total_cycles() * plan.slices, dims,
+                plan.slices);
+}
 
 /**
  * FLAT (interleaved) execution: one shared overlap window — all
@@ -62,58 +128,40 @@ class FlatStyle : public ExecutionStyle
                kv_cache_admitted(accel, dims);
     }
 
-    void emit_phases(std::vector<Phase>& phases, const AccelConfig& accel,
-                     const AttentionDims& dims, const AttentionPlan& plan,
-                     const FusedDataflow& dataflow) const override
+    void emit_skeleton(std::vector<Phase>& phases, const AccelConfig&,
+                       const AttentionDims& dims,
+                       const CrossLoop&) const override
     {
-        const FusedStageFlags& stage = dataflow.stage;
-        const TrafficBytes dram = plan_dram_traffic(plan, stage);
-
         std::size_t idx = 0;
-        emit_cold_start(phases, idx, plan, dims);
-
-        {
-            Phase& prefetch = next_phase(
-                phases, idx,
-                dims.decode ? "KV-cache read (DRAM->SG, overlapped)"
-                            : "prefetch (DRAM->SG, overlapped)",
-                StageTag::kPrefetch, 1);
-            prefetch.activity.traffic.dram_read = dram.dram_read;
-            prefetch.activity.traffic.sg_write =
-                dram.dram_read; // pass-through
-            prefetch.activity.traffic.sg2_read = dram.sg2_read;
-        }
-
-        emit_gemm_phase(phases, idx, "L: logits slice GEMM",
-                        StageTag::kLogit, 1, plan.logit_compute,
-                        plan.logit_compute.total_cycles() * plan.slices,
-                        dims, plan.slices);
-
-        {
-            Phase& softmax = next_phase(phases, idx, "softmax on SFU",
-                                        StageTag::kSoftmax, 1);
-            softmax.sfu_cycles = softmax_sfu_cycles(accel, plan);
-            softmax.activity.sfu_elems =
-                plan.inter_bytes / accel.bytes_per_element;
-            softmax.activity.traffic.sg_read = plan.inter_bytes;
-            softmax.activity.traffic.sg_write = plan.inter_bytes;
-        }
-
-        emit_gemm_phase(phases, idx, "A: attend slice GEMM",
-                        StageTag::kAttend, 1, plan.attend_compute,
-                        plan.attend_compute.total_cycles() * plan.slices,
-                        dims, plan.slices);
-
-        {
-            Phase& writeback = next_phase(
-                phases, idx, "writeback (SG->DRAM, overlapped)",
-                StageTag::kWriteback, 1);
-            writeback.activity.traffic.dram_write = dram.dram_write;
-            writeback.activity.traffic.sg_read =
-                dram.dram_write; // pass-through
-            writeback.activity.traffic.sg2_write = dram.sg2_write;
-        }
+        next_phase(phases, idx, cold_start_label(dims),
+                   StageTag::kColdStart, 0)
+            .pace_only = true;
+        next_phase(phases, idx, prefetch_label(dims), StageTag::kPrefetch,
+                   1);
+        next_phase(phases, idx, "L: logits slice GEMM", StageTag::kLogit,
+                   1);
+        next_phase(phases, idx, "softmax on SFU", StageTag::kSoftmax, 1);
+        next_phase(phases, idx, "A: attend slice GEMM", StageTag::kAttend,
+                   1);
+        next_phase(phases, idx, kOverlappedWriteback,
+                   StageTag::kWriteback, 1);
         phases.resize(idx);
+    }
+
+    void emit_values(PhaseValues* out, const AccelConfig& accel,
+                     const AttentionDims& dims, const AttentionPlan& plan,
+                     const FusedDataflow&,
+                     const TrafficBytes& dram) const override
+    {
+        std::size_t idx = 0;
+        cold_start_values(next_values(out, idx), plan);
+        prefetch_values(next_values(out, idx), dram);
+        whole_array_gemm_values(next_values(out, idx), plan.logit_compute,
+                                dims, plan);
+        staged_softmax_values(next_values(out, idx), accel, plan);
+        whole_array_gemm_values(next_values(out, idx),
+                                plan.attend_compute, dims, plan);
+        writeback_values(next_values(out, idx), dram);
     }
 };
 
@@ -149,17 +197,46 @@ class BaselineStyle : public ExecutionStyle
                    : OverlapKind::kSerialTransfers;
     }
 
-    void emit_phases(std::vector<Phase>& phases, const AccelConfig& accel,
-                     const AttentionDims& dims, const AttentionPlan& plan,
-                     const FusedDataflow& dataflow) const override
+    void emit_skeleton(std::vector<Phase>& phases, const AccelConfig&,
+                       const AttentionDims& dims,
+                       const CrossLoop& cross) const override
     {
         FLAT_CHECK(
-            dataflow.cross.granularity != Granularity::kRow &&
-                dataflow.cross.granularity != Granularity::kColumn,
+            cross.granularity != Granularity::kRow &&
+                cross.granularity != Granularity::kColumn,
             "the sequential baseline cannot execute at R-granularity; "
             "row-chunked L-A is exactly the fusion FLAT adds (§4.2)");
+        std::size_t idx = 0;
+        next_phase(phases, idx, cold_start_label(dims),
+                   StageTag::kColdStart, 0)
+            .pace_only = true;
+        // Window 1: L reads Q and K and round-trips the spilled
+        // intermediate fraction (psum re-reads out, result writes in).
+        next_phase(phases, idx,
+                   dims.decode ? "L transfers (q/K-cache in, spill out)"
+                               : "L transfers (Q/K in, spill out)",
+                   StageTag::kPrefetch, 1);
+        next_phase(phases, idx, "L: logits GEMM", StageTag::kLogit, 1);
+        // Window 2: softmax round-trips the spilled fraction.
+        next_phase(phases, idx, "softmax on SFU (spill round-trip)",
+                   StageTag::kSoftmax, 2);
+        // Window 3: A reads V and the intermediate, writes the output.
+        next_phase(phases, idx,
+                   dims.decode ? "A transfers (V-cache/inter in)"
+                               : "A transfers (V/inter in)",
+                   StageTag::kPrefetch, 3);
+        next_phase(phases, idx, "A: attend GEMM", StageTag::kAttend, 3);
+        next_phase(phases, idx, "writeback (out, SG->DRAM)",
+                   StageTag::kWriteback, 3);
+        phases.resize(idx);
+    }
+
+    void emit_values(PhaseValues* out, const AccelConfig& accel,
+                     const AttentionDims& dims, const AttentionPlan& plan,
+                     const FusedDataflow& dataflow,
+                     const TrafficBytes& dram) const override
+    {
         const FusedStageFlags& stage = dataflow.stage;
-        const TrafficBytes dram = plan_dram_traffic(plan, stage);
         const Residency& res = plan.res;
         const double spill =
             stage.intermediate
@@ -199,17 +276,10 @@ class BaselineStyle : public ExecutionStyle
         }
 
         std::size_t idx = 0;
-        emit_cold_start(phases, idx, plan, dims);
-
-        // Window 1: L reads Q and K and round-trips the spilled
-        // intermediate fraction (psum re-reads out, result writes in).
+        cold_start_values(next_values(out, idx), plan);
         {
-            Phase& l_xfer = next_phase(
-                phases, idx,
-                dims.decode ? "L transfers (q/K-cache in, spill out)"
-                            : "L transfers (Q/K in, spill out)",
-                StageTag::kPrefetch, 1);
-            l_xfer.activity.traffic.dram_read =
+            TrafficBytes& l_xfer = next_values(out, idx).activity.traffic;
+            l_xfer.dram_read =
                 split_fetches(stage.query, res.q, res.q2,
                               plan.logit_reuse.a_repeats)
                         .dram *
@@ -220,67 +290,42 @@ class BaselineStyle : public ExecutionStyle
                     plan.k_bytes +
                 spill * plan.logit_reuse.c_read_repeats *
                     plan.inter_bytes;
-            l_xfer.activity.traffic.dram_write =
-                (spill * plan.logit_reuse.c_write_repeats +
-                 staging_penalty) *
-                plan.inter_bytes;
-            l_xfer.activity.traffic.sg_write =
-                l_xfer.activity.traffic.dram_read; // pass-through
-            l_xfer.activity.traffic.sg_read =
-                l_xfer.activity.traffic.dram_write;
-            l_xfer.activity.traffic.sg2_read = sg2_read_half;
-            l_xfer.activity.traffic.sg2_write = sg2_write_half;
+            l_xfer.dram_write = (spill * plan.logit_reuse.c_write_repeats +
+                                 staging_penalty) *
+                                plan.inter_bytes;
+            l_xfer.sg_write = l_xfer.dram_read; // pass-through
+            l_xfer.sg_read = l_xfer.dram_write;
+            l_xfer.sg2_read = sg2_read_half;
+            l_xfer.sg2_write = sg2_write_half;
         }
-
-        emit_gemm_phase(phases, idx, "L: logits GEMM", StageTag::kLogit,
-                        1, plan.logit_compute,
-                        plan.logit_compute.total_cycles() * plan.slices,
-                        dims, plan.slices);
-
-        // Window 2: softmax round-trips the spilled fraction.
+        whole_array_gemm_values(next_values(out, idx), plan.logit_compute,
+                                dims, plan);
         {
-            Phase& softmax = next_phase(
-                phases, idx, "softmax on SFU (spill round-trip)",
-                StageTag::kSoftmax, 2);
+            PhaseValues& softmax = next_values(out, idx);
             softmax.sfu_cycles = softmax_sfu_cycles(accel, plan);
             softmax.activity.sfu_elems =
                 plan.inter_bytes / accel.bytes_per_element;
-            softmax.activity.traffic.dram_read =
-                spill * plan.inter_bytes;
-            softmax.activity.traffic.dram_write =
-                spill * plan.inter_bytes;
-            softmax.activity.traffic.sg_read =
-                plan.inter_bytes + softmax.activity.traffic.dram_write;
-            softmax.activity.traffic.sg_write =
-                plan.inter_bytes + softmax.activity.traffic.dram_read;
+            TrafficBytes& bytes = softmax.activity.traffic;
+            bytes.dram_read = spill * plan.inter_bytes;
+            bytes.dram_write = spill * plan.inter_bytes;
+            bytes.sg_read = plan.inter_bytes + bytes.dram_write;
+            bytes.sg_write = plan.inter_bytes + bytes.dram_read;
         }
-
-        // Window 3: A reads V and the intermediate, writes the output.
         {
-            Phase& a_xfer = next_phase(
-                phases, idx,
-                dims.decode ? "A transfers (V-cache/inter in)"
-                            : "A transfers (V/inter in)",
-                StageTag::kPrefetch, 3);
-            a_xfer.activity.traffic.dram_read = a_xfer_dram_read;
-            a_xfer.activity.traffic.sg_write = a_xfer_dram_read;
-            a_xfer.activity.traffic.sg2_read = sg2_read_half;
+            TrafficBytes& a_xfer = next_values(out, idx).activity.traffic;
+            a_xfer.dram_read = a_xfer_dram_read;
+            a_xfer.sg_write = a_xfer_dram_read;
+            a_xfer.sg2_read = sg2_read_half;
         }
-
-        emit_gemm_phase(phases, idx, "A: attend GEMM", StageTag::kAttend,
-                        3, plan.attend_compute,
-                        plan.attend_compute.total_cycles() * plan.slices,
-                        dims, plan.slices);
-
+        whole_array_gemm_values(next_values(out, idx),
+                                plan.attend_compute, dims, plan);
         {
-            Phase& writeback =
-                next_phase(phases, idx, "writeback (out, SG->DRAM)",
-                           StageTag::kWriteback, 3);
-            writeback.activity.traffic.dram_write = writeback_dram_write;
-            writeback.activity.traffic.sg_read = writeback_dram_write;
-            writeback.activity.traffic.sg2_write = sg2_write_half;
+            TrafficBytes& writeback =
+                next_values(out, idx).activity.traffic;
+            writeback.dram_write = writeback_dram_write;
+            writeback.sg_read = writeback_dram_write;
+            writeback.sg2_write = sg2_write_half;
         }
-        phases.resize(idx);
     }
 };
 
@@ -331,15 +376,42 @@ class PipelinedStyle : public ExecutionStyle
         return gemm_max_cycles + softmax_cycles;
     }
 
-    void emit_phases(std::vector<Phase>& phases, const AccelConfig& accel,
-                     const AttentionDims& dims, const AttentionPlan& plan,
-                     const FusedDataflow& dataflow) const override
+    void emit_skeleton(std::vector<Phase>& phases, const AccelConfig& accel,
+                       const AttentionDims& dims,
+                       const CrossLoop&) const override
     {
         FLAT_CHECK(accel.pe_rows >= 2,
                    "pipelined execution needs an array splittable in two");
+        std::size_t idx = 0;
+        // Pipeline fill: one slice of L (and its softmax) before A
+        // starts.
+        next_phase(phases, idx, "pipeline fill (first L slice + softmax)",
+                   StageTag::kColdStart, 0)
+            .pace_only = true;
+        next_phase(phases, idx, prefetch_label(dims), StageTag::kPrefetch,
+                   1);
+        next_phase(phases, idx, "L: logits GEMM (half array)",
+                   StageTag::kLogit, 1)
+            .track = 0;
+        next_phase(phases, idx, "softmax on SFU (between halves)",
+                   StageTag::kSoftmax, 1);
+        next_phase(phases, idx, "A: attend GEMM (half array)",
+                   StageTag::kAttend, 1)
+            .track = 1;
+        next_phase(phases, idx, kOverlappedWriteback,
+                   StageTag::kWriteback, 1);
+        phases.resize(idx);
+    }
 
+    void emit_values(PhaseValues* out, const AccelConfig& accel,
+                     const AttentionDims& dims, const AttentionPlan& plan,
+                     const FusedDataflow& dataflow,
+                     const TrafficBytes& dram) const override
+    {
         // The halves share the SG and the memory interfaces, so the
-        // byte ledger keeps the full-array plan's streaming volume.
+        // byte ledger keeps the full-array plan's streaming volume;
+        // only the occupancies come from the lane's own loop orders on
+        // the half array.
         const AccelConfig half = stage_array(accel);
         const GemmComputeCost logit_half =
             model_gemm_compute(half, plan.logit_shape, dataflow.l2_logit,
@@ -347,76 +419,25 @@ class PipelinedStyle : public ExecutionStyle
         const GemmComputeCost attend_half = model_gemm_compute(
             half, plan.attend_shape, dataflow.l2_attend,
             dataflow.order_attend, dataflow.stat_attend);
-        const TrafficBytes dram = plan_dram_traffic(plan, dataflow.stage);
-        const double softmax_cycles = softmax_sfu_cycles(accel, plan);
 
         std::size_t idx = 0;
-
-        // Pipeline fill: one slice of L (and its softmax) before A
-        // starts.
         {
-            Phase& fill =
-                next_phase(phases, idx,
-                           "pipeline fill (first L slice + softmax)",
-                           StageTag::kColdStart, 0);
-            fill.pace_only = true;
+            PhaseValues& fill = next_values(out, idx);
             if (plan.slices > 0.0) {
                 fill.compute_cycles = logit_half.total_cycles();
-                fill.sfu_cycles = softmax_cycles / plan.slices;
+                fill.sfu_cycles =
+                    softmax_sfu_cycles(accel, plan) / plan.slices;
             }
         }
-
-        {
-            Phase& prefetch = next_phase(
-                phases, idx,
-                dims.decode ? "KV-cache read (DRAM->SG, overlapped)"
-                            : "prefetch (DRAM->SG, overlapped)",
-                StageTag::kPrefetch, 1);
-            prefetch.activity.traffic.dram_read = dram.dram_read;
-            prefetch.activity.traffic.sg_write =
-                dram.dram_read; // pass-through
-            prefetch.activity.traffic.sg2_read = dram.sg2_read;
-        }
-
-        {
-            Phase& logit = emit_gemm_phase(
-                phases, idx, "L: logits GEMM (half array)",
-                StageTag::kLogit, 1, plan.logit_compute,
-                logit_half.total_cycles() * plan.slices, dims,
-                plan.slices);
-            logit.track = 0;
-        }
-
-        {
-            Phase& softmax =
-                next_phase(phases, idx, "softmax on SFU (between halves)",
-                           StageTag::kSoftmax, 1);
-            softmax.sfu_cycles = softmax_cycles;
-            softmax.activity.sfu_elems =
-                plan.inter_bytes / accel.bytes_per_element;
-            softmax.activity.traffic.sg_read = plan.inter_bytes;
-            softmax.activity.traffic.sg_write = plan.inter_bytes;
-        }
-
-        {
-            Phase& attend = emit_gemm_phase(
-                phases, idx, "A: attend GEMM (half array)",
-                StageTag::kAttend, 1, plan.attend_compute,
-                attend_half.total_cycles() * plan.slices, dims,
-                plan.slices);
-            attend.track = 1;
-        }
-
-        {
-            Phase& writeback = next_phase(
-                phases, idx, "writeback (SG->DRAM, overlapped)",
-                StageTag::kWriteback, 1);
-            writeback.activity.traffic.dram_write = dram.dram_write;
-            writeback.activity.traffic.sg_read =
-                dram.dram_write; // pass-through
-            writeback.activity.traffic.sg2_write = dram.sg2_write;
-        }
-        phases.resize(idx);
+        prefetch_values(next_values(out, idx), dram);
+        gemm_values(next_values(out, idx), plan.logit_compute,
+                    logit_half.total_cycles() * plan.slices, dims,
+                    plan.slices);
+        staged_softmax_values(next_values(out, idx), accel, plan);
+        gemm_values(next_values(out, idx), plan.attend_compute,
+                    attend_half.total_cycles() * plan.slices, dims,
+                    plan.slices);
+        writeback_values(next_values(out, idx), dram);
     }
 };
 
@@ -467,68 +488,58 @@ class FlashStyle : public ExecutionStyle
         return 0.0; // register-tier resident
     }
 
-    void emit_phases(std::vector<Phase>& phases, const AccelConfig& accel,
-                     const AttentionDims& dims, const AttentionPlan& plan,
-                     const FusedDataflow& dataflow) const override
+    void emit_skeleton(std::vector<Phase>& phases, const AccelConfig&,
+                       const AttentionDims& dims,
+                       const CrossLoop& cross) const override
     {
-        FLAT_CHECK(dataflow.cross.granularity == Granularity::kColumn,
+        FLAT_CHECK(cross.granularity == Granularity::kColumn,
                    "the flash style streams column blocks; use C-Gran "
                    "(online softmax is what makes it legal)");
-        const TrafficBytes dram =
-            plan_dram_traffic(plan, dataflow.stage);
+        std::size_t idx = 0;
+        next_phase(phases, idx, cold_start_label(dims),
+                   StageTag::kColdStart, 0)
+            .pace_only = true;
+        next_phase(phases, idx, prefetch_label(dims), StageTag::kPrefetch,
+                   1);
+        next_phase(phases, idx, "L: logits block GEMM (streamed)",
+                   StageTag::kLogit, 1);
+        next_phase(phases, idx, "online softmax + rescale (SFU)",
+                   StageTag::kSoftmax, 1);
+        next_phase(phases, idx, "A: attend block GEMM (streamed)",
+                   StageTag::kAttend, 1);
+        next_phase(phases, idx, kOverlappedWriteback,
+                   StageTag::kWriteback, 1);
+        phases.resize(idx);
+    }
+
+    void emit_values(PhaseValues* out, const AccelConfig& accel,
+                     const AttentionDims& dims, const AttentionPlan& plan,
+                     const FusedDataflow&,
+                     const TrafficBytes& dram) const override
+    {
         const double inter_elems =
             plan.inter_bytes / accel.bytes_per_element;
         const double rescale_elems = flash_rescale_elems(accel, plan);
 
         std::size_t idx = 0;
-        emit_cold_start(phases, idx, plan, dims);
-
-        {
-            Phase& prefetch = next_phase(
-                phases, idx,
-                dims.decode ? "KV-cache read (DRAM->SG, overlapped)"
-                            : "prefetch (DRAM->SG, overlapped)",
-                StageTag::kPrefetch, 1);
-            prefetch.activity.traffic.dram_read = dram.dram_read;
-            prefetch.activity.traffic.sg_write =
-                dram.dram_read; // pass-through
-            prefetch.activity.traffic.sg2_read = dram.sg2_read;
-        }
-
-        emit_gemm_phase(phases, idx, "L: logits block GEMM (streamed)",
-                        StageTag::kLogit, 1, plan.logit_compute,
-                        plan.logit_compute.total_cycles() * plan.slices,
-                        dims, plan.slices);
-
+        cold_start_values(next_values(out, idx), plan);
+        prefetch_values(next_values(out, idx), dram);
+        whole_array_gemm_values(next_values(out, idx), plan.logit_compute,
+                                dims, plan);
         {
             // Online softmax: exp/max/sum over every logit element plus
             // the rescale of the output accumulator per subsequent
             // column block — all SFU work, all on the critical path.
             // The running block lives in the register tier, so unlike
             // the staged styles there is NO SG round trip here.
-            Phase& softmax = next_phase(
-                phases, idx, "online softmax + rescale (SFU)",
-                StageTag::kSoftmax, 1);
+            PhaseValues& softmax = next_values(out, idx);
             softmax.sfu_cycles =
                 (inter_elems + rescale_elems) / accel.sfu_lanes;
             softmax.activity.sfu_elems = inter_elems + rescale_elems;
         }
-
-        emit_gemm_phase(phases, idx, "A: attend block GEMM (streamed)",
-                        StageTag::kAttend, 1, plan.attend_compute,
-                        plan.attend_compute.total_cycles() * plan.slices,
-                        dims, plan.slices);
-
-        {
-            Phase& writeback = next_phase(
-                phases, idx, "writeback (SG->DRAM, overlapped)",
-                StageTag::kWriteback, 1);
-            writeback.activity.traffic.dram_write = dram.dram_write;
-            writeback.activity.traffic.sg_read =
-                dram.dram_write; // pass-through
-            writeback.activity.traffic.sg2_write = dram.sg2_write;
-        }
-        phases.resize(idx);
+        whole_array_gemm_values(next_values(out, idx),
+                                plan.attend_compute, dims, plan);
+        writeback_values(next_values(out, idx), dram);
     }
 };
 

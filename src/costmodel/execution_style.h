@@ -24,6 +24,7 @@
 #ifndef FLAT_COSTMODEL_EXECUTION_STYLE_H
 #define FLAT_COSTMODEL_EXECUTION_STYLE_H
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -77,15 +78,43 @@ class ExecutionStyle
     virtual OverlapKind overlap(BaselineOverlap baseline_overlap) const;
 
     /**
-     * Emits this style's phase list into @p phases in place (reusing
-     * capacity, see next_phase()). The plan must come from make_plan()
-     * on the same (accel, dims, dataflow).
+     * Emits this style's fixed skeleton into @p phases in place
+     * (reusing capacity, see next_phase()): labels, stage tags, groups,
+     * tracks and pace-only flags, every value zero. A pure function of
+     * the style, the accel's array and @p dims.decode; it checks that
+     * the style can execute @p cross on @p accel. A search takes it
+     * once per slice.
      */
-    virtual void emit_phases(std::vector<Phase>& phases,
-                             const AccelConfig& accel,
+    virtual void emit_skeleton(std::vector<Phase>& phases,
+                               const AccelConfig& accel,
+                               const AttentionDims& dims,
+                               const CrossLoop& cross) const = 0;
+
+    /**
+     * The values pass: writes the numbers of every phase of the
+     * skeleton, in skeleton order, into @p out (one PhaseValues per
+     * phase, at most kMaxPhases). @p dram must be
+     * plan_dram_traffic(plan, dataflow.stage); the plan must come from
+     * the same (accel, dims, dataflow).
+     */
+    virtual void emit_values(PhaseValues* out, const AccelConfig& accel,
                              const AttentionDims& dims,
                              const AttentionPlan& plan,
-                             const FusedDataflow& dataflow) const = 0;
+                             const FusedDataflow& dataflow,
+                             const TrafficBytes& dram) const = 0;
+
+    /** Upper bound on any style's phase count. */
+    static constexpr std::size_t kMaxPhases = 8;
+
+    /**
+     * The reference emission: the skeleton, then the values pass into
+     * the Phase records — so a search lane, whose values pass writes
+     * straight into its batch, performs the same arithmetic. The plan
+     * must come from make_plan() on the same (accel, dims, dataflow).
+     */
+    void emit_phases(std::vector<Phase>& phases, const AccelConfig& accel,
+                     const AttentionDims& dims, const AttentionPlan& plan,
+                     const FusedDataflow& dataflow) const;
 
     /**
      * The PE array each GEMM stage runs on: the whole array unless the

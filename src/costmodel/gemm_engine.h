@@ -76,6 +76,8 @@ struct StageReuse {
     double b_repeats = 1.0;       ///< streaming repeats of the B operand
     double c_write_repeats = 1.0; ///< output write passes
     double c_read_repeats = 0.0;  ///< partial-sum re-read passes
+
+    bool operator==(const StageReuse&) const = default;
 };
 
 StageReuse stage_reuse(const GemmShape& shape, const L2Tile& tile,

@@ -44,28 +44,12 @@ enum class StageTag {
 const char* to_string(StageTag stage);
 
 /**
- * One phase of an execution timeline.
- *
- * Phases with the same @ref group share one arbitration window: the
- * group's latency is decided jointly from the summed compute occupancy
- * and the summed per-interface bytes of its members. Groups execute
- * back-to-back in order of first appearance.
+ * The values of one phase: everything a Phase holds but its skeleton
+ * (label, stage, group, track, pace-only flag). An execution style's
+ * values pass writes these — into Phase records on the reference path,
+ * straight into a TimelineBatch lane on the search path.
  */
-struct Phase {
-    std::string label;
-    StageTag stage = StageTag::kCompute;
-
-    /** Overlap group id; groups run sequentially, members overlap. */
-    int group = 0;
-
-    /**
-     * Concurrency track inside the group. -1 (default) = serial: the
-     * phase's compute/SFU occupancy adds to the group's compute lane.
-     * Tracks >= 0 run concurrently with each other (spatial pipelining:
-     * the group's parallel contribution is the max over tracks).
-     */
-    int track = -1;
-
+struct PhaseValues {
     /** PE-array occupancy in cycles. */
     double compute_cycles = 0.0;
 
@@ -86,6 +70,30 @@ struct Phase {
      * no separately-aggregated scalars.
      */
     ActivityCounts activity;
+};
+
+/**
+ * One phase of an execution timeline: its values plus its skeleton.
+ *
+ * Phases with the same @ref group share one arbitration window: the
+ * group's latency is decided jointly from the summed compute occupancy
+ * and the summed per-interface bytes of its members. Groups execute
+ * back-to-back in order of first appearance.
+ */
+struct Phase : PhaseValues {
+    std::string label;
+    StageTag stage = StageTag::kCompute;
+
+    /** Overlap group id; groups run sequentially, members overlap. */
+    int group = 0;
+
+    /**
+     * Concurrency track inside the group. -1 (default) = serial: the
+     * phase's compute/SFU occupancy adds to the group's compute lane.
+     * Tracks >= 0 run concurrently with each other (spatial pipelining:
+     * the group's parallel contribution is the max over tracks).
+     */
+    int track = -1;
 
     /**
      * True for windows whose latency is exposed but whose bytes/work
@@ -192,23 +200,24 @@ TimelineResult evaluate_timeline(std::vector<Phase> phases,
                                  double link_bytes_per_cycle = 0.0);
 
 /**
- * Structure-of-arrays batch evaluator for summary-only timelines.
+ * Batch evaluator for summary-only timelines.
  *
  * The DSE hot path evaluates thousands of candidate plans that all
  * share one phase *structure* (same phase count, groups, tracks and
  * pace-only flags — fixed by the execution style) and differ only in
- * the per-phase *values* (occupancies and byte vectors). This class
- * lays N such candidates out as lanes of flat per-field arrays
- * (value index = phase * lane_capacity + lane) and evaluates them in
- * one pass: the per-phase accumulation loops run lane-innermost over
- * contiguous doubles, which the compiler auto-vectorizes.
+ * the per-phase *values*. configure() digests the structure once into
+ * per-group member lists; each lane then holds one PhaseValues per
+ * phase, contiguous (value index = lane * phase_count + phase), so a
+ * values pass writes a lane in place and evaluate() costs lanes x
+ * phases — a one-lane batch pays for one lane, not for a pass over
+ * per-field rows.
  *
  * Bit-identity contract: evaluate() performs the exact floating-point
  * operations evaluate_timeline() performs for the summary fields, in
- * the same order per lane — per-field accumulators only ever combine
- * with themselves, phase-order is preserved, and group max/combine
- * logic is shared with the scalar engine. A lane's summary therefore
- * equals the scalar result bit for bit (asserted by tests/costmodel/
+ * the same order per lane — each accumulator only ever combines with
+ * itself, in member order, and the per-group lane/combine/bound logic
+ * is the scalar engine's own. A lane's summary therefore equals the
+ * scalar result bit for bit (asserted by tests/costmodel/
  * test_timeline_batch.cc across the golden catalog).
  */
 class TimelineBatch
@@ -225,33 +234,29 @@ class TimelineBatch
     /**
      * Rebinds the batch to @p structure's phase skeleton (group, track
      * and pace_only of each phase, plus @p overlap; labels/values are
-     * ignored) with room for at least @p lane_capacity lanes, and drops
-     * all lanes. When the skeleton equals the current one and the
-     * capacity fits, the layout is kept as it is — the common case for
-     * a search, whose blocks share one style — and configure() returns
+     * ignored) and drops all lanes. When the skeleton equals the
+     * current one the layout is kept as it is — the common case for a
+     * search, whose slices share one style — and configure() returns
      * true; otherwise it rebuilds (reusing buffers) and returns false.
      */
     bool configure(const std::vector<Phase>& structure,
-                   OverlapKind overlap, std::size_t lane_capacity);
+                   OverlapKind overlap);
 
     std::size_t phase_count() const { return skeleton_.size(); }
     std::size_t lanes() const { return lanes_; }
 
-    /** Appends a lane and returns its index; values are UNDEFINED until
-     *  set_phase() has covered every phase of the lane. */
-    std::size_t add_lane();
+    /** Appends a lane and returns its phase_count() values, UNDEFINED
+     *  until written; the pointer is valid until the next add_lane(). */
+    PhaseValues* add_lane();
 
     /** Drops all lanes; structure and buffer capacity stay. */
-    void clear_lanes();
+    void clear_lanes() { lanes_ = 0; }
 
-    /** Writes one (lane, phase) value set. */
-    void set_phase(std::size_t lane, std::size_t phase,
-                   double compute_cycles, double sfu_cycles,
-                   double link_latency_cycles,
-                   const ActivityCounts& activity);
-
-    /** Evaluates every lane; summaries are valid until the next
-     *  configure()/add_lane()/set_phase(). */
+    /**
+     * Evaluates every lane; summaries are valid until the next
+     * configure()/add_lane(). @p accel must be valid: the reference
+     * evaluate_timeline() checks it, the searches once at their entry.
+     */
     void evaluate(const AccelConfig& accel,
                   double link_bytes_per_cycle = 0.0);
 
@@ -261,22 +266,6 @@ class TimelineBatch
     }
 
   private:
-    /** Per-group structure, precomputed once per configure(). */
-    struct GroupShape {
-        std::vector<std::size_t> member_phases; ///< all members, in order
-        std::vector<std::size_t> serial_phases; ///< track -1, in order
-        /** (phase, track slot) of track >= 0 members, in order. */
-        std::vector<std::pair<std::size_t, std::size_t>> track_phases;
-        std::size_t track_slots = 0; ///< distinct tracks, first-seen order
-        std::size_t members = 0;
-        bool all_pace_only = true;
-    };
-
-    double* field(std::vector<double>& store, std::size_t phase)
-    {
-        return store.data() + phase * capacity_;
-    }
-
     /** The part of a phase the layout depends on. */
     struct SkeletonPhase {
         int group = 0;
@@ -284,42 +273,28 @@ class TimelineBatch
         bool pace_only = false;
     };
 
-    std::size_t capacity_ = 0;
+    /** One group member: its phase and track slot (-1 = serial). */
+    struct Member {
+        std::size_t phase = 0;
+        int slot = -1;
+    };
+
+    /** Per-group structure: members_[begin, end), in phase order. */
+    struct GroupShape {
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        std::size_t track_slots = 0; ///< distinct tracks, first-seen order
+        bool all_pace_only = true;
+    };
+
     std::size_t lanes_ = 0;
     OverlapKind overlap_ = OverlapKind::kOverlapped;
     std::vector<SkeletonPhase> skeleton_; ///< one per phase
-
-    // groups_[0..group_count_) are live; entries past group_count_ are
-    // retired but keep their heap buffers so the per-block reconfigure
-    // on the DSE hot path allocates nothing in steady state (the
-    // discovery scratch below persists for the same reason).
-    std::vector<GroupShape> groups_;
-    std::size_t group_count_ = 0;
-    std::vector<int> group_ids_;                 ///< configure() scratch
-    std::vector<std::vector<int>> track_ids_;    ///< configure() scratch
-
-    // Per-(phase, lane) values, phase-major.
-    std::vector<double> occupancy_; ///< compute + SFU cycles
-    std::vector<double> link_latency_;
-    std::vector<double> macs_;
-    std::vector<double> sl_accesses_;
-    std::vector<double> sfu_elems_;
-    std::vector<double> dram_read_;
-    std::vector<double> dram_write_;
-    std::vector<double> sg_read_;
-    std::vector<double> sg_write_;
-    std::vector<double> sg2_read_;
-    std::vector<double> sg2_write_;
-    std::vector<double> link_in_;
-    std::vector<double> link_out_;
-
-    // Per-lane evaluation scratch (group accumulators).
-    std::vector<double> serial_;
-    std::vector<double> tracks_; ///< track_slots x lanes, slot-major
-    std::vector<double> acc_bytes_; ///< 8 interface rows x lanes
-    std::vector<double> acc_link_latency_;
-    std::vector<double> slowest_;
-
+    std::vector<GroupShape> groups_;      ///< execution order
+    std::vector<Member> members_;         ///< group-major
+    std::vector<int> track_ids_;          ///< configure() scratch
+    std::vector<double> tracks_;          ///< evaluate() scratch
+    std::vector<PhaseValues> values_;     ///< lane-major
     std::vector<LaneSummary> summaries_;
 };
 

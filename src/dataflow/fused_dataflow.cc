@@ -77,46 +77,49 @@ FusedStageFlags::tag() const
 std::string
 FusedDataflow::tag() const
 {
+    char text[kMaxTagChars];
+    return std::string(text, write_tag(text));
+}
+
+char*
+FusedDataflow::write_tag(char* out) const
+{
     // Byte-identical to
     //   cross.tag() + "/" + l2_logit.tag() + "/" + l2_attend.tag() +
     //   "/" + stage.tag()
-    // but built in one pass with std::to_chars: the DSE tie-break
-    // constructs this tag for every candidate that reaches the
-    // incumbent's objective value — most of the analytic mapper's lanes
-    // on serve's decode steps — and printf's format parsing was a fifth
-    // of serve's profile.
-    std::string out;
-    out.reserve(64);
+    // but formatted in place with std::to_chars: the DSE tie-break
+    // forms this tag for every candidate that reaches the incumbent's
+    // objective value — most of the analytic mapper's lanes on serve's
+    // decode steps — so it must cost neither printf's format parsing
+    // nor a heap string.
     const auto put = [&](std::uint64_t value) {
-        char digits[20]; // 2^64 - 1 has 20 decimal digits
-        out.append(digits,
-                   std::to_chars(digits, digits + sizeof(digits), value).ptr);
+        out = std::to_chars(out, out + 20, value).ptr; // <= 20 digits
     };
     if (cross.granularity == Granularity::kColumn ||
         cross.granularity == Granularity::kRow) {
-        out += 'R';
+        *out++ = 'R';
         put(cross.rows);
         if (cross.granularity == Granularity::kColumn) {
-            out += 'C';
+            *out++ = 'C';
             put(cross.cols);
         }
     } else {
-        out += to_string(cross.granularity);
+        *out++ = to_string(cross.granularity)[0];
     }
     for (const L2Tile* tile : {&l2_logit, &l2_attend}) {
-        out += '/';
+        *out++ = '/';
         put(tile->m);
-        out += 'x';
+        *out++ = 'x';
         put(tile->k);
-        out += 'x';
+        *out++ = 'x';
         put(tile->n);
     }
-    out += '/';
-    out += stage.query ? 'Q' : '-';
-    out += stage.key ? 'K' : '-';
-    out += stage.value ? 'V' : '-';
-    out += stage.output ? 'O' : '-';
-    out += stage.intermediate ? 'I' : '-';
+    *out++ = '/';
+    *out++ = stage.query ? 'Q' : '-';
+    *out++ = stage.key ? 'K' : '-';
+    *out++ = stage.value ? 'V' : '-';
+    *out++ = stage.output ? 'O' : '-';
+    *out++ = stage.intermediate ? 'I' : '-';
     return out;
 }
 
@@ -135,9 +138,19 @@ fused_live_footprint(const FusedDataflow& dataflow,
 {
     dataflow.validate();
     dims.validate();
+    return fused_live_footprint(
+        dataflow, dims,
+        cross_loop_extent(dataflow.cross, dims.batch, dims.heads,
+                          dims.q_len),
+        bytes_per_element);
+}
 
-    const CrossLoopExtent extent = cross_loop_extent(
-        dataflow.cross, dims.batch, dims.heads, dims.q_len);
+std::uint64_t
+fused_live_footprint(const FusedDataflow& dataflow,
+                     const AttentionDims& dims,
+                     const CrossLoopExtent& extent,
+                     std::uint32_t bytes_per_element)
+{
     const std::uint64_t inst = extent.instances_per_pass;
     const std::uint64_t rows = extent.rows_per_pass;
     const std::uint64_t dk = dims.head_dim;

@@ -7,6 +7,7 @@
 #ifndef FLAT_DATAFLOW_FUSED_DATAFLOW_H
 #define FLAT_DATAFLOW_FUSED_DATAFLOW_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -99,7 +100,15 @@ struct FusedDataflow {
     /** FLAT-tile enable/disable per tensor. */
     FusedStageFlags stage;
 
+    /** Upper bound on tag().size(): "R<20 digits>C<20 digits>", two
+     *  "/<m>x<k>x<n>" tiles of 20-digit dims and "/QKVOI". */
+    static constexpr std::size_t kMaxTagChars = 42 + 2 * 63 + 6;
+
     std::string tag() const;
+
+    /** Writes tag() into @p out (room for kMaxTagChars) without
+     *  touching the heap; returns one past the last character. */
+    char* write_tag(char* out) const;
 
     void validate() const;
 };
@@ -113,6 +122,14 @@ struct FusedDataflow {
  */
 std::uint64_t fused_live_footprint(const FusedDataflow& dataflow,
                                    const AttentionDims& dims,
+                                   std::uint32_t bytes_per_element);
+
+/** The same footprint over @p extent (cross_loop_extent() of the
+ *  dataflow's cross loop), without the input checks: for callers that
+ *  validated the dataflow and dims once (the search's block plans). */
+std::uint64_t fused_live_footprint(const FusedDataflow& dataflow,
+                                   const AttentionDims& dims,
+                                   const CrossLoopExtent& extent,
                                    std::uint32_t bytes_per_element);
 
 /**

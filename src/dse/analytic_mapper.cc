@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -22,7 +22,7 @@ using namespace detail;
 
 /** Cheapest bound cycles any loop order gives tile index @p t. */
 double
-tile_cycle_bound(const std::vector<GemmSliceCost>& table, std::size_t t,
+tile_cycle_bound(std::span<const GemmSliceCost> table, std::size_t t,
                  std::size_t n_orders)
 {
     double best = std::numeric_limits<double>::infinity();
@@ -78,7 +78,7 @@ staged_footprint(const SearchSlice& slice, const AttentionDims& dims,
     df.l2_attend = attend;
     df.stat_attend = slice.stat_attend;
     df.stage = FusedStageFlags{}; // all staged (loop orders irrelevant)
-    return fused_live_footprint(df, dims, bpe);
+    return fused_live_footprint(df, dims, slice.part.extent, bpe);
 }
 
 /** Double-buffered SG bytes of one stage's tile (the term the repair
@@ -151,7 +151,7 @@ derive_slice_tiles(const AccelConfig& accel, const AttentionDims& dims,
  *  tile index @p t — the analytic stand-in for sweeping the order axis
  *  (the exact scan in the refinement still has the last word). */
 std::size_t
-derive_order_index(const std::vector<GemmSliceCost>& table, std::size_t t,
+derive_order_index(std::span<const GemmSliceCost> table, std::size_t t,
                    std::size_t n_orders)
 {
     std::size_t best = 0;
@@ -198,7 +198,6 @@ derive_slice_seed(const AccelConfig& accel, const AttentionDims& dims,
                   const std::vector<LoopOrder>& orders)
 {
     AnalyticSliceSeed seed;
-    seed.slice_key = slice_journal_key(slice);
     seed.tiles = derive_slice_tiles(accel, dims, slice, bound,
                                     orders.size());
     seed.order_logit = orders[derive_order_index(
@@ -260,15 +259,19 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
     const std::vector<LoopOrder>& orders = space.orders;
     const std::size_t n_orders = orders.size();
     const std::size_t n_flags = space.flag_sets.size();
-    const std::vector<GemmSliceCost>& logit_costs = bound.logit_costs;
-    const std::vector<GemmSliceCost>& attend_costs = bound.attend_costs;
+    const std::span<const GemmSliceCost> logit_costs = bound.logit_costs;
+    const std::span<const GemmSliceCost> attend_costs = bound.attend_costs;
 
-    // Worker-lifetime evaluation state, shared with the exhaustive
-    // sweep's contract: persistent pool threads reach allocation-free
-    // steady state, and begin() rebinds everything a block reads.
+    // Worker-lifetime state, shared with the exhaustive sweep's
+    // contract: persistent pool threads reach allocation-free steady
+    // state. The visited set is a bitmap over the slice's point index.
     thread_local AttentionBatchEvaluator batch;
-    thread_local std::unordered_set<std::uint64_t> visited;
-    visited.clear();
+    thread_local std::vector<std::uint64_t> visited;
+    thread_local std::vector<PointCoords> lane_coords;
+    thread_local std::vector<PointCoords> order_points;
+    visited.assign((space.slice_points(slice) + 63) / 64, 0);
+    batch.bind_slice(accel, dims, slice.cross, *slice.style,
+                     options.baseline_overlap);
 
     PointCoords inc; // coordinates of the local incumbent
     const auto encode = [&](const PointCoords& p) {
@@ -282,64 +285,60 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
                p.oa;
     };
 
-    // One begin() block: every lane shares (tiles, flags) and varies
+    // One begin() block: every point shares (tiles, flags) and varies
     // only the order axes — the same batching shape as the sweep. The
     // block is begun lazily: the DRAM floor reads its plan, but a block
-    // whose points are all visited or compute-pruned needs none.
-    std::vector<PointCoords> lane_coords;
-    const auto eval_block = [&](std::size_t tl, std::size_t ta,
-                                std::size_t fi,
-                                const std::vector<PointCoords>& points) {
+    // whose points are all visited or compute-pruned needs none. A
+    // point that passes its floor becomes a lane at once, so add()
+    // reuses the traffic the floor just computed; no lane is folded
+    // before the block is evaluated, so every prune test still sees the
+    // incumbent as of the previous block.
+    const auto eval_block = [&](std::span<const PointCoords> points) {
+        const PointCoords& first = points.front();
         bool begun = false;
         const auto open_block = [&] {
             FusedDataflow df;
             df.cross = slice.cross;
-            df.l2_logit = tiles_l[tl];
+            df.l2_logit = tiles_l[first.tl];
             df.stat_logit = slice.stat_logit;
-            df.l2_attend = tiles_a[ta];
+            df.l2_attend = tiles_a[first.ta];
             df.stat_attend = slice.stat_attend;
-            df.stage = space.flag_sets[fi];
-            batch.begin(accel, dims, df, *slice.style,
-                        options.baseline_overlap, points.size());
+            df.stage = space.flag_sets[first.fi];
+            batch.begin(df);
             begun = true;
         };
-        // The exhaustive walk's point test, against out.value alone.
-        const auto prunes = [&](std::size_t li, std::size_t ai) {
-            if (bound.lower_bound(options.objective, li, ai) > out.value) {
-                return true;
+        lane_coords.clear();
+        for (const PointCoords& p : points) {
+            const std::uint64_t code = encode(p);
+            std::uint64_t& word = visited[code / 64];
+            const std::uint64_t bit = std::uint64_t{1} << (code % 64);
+            if ((word & bit) != 0) {
+                continue;
             }
-            if (options.objective == Objective::kEnergy) {
-                return false;
+            word |= bit;
+            const std::size_t li = p.tl * n_orders + p.ol;
+            const std::size_t ai = p.ta * n_orders + p.oa;
+            // The exhaustive walk's point test, against out.value alone.
+            if (options.prune &&
+                bound.lower_bound(options.objective, li, ai) > out.value) {
+                continue;
             }
             if (!begun) {
                 open_block();
             }
-            return bound.lower_bound(
-                       options.objective, li, ai,
-                       batch.dram_bytes(logit_costs[li],
-                                        attend_costs[ai])) > out.value;
-        };
-        lane_coords.clear();
-        for (const PointCoords& p : points) {
-            if (!visited.insert(encode(p)).second) {
+            if (options.prune && options.objective != Objective::kEnergy &&
+                bound.lower_bound(options.objective, li, ai,
+                                  batch.dram_bytes(logit_costs[li],
+                                                   attend_costs[ai])) >
+                    out.value) {
                 continue;
             }
-            if (options.prune && prunes(p.tl * n_orders + p.ol,
-                                        p.ta * n_orders + p.oa)) {
-                continue;
-            }
+            batch.add(orders[p.ol], orders[p.oa], logit_costs[li],
+                      attend_costs[ai]);
             lane_coords.push_back(p);
         }
         if (lane_coords.empty()) {
             return;
-        }
-        if (!begun) {
-            open_block();
-        }
-        for (const PointCoords& p : lane_coords) {
-            batch.add(orders[p.ol], orders[p.oa],
-                      logit_costs[p.tl * n_orders + p.ol],
-                      attend_costs[p.ta * n_orders + p.oa]);
         }
         batch.evaluate();
         for (std::size_t i = 0; i < batch.lanes(); ++i) {
@@ -351,7 +350,7 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
         }
     };
     const auto eval_one = [&](const PointCoords& p) {
-        eval_block(p.tl, p.ta, p.fi, {p});
+        eval_block({&p, 1});
     };
 
     PointCoords cur;
@@ -381,8 +380,7 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
         cur = inc;
 
         // Order axes: one batched block (shared plan base).
-        std::vector<PointCoords> order_points;
-        order_points.reserve(n_orders * n_orders);
+        order_points.clear();
         for (std::size_t ol = 0; ol < n_orders; ++ol) {
             for (std::size_t oa = 0; oa < n_orders; ++oa) {
                 PointCoords p = cur;
@@ -391,7 +389,7 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
                 order_points.push_back(p);
             }
         }
-        eval_block(cur.tl, cur.ta, cur.fi, order_points);
+        eval_block(order_points);
         cur = inc;
 
         // Tile lattice: the +-1 neighborhood (diagonals included).
@@ -491,10 +489,11 @@ analytic_tile_seeds(const AccelConfig& accel, const AttentionDims& dims,
     std::vector<AnalyticSliceSeed> seeds;
     seeds.reserve(space.slices.size());
     for (const SearchSlice& slice : space.slices) {
-        const SliceBound bound = make_slice_bound(
-            accel, dims, energy_table, slice, space.orders);
+        const SliceBound bound =
+            make_slice_bound(accel, dims, energy_table, slice);
         seeds.push_back(derive_slice_seed(accel, dims, slice, bound,
                                           space.orders));
+        seeds.back().slice_key = slice_journal_key(slice);
     }
     return seeds;
 }

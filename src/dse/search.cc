@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -93,22 +94,6 @@ resolve_styles(const AttentionSearchOptions& options)
     return out;
 }
 
-std::pair<GemmShape, GemmShape>
-stage_shapes(const AttentionDims& dims, const CrossLoop& cross,
-             const CrossLoopExtent& extent)
-{
-    const std::uint64_t kv_tile = cross_col_tile(cross, dims.kv_len);
-    GemmShape logit_shape;
-    logit_shape.m = extent.rows_per_pass;
-    logit_shape.k = dims.head_dim;
-    logit_shape.n = kv_tile;
-    GemmShape attend_shape;
-    attend_shape.m = extent.rows_per_pass;
-    attend_shape.k = kv_tile;
-    attend_shape.n = dims.head_dim;
-    return {logit_shape, attend_shape};
-}
-
 SlicedSpace
 build_sliced_space(const AccelConfig& accel, const AttentionDims& dims,
                    const AttentionSearchOptions& options)
@@ -156,29 +141,65 @@ build_sliced_space(const AccelConfig& accel, const AttentionDims& dims,
         return &it->second;
     };
 
+    // Cost tables per (shape, stationarity, array): every slice with
+    // that key reads the same records. Building one validates every tile
+    // of its menu (model_gemm_compute checks shape and tile), so the
+    // search's blocks need not.
+    const auto costs = [&](const AccelConfig& on, const GemmShape& shape,
+                           Stationarity stat)
+        -> const std::vector<GemmSliceCost>* {
+        const auto key =
+            std::make_tuple(shape.m, shape.k, shape.n,
+                            static_cast<int>(stat), on.pe_rows, on.pe_cols);
+        auto it = space.cost_tables.find(key);
+        if (it == space.cost_tables.end()) {
+            std::vector<GemmSliceCost> table;
+            const std::vector<L2Tile>& tiles = *menu(shape, stat);
+            table.reserve(tiles.size() * space.orders.size());
+            for (const L2Tile& tile : tiles) {
+                for (const LoopOrder order : space.orders) {
+                    table.push_back({model_gemm_compute(on, shape, tile,
+                                                        order, stat),
+                                     stage_reuse(shape, tile, order)});
+                }
+            }
+            it = space.cost_tables.emplace(key, std::move(table)).first;
+        }
+        return &it->second;
+    };
+
     for (const ExecutionStyle* style : styles) {
+        // A style that runs its stages on part of the array is bounded
+        // by their cycles there, not on the whole array.
+        const AccelConfig stage_accel = style->stage_array(accel);
         for (const CrossLoop& cross : crosses) {
             if (!style->admits(accel, dims, cross)) {
                 continue; // illegal granularity (or capacity) for it
             }
-            const CrossLoopExtent extent = cross_loop_extent(
-                cross, dims.batch, dims.heads, dims.q_len);
-            const auto [logit_shape, attend_shape] =
-                stage_shapes(dims, cross, extent);
+            // Validates the cross loop once for all its slices. C-Gran
+            // streams kv in column blocks, so its stage shapes cover
+            // one block.
+            const AttentionSlicePlan part =
+                make_slice_plan(accel, dims, cross);
+            const GemmShape& logit_shape = part.logit_shape;
+            const GemmShape& attend_shape = part.attend_shape;
             for (Stationarity stat_l : stats) {
-                const std::vector<L2Tile>* tiles_l =
-                    menu(logit_shape, stat_l);
                 for (Stationarity stat_a : stats) {
                     SearchSlice slice;
                     slice.style = style;
                     slice.cross = cross;
-                    slice.extent = extent;
-                    slice.logit_shape = logit_shape;
-                    slice.attend_shape = attend_shape;
+                    slice.part = part;
                     slice.stat_logit = stat_l;
                     slice.stat_attend = stat_a;
-                    slice.tiles_logit = tiles_l;
+                    slice.tiles_logit = menu(logit_shape, stat_l);
                     slice.tiles_attend = menu(attend_shape, stat_a);
+                    slice.logit_costs = costs(accel, logit_shape, stat_l);
+                    slice.attend_costs =
+                        costs(accel, attend_shape, stat_a);
+                    slice.logit_stage_costs =
+                        costs(stage_accel, logit_shape, stat_l);
+                    slice.attend_stage_costs =
+                        costs(stage_accel, attend_shape, stat_a);
                     space.slices.push_back(slice);
                 }
             }
@@ -232,43 +253,33 @@ for_each_slice_point(const SearchSlice& slice,
 
 SliceBound
 make_slice_bound(const AccelConfig& accel, const AttentionDims& dims,
-                 const EnergyTable& energy_table, const SearchSlice& slice,
-                 const std::vector<LoopOrder>& orders)
+                 const EnergyTable& energy_table, const SearchSlice& slice)
 {
     SliceBound bound;
     bound.style = slice.style;
-    bound.slices_count = static_cast<double>(slice.extent.passes) *
-                         static_cast<double>(slice.extent.instances_per_pass);
-    const double col_blocks = static_cast<double>(
-        cross_col_blocks(slice.cross, dims.kv_len));
-    if (slice.cross.granularity == Granularity::kColumn) {
-        // C-Gran streams kv in blocks: the staged shapes cover one
-        // block, so the per-slice GEMM costs repeat per block.
-        bound.slices_count *= col_blocks;
-    }
+    // C-Gran's staged shapes cover one column block, so the per-slice
+    // GEMM costs repeat per block: the plan's slice count has them.
+    bound.slices_count = slice.part.slices;
     const double bpe = accel.bytes_per_element;
     const double bh =
         static_cast<double>(dims.batch) * static_cast<double>(dims.heads);
     const double inter_elems = bh * static_cast<double>(dims.q_len) *
                                static_cast<double>(dims.kv_len);
-    const double q_bytes =
-        bh * dims.q_len * dims.head_dim * bpe;
-    // Same K bytes as the plan's cold-start fetch: GQA shares one K/V
-    // head across a query group (kv_frac == 1.0 for MHA, bit for bit).
-    // Counting per query head would lift the bound above the modeled
-    // cycles and prune ties, or the optimum, depending on schedule.
-    const double k_bytes =
-        bh * dims.kv_len * dims.head_dim * bpe * dims.kv_frac();
     bound.softmax_cycles = inter_elems / accel.sfu_lanes;
+    // The plan's own cold-start fetch: its K bytes count one K/V head
+    // per GQA query group. Counting per query head would lift the bound
+    // above the modeled cycles and prune ties, or the optimum,
+    // depending on schedule.
     bound.cold_cycles =
-        (q_bytes + k_bytes) /
+        (slice.part.q_bytes + slice.part.k_bytes) /
         (bound.slices_count > 0.0 ? bound.slices_count : 1.0) /
         accel.offchip_bytes_per_cycle();
     // Online-softmax rescale work: every column block after the first
     // rescales the output accumulator. The model ledgers at least this
     // much (partial passes round up there), so the bound stays below.
     const double rescale_elems =
-        (col_blocks - 1.0) * bh * static_cast<double>(dims.q_len) *
+        (slice.part.col_blocks - 1.0) * bh *
+        static_cast<double>(dims.q_len) *
         static_cast<double>(dims.head_dim);
     bound.rescale_cycles = rescale_elems / accel.sfu_lanes;
 
@@ -287,39 +298,10 @@ make_slice_bound(const AccelConfig& accel, const AttentionDims& dims,
     bound.sg_pj_per_byte = energy_table.sg_pj_per_byte;
     bound.offchip_bytes_per_cycle = accel.offchip_bytes_per_cycle();
 
-    const auto cost_table = [&](const AccelConfig& on,
-                                const GemmShape& shape,
-                                const std::vector<L2Tile>& tiles,
-                                Stationarity stationarity) {
-        std::vector<GemmSliceCost> table;
-        table.reserve(tiles.size() * orders.size());
-        for (const L2Tile& tile : tiles) {
-            for (const LoopOrder order : orders) {
-                table.push_back({model_gemm_compute(on, shape, tile, order,
-                                                    stationarity),
-                                 stage_reuse(shape, tile, order)});
-            }
-        }
-        return table;
-    };
-    bound.logit_costs = cost_table(accel, slice.logit_shape,
-                                   *slice.tiles_logit, slice.stat_logit);
-    bound.attend_costs =
-        cost_table(accel, slice.attend_shape, *slice.tiles_attend,
-                   slice.stat_attend);
-    // A style that runs its stages on part of the array is bounded by
-    // their cycles there, not on the whole array.
-    const AccelConfig stage_accel = slice.style->stage_array(accel);
-    const bool part = stage_accel.pe_rows != accel.pe_rows ||
-                      stage_accel.pe_cols != accel.pe_cols;
-    bound.logit_stage_costs =
-        part ? cost_table(stage_accel, slice.logit_shape,
-                          *slice.tiles_logit, slice.stat_logit)
-             : bound.logit_costs;
-    bound.attend_stage_costs =
-        part ? cost_table(stage_accel, slice.attend_shape,
-                          *slice.tiles_attend, slice.stat_attend)
-             : bound.attend_costs;
+    bound.logit_costs = *slice.logit_costs;
+    bound.attend_costs = *slice.attend_costs;
+    bound.logit_stage_costs = *slice.logit_stage_costs;
+    bound.attend_stage_costs = *slice.attend_stage_costs;
     return bound;
 }
 
@@ -416,6 +398,18 @@ candidate_tag(const ExecutionStyle& style, const FusedDataflow& df)
     tag += '/';
     tag += df.tag();
     return tag;
+}
+
+std::string_view
+format_candidate_tag(char (&buffer)[kCandidateTagChars],
+                     const ExecutionStyle& style, const FusedDataflow& df)
+{
+    const std::size_t id_chars = std::strlen(style.id());
+    FLAT_ASSERT(id_chars < kCandidateTagChars - FusedDataflow::kMaxTagChars,
+                "style id '" << style.id() << "' is too long for a tag");
+    char* out = std::copy_n(style.id(), id_chars, buffer);
+    *out++ = '/';
+    return {buffer, static_cast<std::size_t>(df.write_tag(out) - buffer)};
 }
 
 std::string
@@ -560,25 +554,12 @@ prepare_slice_search(const AccelConfig& accel, const AttentionDims& dims,
     const SlicedSpace& space = search.space;
     const std::size_t n = space.slices.size();
 
-    // Per-slice pruning bounds, precomputed up front (each is two small
-    // GEMM cost tables plus a handful of arithmetic; the grain batches
-    // the tiny tasks so scheduling atomics do not dominate). Small
-    // spaces — quick menus, policy-pinned searches, the per-point
-    // searches of broad sweeps — compute them inline: waking the pool
-    // costs more than the work, and the bounds are deterministic
-    // either way.
-    search.bounds.resize(n);
-    const auto fill_bound = [&](std::size_t si) {
-        search.bounds[si] = make_slice_bound(accel, dims, energy_table,
-                                             space.slices[si],
-                                             space.orders);
-    };
-    if (n <= 64) {
-        for (std::size_t si = 0; si < n; ++si) {
-            fill_bound(si);
-        }
-    } else {
-        parallel_for(n, options.threads, fill_bound, /*grain=*/4);
+    // Per-slice pruning bounds: a handful of arithmetic over the
+    // space's cost tables each, cheaper inline than a wake of the pool.
+    search.bounds.reserve(n);
+    for (const SearchSlice& slice : space.slices) {
+        search.bounds.push_back(
+            make_slice_bound(accel, dims, energy_table, slice));
     }
 
     // A slice's priority is its best compute lower bound: the sweep
@@ -771,18 +752,21 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
         SliceOutcome& out = search.outcomes[si];
         const SliceBound& bound = search.bounds[si];
         const std::size_t n_orders = space.orders.size();
-        const std::vector<GemmSliceCost>& logit_costs = bound.logit_costs;
-        const std::vector<GemmSliceCost>& attend_costs =
+        const std::span<const GemmSliceCost> logit_costs =
+            bound.logit_costs;
+        const std::span<const GemmSliceCost> attend_costs =
             bound.attend_costs;
         // Worker-lifetime evaluation state: the pool threads are
         // persistent, so the batch evaluator reaches allocation-free
-        // steady state across slices AND searches (begin() rebinds
-        // everything a block reads).
+        // steady state across slices AND searches. bind_slice() takes
+        // the slice part of every plan; begin() only names a block.
         thread_local AttentionBatchEvaluator batch;
+        batch.bind_slice(accel, dims, slice.cross, *slice.style,
+                         options.baseline_overlap);
 
         // Batched walk of the slice: each (tiles, flags) block — its
         // loop-order pairs share a plan base — is one batch, evaluated
-        // SoA-style and folded in enumeration order once the block is
+        // in one pass and folded in enumeration order once the block is
         // buffered. Pruning happens at add time against the slice
         // incumbent as of the previous block.
         const std::vector<L2Tile>& tiles_l = *slice.tiles_logit;
@@ -794,7 +778,8 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
 
         // The point's bound: the compute bound first (no plan needed),
         // then — for the objectives with a cycle term — the DRAM floor
-        // of the point's own traffic, read off the block's plan.
+        // of the point's own traffic, read off the block's plan (and
+        // reused by the add() that follows).
         const auto prunes = [&](std::size_t li, std::size_t ai) {
             const double best = std::min(incumbent, out.value);
             if (bound.lower_bound(options.objective, li, ai) > best) {
@@ -821,9 +806,7 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
                         return;
                     }
                     df.stage = flags;
-                    batch.begin(accel, dims, df, *slice.style,
-                                options.baseline_overlap,
-                                n_orders * n_orders);
+                    batch.begin(df);
                     for (std::size_t ol = 0; ol < n_orders; ++ol) {
                         for (std::size_t oa = 0; oa < n_orders; ++oa) {
                             const std::size_t li = tl * n_orders + ol;
@@ -1018,16 +1001,9 @@ search_operator(const AccelConfig& accel, const Operator& op,
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         gemm_operator_phases(accel, op, candidates[i], phases);
         if (i == 0) {
-            batch.configure(phases, OverlapKind::kOverlapped,
-                            candidates.size());
+            batch.configure(phases, OverlapKind::kOverlapped);
         }
-        const std::size_t lane = batch.add_lane();
-        for (std::size_t p = 0; p < phases.size(); ++p) {
-            const Phase& phase = phases[p];
-            batch.set_phase(lane, p, phase.compute_cycles,
-                            phase.sfu_cycles, phase.link_latency_cycles,
-                            phase.activity);
-        }
+        std::copy(phases.begin(), phases.end(), batch.add_lane());
     }
     batch.evaluate(accel);
 

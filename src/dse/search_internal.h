@@ -16,7 +16,9 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -51,19 +53,30 @@ resolve_styles(const AttentionSearchOptions& options);
 struct SearchSlice {
     const ExecutionStyle* style = nullptr;
     CrossLoop cross;
-    CrossLoopExtent extent;
-    GemmShape logit_shape;
-    GemmShape attend_shape;
+    /** make_slice_plan() of the cross loop: extent, stage shapes (the
+     *  GEMM shapes the cost tables price), byte totals. */
+    AttentionSlicePlan part;
     Stationarity stat_logit = Stationarity::kOutputStationary;
     Stationarity stat_attend = Stationarity::kOutputStationary;
     const std::vector<L2Tile>* tiles_logit = nullptr;
     const std::vector<L2Tile>* tiles_attend = nullptr;
+
+    /** Cost record per (tile, order), entry [t * n_orders + o]:
+     *  { model_gemm_compute, stage_reuse } of the stage's shape and
+     *  stationarity — on the whole array, and on the style's
+     *  stage_array() (the same table unless the style splits the
+     *  array). Owned by the SlicedSpace, like the tile menus. */
+    const std::vector<GemmSliceCost>* logit_costs = nullptr;
+    const std::vector<GemmSliceCost>* attend_costs = nullptr;
+    const std::vector<GemmSliceCost>* logit_stage_costs = nullptr;
+    const std::vector<GemmSliceCost>* attend_stage_costs = nullptr;
 };
 
 /**
  * The sliced search space plus every per-slice invariant hoisted out of
  * the inner loops: tile menus are computed once per (GEMM shape,
- * stationarity) and shared by all slices with that key.
+ * stationarity), and GEMM cost tables once per (GEMM shape,
+ * stationarity, PE array), each shared by all slices with that key.
  */
 struct SlicedSpace {
     std::vector<LoopOrder> orders;
@@ -77,6 +90,13 @@ struct SlicedSpace {
              std::vector<L2Tile>>
         tile_menus;
 
+    /** The cost tables, keyed by (m, k, n, stationarity, PE rows, PE
+     *  columns) — node-stable like tile_menus. */
+    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, int,
+                        std::uint32_t, std::uint32_t>,
+             std::vector<GemmSliceCost>>
+        cost_tables;
+
     /** Design points of one slice: tiles x flags x orders^2. The
      *  audit identity both search modes report against. */
     std::size_t slice_points(const SearchSlice& slice) const
@@ -85,13 +105,6 @@ struct SlicedSpace {
                flag_sets.size() * orders.size() * orders.size();
     }
 };
-
-/** Shapes of the two staged GEMMs for one cross-loop choice. C-Gran
- *  streams kv in column blocks, so its staged shapes cover one block
- *  (cross_col_tile == kv_len everywhere else). */
-std::pair<GemmShape, GemmShape>
-stage_shapes(const AttentionDims& dims, const CrossLoop& cross,
-             const CrossLoopExtent& extent);
 
 /**
  * Decomposes the (restricted) space into slices. Slice order is the
@@ -137,19 +150,18 @@ struct SliceBound {
     double sg_pj_per_byte = 0.0;
     double offchip_bytes_per_cycle = 1.0; ///< the DRAM floor's divisor
 
-    /** Cost record per (tile, order), entry [t * n_orders + o]:
-     *  { model_gemm_compute, stage_reuse } of the slice's shape and
-     *  stationarity. The phase emitters consume these same records via
-     *  PlannedGemmCosts, so each point's two model_gemm_compute and two
-     *  stage_reuse calls happen once per slice. */
-    std::vector<GemmSliceCost> logit_costs;
-    std::vector<GemmSliceCost> attend_costs;
+    /** The slice's cost tables (SearchSlice::logit_costs ...). The
+     *  batch evaluator prices lanes from these same records, so each
+     *  point's two model_gemm_compute and two stage_reuse calls happen
+     *  once per table. */
+    std::span<const GemmSliceCost> logit_costs;
+    std::span<const GemmSliceCost> attend_costs;
 
     /** The same records on the style's stage_array(), same indexing:
      *  the array each stage runs on (the whole array for every style
      *  but the pipelined one). */
-    std::vector<GemmSliceCost> logit_stage_costs;
-    std::vector<GemmSliceCost> attend_stage_costs;
+    std::span<const GemmSliceCost> logit_stage_costs;
+    std::span<const GemmSliceCost> attend_stage_costs;
 
     /** Relative slack keeping the bound strictly below the modeled
      *  value even though the timeline evaluator may associate the same
@@ -200,8 +212,7 @@ struct SliceBound {
 SliceBound make_slice_bound(const AccelConfig& accel,
                             const AttentionDims& dims,
                             const EnergyTable& energy_table,
-                            const SearchSlice& slice,
-                            const std::vector<LoopOrder>& orders);
+                            const SearchSlice& slice);
 
 /** Best point of one slice plus its audit counters. */
 struct SliceOutcome {
@@ -288,6 +299,18 @@ std::string slice_journal_key(const SearchSlice& slice);
 std::string candidate_tag(const ExecutionStyle& style,
                           const FusedDataflow& df);
 
+/** Room for any candidate tag: a style id (at most 31 characters),
+ *  '/', and a dataflow tag. */
+constexpr std::size_t kCandidateTagChars =
+    32 + FusedDataflow::kMaxTagChars;
+
+/** candidate_tag() formed in @p buffer instead of a heap string; the
+ *  view is valid while @p buffer is. candidate_tag() defines the
+ *  order, and this text equals it character for character. */
+std::string_view format_candidate_tag(char (&buffer)[kCandidateTagChars],
+                                      const ExecutionStyle& style,
+                                      const FusedDataflow& df);
+
 /** Serializes a completed slice outcome. Only the winning dataflow's
  *  identity is stored — restore re-runs the cost model on it, which is
  *  cheap, deterministic, and immune to float-formatting drift. */
@@ -315,8 +338,8 @@ SliceOutcome restore_slice_outcome(const JsonValue& data,
  * independent of enumeration and thread interleaving.
  */
 inline bool
-improves(double value, const std::string& tag, double best_value,
-         const std::string& best_tag)
+improves(double value, std::string_view tag, double best_value,
+         std::string_view best_tag)
 {
     return value < best_value ||
            (value == best_value && tag < best_tag);
@@ -325,7 +348,8 @@ improves(double value, const std::string& tag, double best_value,
 /**
  * Folds lane @p lane of an evaluated @p batch into the slice outcome
  * @p out: energy, objective value and — only for a lane that reaches
- * the incumbent's value — the tie-break tag, then improves() decides.
+ * the incumbent's value — the tie-break tag, formed on the stack and
+ * stored in @p out only on an improvement; then improves() decides.
  * The one place the search's total order meets a priced point; both
  * search modes fold through it. Returns true when the lane became the
  * incumbent.
@@ -344,12 +368,14 @@ fold_lane(const AttentionBatchEvaluator& batch, std::size_t lane,
         return false; // strictly worse: never pays for its tag
     }
     const FusedDataflow df = batch.dataflow(lane);
-    std::string tag = candidate_tag(batch.style(), df);
+    char buffer[kCandidateTagChars];
+    const std::string_view tag =
+        format_candidate_tag(buffer, batch.style(), df);
     if (!improves(value, tag, out.value, out.tag)) {
         return false;
     }
     out.value = value;
-    out.tag = std::move(tag);
+    out.tag.assign(tag);
     out.best.dataflow = df;
     out.best.style = &batch.style();
     out.best.cost = batch.cost(lane);

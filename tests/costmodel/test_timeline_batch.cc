@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -61,18 +62,12 @@ expect_same_summary(const TimelineBatch::LaneSummary& lane,
     expect_same_activity(lane.activity, scalar.activity, what);
 }
 
-/** Loads @p phases' values into lane @p lane of @p batch. */
+/** Loads @p phases' values into a new lane of @p batch. */
 void
-load_lane(TimelineBatch& batch, std::size_t lane,
-          const std::vector<Phase>& phases)
+load_lane(TimelineBatch& batch, const std::vector<Phase>& phases)
 {
-    ASSERT_EQ(batch.add_lane(), lane);
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-        batch.set_phase(lane, p, phases[p].compute_cycles,
-                        phases[p].sfu_cycles,
-                        phases[p].link_latency_cycles,
-                        phases[p].activity);
-    }
+    ASSERT_EQ(batch.phase_count(), phases.size());
+    std::copy(phases.begin(), phases.end(), batch.add_lane());
 }
 
 /** @p phases with every value scaled by @p factor (same structure). */
@@ -102,14 +97,15 @@ check_parity_on(TimelineBatch& batch, const std::vector<Phase>& phases,
                 const AccelConfig& accel, OverlapKind overlap,
                 std::size_t lanes, const char* what)
 {
-    const bool kept = batch.configure(phases, overlap, lanes);
+    const bool kept = batch.configure(phases, overlap);
     EXPECT_EQ(batch.phase_count(), phases.size());
     std::vector<std::vector<Phase>> variants;
     for (std::size_t l = 0; l < lanes; ++l) {
         variants.push_back(
             scaled(phases, 1.0 + 0.375 * static_cast<double>(l)));
-        load_lane(batch, l, variants.back());
+        load_lane(batch, variants.back());
     }
+    EXPECT_EQ(batch.lanes(), lanes);
     batch.evaluate(accel);
     for (std::size_t l = 0; l < lanes; ++l) {
         SCOPED_TRACE(l);
@@ -162,10 +158,25 @@ TEST(TimelineBatch, MatchesScalarOnSyntheticStructures)
         make_phase(2, -1, 1e5, 0.0, 0.0, 0.0),
         make_phase(3, -1, 0.0, 0.0, 5e5, 5e5),
     };
+    // Groups whose members interleave in emission order, tracks first
+    // seen in descending id order and a pace-only member inside a
+    // mixed group: the member lists must keep each group's phase order
+    // and the ledger the emission order.
+    // Thirds and sevenths round, so a sum taken in another order would
+    // show in the bits.
+    const std::vector<Phase> interleaved = {
+        make_phase(5, 1, 3e5 / 7, 0.0, 1e6 / 3, 2e6 / 7),
+        make_phase(2, -1, 1e5 / 3, 2e4, 0.0, 1e6 / 7, /*pace_only=*/true),
+        make_phase(5, 0, 2e5 / 3, 1e5 / 7, 3e6 / 7, 0.0),
+        make_phase(2, -1, 4e5 / 7, 0.0, 2e6 / 3, 5e5 / 3),
+        make_phase(5, 1, 2e5 / 7, 0.0, 0.0, 1e6 / 3),
+        make_phase(5, -1, 5e4 / 3, 0.0, 1e5 / 7, 1e5 / 3),
+    };
     for (const OverlapKind overlap :
          {OverlapKind::kOverlapped, OverlapKind::kSerialTransfers}) {
         SCOPED_TRACE(static_cast<int>(overlap));
         check_parity(phases, accel, overlap, 5, "synthetic");
+        check_parity(interleaved, accel, overlap, 3, "interleaved");
     }
 }
 
@@ -251,8 +262,8 @@ TEST(TimelineBatch, SkeletonCacheKeepsOnlyAMatchingLayout)
         const AttentionPhases base_p = attention_phases(
             kBaseline, accel, dims, base_df, BaselineOverlap::kSerialized);
         // One batch, reconfigured the way a search reuses its own: the
-        // layout is kept only for the same skeleton at a capacity that
-        // fits, and every lane stays exact whether it was kept or not.
+        // layout is kept only for the same skeleton, lanes grow on
+        // demand, and every lane stays exact whether it was kept or not.
         TimelineBatch batch;
         EXPECT_FALSE(check_parity_on(batch, flat_p.phases, accel,
                                      flat_p.overlap, 4, "flat, first"));
@@ -264,8 +275,8 @@ TEST(TimelineBatch, SkeletonCacheKeepsOnlyAMatchingLayout)
                                      flat_p.overlap, 2, "flat, rebuilt"));
         EXPECT_TRUE(check_parity_on(batch, flat_p.phases, accel,
                                     flat_p.overlap, 2, "flat, hit again"));
-        EXPECT_FALSE(check_parity_on(batch, flat_p.phases, accel,
-                                     flat_p.overlap, 5, "flat, wider"));
+        EXPECT_TRUE(check_parity_on(batch, flat_p.phases, accel,
+                                    flat_p.overlap, 5, "flat, wider"));
         // Same phases under the other overlap policy: a new skeleton.
         EXPECT_FALSE(check_parity_on(batch, flat_p.phases, accel,
                                      OverlapKind::kSerialTransfers, 5,
@@ -301,9 +312,10 @@ slice_cost(const AccelConfig& accel, const GemmShape& shape,
 }
 
 /**
- * Evaluates every (order_logit, order_attend) lane of @p base through
- * @p batch, @p width lanes per begin() block, and checks each lane
- * field by field against the reference model.
+ * Binds @p batch to @p base's slice, evaluates every (order_logit,
+ * order_attend) lane of @p base through it, @p width lanes per begin()
+ * block, and checks each lane field by field against the reference
+ * model.
  */
 void
 check_evaluator_parity(AttentionBatchEvaluator& batch,
@@ -349,10 +361,11 @@ check_evaluator_parity(AttentionBatchEvaluator& batch,
         lane_df.clear();
     };
 
+    batch.bind_slice(accel, dims, base.cross, style, overlap);
     for (const LoopOrder ol : orders) {
         for (const LoopOrder oa : orders) {
             if (lane_df.empty()) {
-                batch.begin(accel, dims, base, style, overlap, width);
+                batch.begin(base);
             }
             FusedDataflow df = base;
             df.order_logit = ol;
@@ -458,6 +471,57 @@ TEST(AttentionBatchEvaluator, WidthOneAndPartialFlushesStayExact)
                                BaselineOverlap::kFull, width,
                                "width variant");
     }
+}
+
+TEST(AttentionBatchEvaluator, RebindsSlicesChangedInPlace)
+{
+    // A search reuses one worker-lifetime evaluator for every slice,
+    // and a caller may edit its accel or dims between searches at the
+    // same address. Every bind_slice() must rebuild what it takes from
+    // them: a slice part kept from an earlier binding prices the lanes
+    // of another configuration.
+    AccelConfig accel = edge_accel();
+    AttentionDims dims = attention(8, 1024, 1024);
+    FusedDataflow head = dataflow_for(kBaseline); // flat runs H-Gran too
+    head.stage = FusedStageFlags::decode(27u);
+    const FusedDataflow row = dataflow_for(kFlat);
+    AttentionBatchEvaluator batch;
+    const auto check_widths = [&](const FusedDataflow& df,
+                                  const ExecutionStyle& style,
+                                  const char* what) {
+        SCOPED_TRACE(what);
+        for (const std::size_t width : {1ul, 9ul}) {
+            SCOPED_TRACE(width);
+            check_evaluator_parity(batch, accel, dims, df, style,
+                                   BaselineOverlap::kSerialized, width,
+                                   what);
+        }
+    };
+
+    check_widths(head, kFlat, "flat");
+    check_widths(head, kBaseline, "flat -> baseline");
+    check_widths(head, kFlat, "baseline -> flat");
+
+    accel.offchip_bw /= 4.0;
+    accel.sg_bytes /= 8;
+    accel.sfu_lanes *= 2.0;
+    check_widths(head, kFlat, "accel changed in place");
+
+    dims.batch = 2;
+    dims.kv_len = 4096;
+    check_widths(head, kFlat, "dims changed in place");
+
+    // Pipelined lanes price their half-array GEMMs from their own
+    // loop orders, in a one-lane and a nine-lane block alike.
+    check_widths(row, kPipelined, "pipelined");
+
+    dims.heads = 32;
+    dims.kv_heads = 8;
+    dims.q_len = 1;
+    dims.head_dim = 128;
+    dims.decode = true;
+    check_widths(head, kFlat, "dims made a GQA decode in place");
+    check_widths(head, kBaseline, "decode baseline");
 }
 
 } // namespace

@@ -200,7 +200,7 @@ TEST(AnalyticSearch, NeverBeatsExhaustiveAndRespectsBounds)
             double min_lb = std::numeric_limits<double>::infinity();
             for (const detail::SearchSlice& slice : space.slices) {
                 const detail::SliceBound bound = detail::make_slice_bound(
-                    cfg.accel, cfg.dims, table, slice, space.orders);
+                    cfg.accel, cfg.dims, table, slice);
                 for (std::size_t li = 0;
                      li < bound.logit_costs.size(); ++li) {
                     for (std::size_t ai = 0;

@@ -146,8 +146,7 @@ draw_samples()
                     const SearchSlice& slice =
                         space.slices[group[pick(group.size())]];
                     const SliceBound bound = detail::make_slice_bound(
-                        platform.accel, shape.dims, table, slice,
-                        space.orders);
+                        platform.accel, shape.dims, table, slice);
                     const std::size_t tl =
                         pick(slice.tiles_logit->size());
                     const std::size_t ta =
@@ -178,12 +177,14 @@ draw_samples()
                     s.style = slice.style;
 
                     // The search binds a block's plan on its first
-                    // candidate and patches it for every later one, so
-                    // bind another order pair of the same block first
-                    // and read the sampled floor off the patched plan.
+                    // candidate and patches the reuse records for every
+                    // later one, so price another order pair of the
+                    // same block first and read the sampled floor off
+                    // the patched plan.
                     AttentionBatchEvaluator batch;
-                    batch.begin(platform.accel, shape.dims, df,
-                                *slice.style, overlap, 1);
+                    batch.bind_slice(platform.accel, shape.dims, df.cross,
+                                     *slice.style, overlap);
+                    batch.begin(df);
                     batch.dram_bytes(
                         bound.logit_costs[tl * n_orders +
                                           (ol + 1) % n_orders],

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -303,6 +304,59 @@ TEST(OperatorSearch, RejectsSoftmax)
     const Workload w = make_workload(bert_base(), 1, 128);
     EXPECT_THROW(
         search_operator(edge_accel(), w.softmax_op(), {}), Error);
+}
+
+TEST(CandidateTag, StackTagsOrderTiesLikeTheirStrings)
+{
+    // The fold compares a tying lane's tag formed in a stack buffer
+    // against the incumbent's stored string; candidate_tag() defines
+    // the order. Sample a tie set whose tile dims cross a digit-count
+    // boundary (64 vs 128 sorts "128" < "64" as text) across styles,
+    // crosses and flags, and check every pair orders the same way.
+    const std::vector<const ExecutionStyle*>& styles = execution_styles();
+    const std::vector<CrossLoop> crosses = {
+        {Granularity::kMulti, 0}, {Granularity::kHead, 0},
+        {Granularity::kRow, 64},  {Granularity::kRow, 128},
+        {Granularity::kColumn, 64, 128}, {Granularity::kColumn, 128, 64}};
+    const std::vector<L2Tile> tiles = {{64, 64, 128},  {128, 64, 64},
+                                       {64, 128, 64},  {128, 128, 128},
+                                       {8, 64, 1024},  {1024, 64, 8}};
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    const auto pick = [&](std::size_t n) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::size_t>((state >> 33) % n);
+    };
+    struct Candidate {
+        std::string text;   ///< candidate_tag()
+        std::string buffer; ///< format_candidate_tag(), copied out
+    };
+    std::vector<Candidate> ties;
+    for (int i = 0; i < 300; ++i) {
+        const ExecutionStyle& style = *styles[pick(styles.size())];
+        FusedDataflow df;
+        df.cross = crosses[pick(crosses.size())];
+        df.l2_logit = tiles[pick(tiles.size())];
+        df.l2_attend = tiles[pick(tiles.size())];
+        df.stage = FusedStageFlags::decode(
+            static_cast<std::uint32_t>(pick(32)));
+        char buffer[detail::kCandidateTagChars];
+        const std::string_view view =
+            detail::format_candidate_tag(buffer, style, df);
+        ties.push_back({detail::candidate_tag(style, df),
+                        std::string(view)});
+        EXPECT_EQ(ties.back().buffer, ties.back().text);
+    }
+    const double value = 1.0e6; // every candidate ties on the objective
+    for (const Candidate& a : ties) {
+        for (const Candidate& b : ties) {
+            ASSERT_EQ(detail::improves(value, std::string_view(a.buffer),
+                                       value, b.text),
+                      detail::improves(value, a.text, value, b.text))
+                << a.text << " vs " << b.text;
+            ASSERT_EQ(std::string_view(a.buffer) < std::string_view(b.buffer),
+                      a.text < b.text);
+        }
+    }
 }
 
 } // namespace

@@ -1,21 +1,44 @@
 #!/bin/sh
-# Build the ThreadSanitizer tree and run the concurrency-, robustness-
-# and mapper-labeled tests under it. The labels cover the thread pool,
-# the deterministic-reduction property tests, cancellation, journaled
-# resume, the fault-injected sweep paths, and the analytic tile
-# mapper's parallel refinement — the code where a data race would
-# silently break the bit-identical-results contract.
+# Build the sanitizer trees and run, under each, the tests where a
+# sanitizer report would break a contract:
 #
-# Usage: tools/run_sanitizers.sh [BUILD_DIR]   (default: build-tsan)
+#  - ThreadSanitizer (default build-tsan): the concurrency-, robustness-
+#    and mapper-labeled tests — the thread pool, the deterministic-
+#    reduction property tests, cancellation, journaled resume, the
+#    fault-injected sweep paths and the analytic mapper's parallel
+#    refinement, where a data race would silently break the
+#    bit-identical-results contract.
+#  - AddressSanitizer + UndefinedBehaviorSanitizer (default build-asan):
+#    the timeline-, style-, mapper- and serving-labeled tests plus
+#    test_dse — the batch evaluators write flat (lane, phase) value
+#    arrays, and the searches index per-slice tables and bitmaps, none
+#    of which TSan bounds-checks. UBSan halts on its first report, so a
+#    report fails the test that triggered it, and libstdc++'s assertions
+#    bounds-check every container index on the way.
+#
+# Usage: tools/run_sanitizers.sh [TSAN_BUILD_DIR [ASAN_BUILD_DIR]]
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-build=${1:-"$repo/build-tsan"}
+tsan=${1:-"$repo/build-tsan"}
+asan=${2:-"$repo/build-asan"}
+jobs=$(nproc 2>/dev/null || echo 4)
 
-cmake -B "$build" -S "$repo" \
-    -DFLAT_SANITIZE=thread \
-    -DFLAT_BUILD_BENCH=OFF \
-    -DFLAT_BUILD_EXAMPLES=OFF
-cmake --build "$build" -j "$(nproc 2>/dev/null || echo 4)"
-ctest --test-dir "$build" -L 'concurrency|robustness|mapper' \
-    --output-on-failure -j "$(nproc 2>/dev/null || echo 4)"
+build() {
+    cmake -B "$1" -S "$repo" \
+        -DFLAT_SANITIZE="$2" \
+        -DCMAKE_CXX_FLAGS="$3" \
+        -DFLAT_BUILD_BENCH=OFF \
+        -DFLAT_BUILD_EXAMPLES=OFF
+    cmake --build "$1" -j "$jobs"
+}
+
+build "$tsan" thread ""
+ctest --test-dir "$tsan" -L 'concurrency|robustness|mapper' \
+    --output-on-failure -j "$jobs"
+
+build "$asan" address,undefined -D_GLIBCXX_ASSERTIONS
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+ctest --test-dir "$asan" -L 'timeline|style|mapper|serving' \
+    --output-on-failure -j "$jobs"
+"$asan/tests/test_dse"
