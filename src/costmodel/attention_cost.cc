@@ -72,6 +72,7 @@ AttentionBatchEvaluator::bind_slice(const AccelConfig& accel,
     batch_.configure(skeleton_, overlap_);
     block_bound_ = false;
     traffic_valid_ = false;
+    split_valid_ = false;
     lane_orders_.clear();
 }
 
@@ -83,18 +84,36 @@ AttentionBatchEvaluator::begin(const FusedDataflow& block)
     base_ = block;
     block_bound_ = false;
     traffic_valid_ = false;
+    split_valid_ = false;
     batch_.clear_lanes();
     lane_orders_.clear();
+}
+
+void
+AttentionBatchEvaluator::bind_block()
+{
+    if (!block_bound_) {
+        bind_block_plan(plan_, *accel_, *dims_, base_);
+        block_bound_ = true;
+    }
+}
+
+const DramSplit&
+AttentionBatchEvaluator::dram_split()
+{
+    if (!split_valid_) {
+        bind_block();
+        split_ = split_dram_traffic(plan_, base_.stage);
+        split_valid_ = true;
+    }
+    return split_;
 }
 
 const TrafficBytes&
 AttentionBatchEvaluator::traffic(const GemmSliceCost& logit,
                                  const GemmSliceCost& attend)
 {
-    if (!block_bound_) {
-        bind_block_plan(plan_, *accel_, *dims_, base_);
-        block_bound_ = true;
-    }
+    bind_block();
     // Within a block the traffic is a function of the two reuse
     // records alone, so equal records give the same bytes.
     if (!traffic_valid_ || !(plan_.logit_reuse == logit.reuse) ||
@@ -105,13 +124,6 @@ AttentionBatchEvaluator::traffic(const GemmSliceCost& logit,
         traffic_valid_ = true;
     }
     return traffic_;
-}
-
-double
-AttentionBatchEvaluator::dram_bytes(const GemmSliceCost& logit,
-                                    const GemmSliceCost& attend)
-{
-    return traffic(logit, attend).total_dram();
 }
 
 void

@@ -88,11 +88,13 @@ AttentionPhases attention_phases(const ExecutionStyle& style,
  *                 plan's slice part, the style's skeleton, the batch
  *                 layout;
  *   begin()       per (tiles, flags) block: the plan's block part
- *                 (footprint and residency), bound on first use;
+ *                 (footprint and residency) and its DramSplit, bound
+ *                 on first use;
  *   add()         per lane, i.e. per loop-order pair: the two GEMMs'
- *                 records, the DRAM traffic (reused from the lane's
- *                 dram_bytes() check) and the style's values pass,
- *                 written straight into the lane.
+ *                 records, the DRAM traffic (plan_dram_traffic(),
+ *                 shared by consecutive lanes with equal reuse records)
+ *                 and the style's values pass, written straight into
+ *                 the lane.
  *
  * Bit-identity: the values pass is the one the reference
  * emit_phases() runs, over a plan with the same parts, and
@@ -104,9 +106,9 @@ AttentionPhases attention_phases(const ExecutionStyle& style,
  * Inputs are not checked here: a search validates its accel and dims
  * at its entry, its cross loops and tiles where their menus are built.
  *
- * Usage: bind_slice() -> per block: begin() -> dram_bytes()/add() per
- * candidate -> evaluate() -> cycles()/activity() per lane,
- * dataflow()/cost() for the winner.
+ * Usage: bind_slice() -> per block: begin() -> dram_split() for the
+ * block's floor, add() per candidate -> evaluate() -> cycles()/
+ * activity() per lane, dataflow()/cost() for the winner.
  */
 class AttentionBatchEvaluator
 {
@@ -145,16 +147,15 @@ class AttentionBatchEvaluator
     FusedDataflow dataflow(std::size_t lane) const;
 
     /**
-     * DRAM bytes (read + write) the candidate @p logit / @p attend of
-     * the current block moves: plan_dram_traffic() of the plan add()
-     * would emit from, without emitting or evaluating anything. Every
-     * style ledgers exactly these bytes in phases that are not
-     * pace-only, so they equal the evaluated activity's total_dram().
-     * Same argument contract as add(); adds no lane, but an add() of
-     * the same candidate reuses the traffic.
+     * split_dram_traffic() of the current block: the DRAM bytes any of
+     * its candidates moves, as a block constant plus a logit and an
+     * attend term (DramSplit::total() of the candidate's two reuse
+     * records), without emitting or evaluating anything. Every style
+     * ledgers exactly plan_dram_traffic()'s bytes in phases that are
+     * not pace-only, so the total equals the evaluated activity's
+     * total_dram() up to rounding. Computed once per block.
      */
-    double dram_bytes(const GemmSliceCost& logit,
-                      const GemmSliceCost& attend);
+    const DramSplit& dram_split();
 
     /** Evaluates every lane added since begin(). */
     void evaluate();
@@ -176,6 +177,9 @@ class AttentionBatchEvaluator
     OperatorCost cost(std::size_t lane) const;
 
   private:
+    /** Binds the plan's block part on first use in a block. */
+    void bind_block();
+
     /** plan_dram_traffic() of the block with these GEMM records; the
      *  plan's reuse records are set to theirs. Recomputed only when the
      *  reuse records differ from the last call's in this block. */
@@ -194,7 +198,9 @@ class AttentionBatchEvaluator
     OverlapKind overlap_ = OverlapKind::kOverlapped;
     bool block_bound_ = false; ///< plan_ holds this block's part
     bool traffic_valid_ = false; ///< traffic_ is this block's
+    bool split_valid_ = false;   ///< split_ is this block's
     TrafficBytes traffic_;
+    DramSplit split_;
 };
 
 } // namespace flat

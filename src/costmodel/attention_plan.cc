@@ -305,6 +305,64 @@ plan_dram_traffic(const AttentionPlan& plan, const FusedStageFlags& stage)
     return t;
 }
 
+namespace {
+
+/** split_fetches(staged, rho_sg, rho_sg2, events * m).dram * bytes as
+ *  base + slope * m, accumulated into @p base and @p slope. */
+void
+add_fetch_bytes(double& base, double& slope, bool staged, double rho_sg,
+                double rho_sg2, double events, double bytes)
+{
+    if (!staged) {
+        slope += events * bytes;
+        return;
+    }
+    const double spill = std::max(0.0, 1.0 - rho_sg - rho_sg2);
+    base += (rho_sg + rho_sg2 + spill) * bytes;
+    slope += spill * events * bytes;
+}
+
+} // namespace
+
+DramSplit
+split_dram_traffic(const AttentionPlan& plan, const FusedStageFlags& stage)
+{
+    // Term by term the ledger of plan_dram_traffic(), regrouped by the
+    // reuse multiplier each term scales with.
+    const Residency& res = plan.res;
+    DramSplit split;
+    add_fetch_bytes(split.logit.base, split.logit.a, stage.query, res.q,
+                    res.q2, 1.0, plan.q_bytes);
+    add_fetch_bytes(split.logit.base, split.logit.b, stage.key, res.k,
+                    res.k2, plan.kv_chunks, plan.k_bytes);
+    add_fetch_bytes(split.attend.base, split.attend.b, stage.value, res.v,
+                    res.v2, plan.kv_chunks, plan.v_bytes);
+    if (stage.output) {
+        const double spill_out = std::max(0.0, 1.0 - res.out - res.out2);
+        split.attend.base += (res.out + res.out2) * plan.out_bytes;
+        split.attend.c_write += spill_out * plan.out_bytes;
+        split.attend.c_read += spill_out * plan.out_bytes;
+    } else {
+        split.attend.c_write += plan.out_bytes;
+        split.attend.c_read += plan.out_bytes;
+    }
+    if (!plan.inter_in_rf) {
+        const double spill =
+            stage.intermediate
+                ? std::max(0.0, 1.0 - res.inter - res.inter2)
+                : 1.0;
+        const double staging_penalty = stage.intermediate ? spill : 0.0;
+        const double spilled = spill * plan.inter_bytes;
+        split.logit.c_write += spilled;
+        split.logit.c_read += spilled;
+        split.logit.base += staging_penalty * plan.inter_bytes;
+        split.softmax = 2.0 * spilled;
+        split.attend.a += spilled;
+        split.attend.base += staging_penalty * plan.inter_bytes;
+    }
+    return split;
+}
+
 double
 softmax_sfu_cycles(const AccelConfig& accel, const AttentionPlan& plan)
 {

@@ -149,6 +149,56 @@ AttentionPlan make_plan(const AccelConfig& accel, const AttentionDims& dims,
 TrafficBytes plan_dram_traffic(const AttentionPlan& plan,
                                const FusedStageFlags& stage);
 
+/** DRAM bytes affine in one GEMM's reuse multipliers: base plus a
+ *  coefficient per multiplier. */
+struct ReuseBytes {
+    double base = 0.0;
+    double a = 0.0;       ///< bytes per a_repeats
+    double b = 0.0;       ///< bytes per b_repeats
+    double c_write = 0.0; ///< bytes per c_write_repeats
+    double c_read = 0.0;  ///< bytes per c_read_repeats
+
+    double bytes(const StageReuse& reuse) const
+    {
+        return base + a * reuse.a_repeats + b * reuse.b_repeats +
+               c_write * reuse.c_write_repeats +
+               c_read * reuse.c_read_repeats;
+    }
+};
+
+/**
+ * plan_dram_traffic(plan, stage).total_dram() split by what sets each
+ * part once the block part of @p plan (footprint, residency) is bound:
+ * the residency and flags fix every coefficient, and each tensor's
+ * fetch events are linear in one GEMM's reuse multipliers
+ * (split_fetches()). The parts are the sequential baseline's windows:
+ *
+ *   logit   Q, K, the intermediate's L-side round trip and penalty
+ *           write: the L window, a function of the logit reuse record;
+ *   softmax the spilled intermediate's softmax round trip: constant;
+ *   attend  V, the output, the intermediate's A-side reads and
+ *           penalty read: the A window, a function of the attend
+ *           record.
+ *
+ * total() equals the reference's total_dram() up to rounding (the sum
+ * is associated differently); a bound built on it needs slack.
+ */
+struct DramSplit {
+    ReuseBytes logit;
+    double softmax = 0.0;
+    ReuseBytes attend;
+
+    double total(const StageReuse& logit_reuse,
+                 const StageReuse& attend_reuse) const
+    {
+        return logit.bytes(logit_reuse) + softmax +
+               attend.bytes(attend_reuse);
+    }
+};
+
+DramSplit split_dram_traffic(const AttentionPlan& plan,
+                             const FusedStageFlags& stage);
+
 /** SFU time of the whole softmax (every intermediate element once). */
 double softmax_sfu_cycles(const AccelConfig& accel,
                           const AttentionPlan& plan);

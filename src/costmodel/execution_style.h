@@ -139,6 +139,17 @@ class ExecutionStyle
                                 double softmax_cycles, double cold_cycles,
                                 double rescale_cycles) const;
 
+    /**
+     * True when L, softmax and A run in windows one after another, each
+     * overlapping only its own transfers (the baseline). Every window
+     * then costs at least max(its compute, its DRAM bytes / off-chip
+     * bandwidth) under either overlap policy, and the DSE bounds the
+     * style by the cold start plus that per-window floor, summed over
+     * the windows of DramSplit. False for the styles that run one
+     * shared window.
+     */
+    virtual bool sequential_windows() const;
+
     /** SG bytes the intermediate tensor round-trips (energy lower
      *  bound): 2x its size for SG-staged styles, 0 when it lives in
      *  the register tier. */

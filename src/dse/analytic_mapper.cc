@@ -287,14 +287,14 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
 
     // One begin() block: every point shares (tiles, flags) and varies
     // only the order axes — the same batching shape as the sweep. The
-    // block is begun lazily: the DRAM floor reads its plan, but a block
-    // whose points are all visited or compute-pruned needs none. A
-    // point that passes its floor becomes a lane at once, so add()
-    // reuses the traffic the floor just computed; no lane is folded
-    // before the block is evaluated, so every prune test still sees the
+    // block is begun lazily: its floor (the sweep's BlockFloor, one
+    // point at a time) reads its plan, but a block whose points are all
+    // visited or compute-pruned needs none. No lane is folded before
+    // the block is evaluated, so every prune test still sees the
     // incumbent as of the previous block.
     const auto eval_block = [&](std::span<const PointCoords> points) {
         const PointCoords& first = points.front();
+        const DramSplit* split = nullptr;
         bool begun = false;
         const auto open_block = [&] {
             FusedDataflow df;
@@ -305,6 +305,9 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
             df.stat_attend = slice.stat_attend;
             df.stage = space.flag_sets[first.fi];
             batch.begin(df);
+            if (options.prune && options.objective != Objective::kEnergy) {
+                split = &batch.dram_split();
+            }
             begun = true;
         };
         lane_coords.clear();
@@ -328,8 +331,7 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
             }
             if (options.prune && options.objective != Objective::kEnergy &&
                 bound.lower_bound(options.objective, li, ai,
-                                  batch.dram_bytes(logit_costs[li],
-                                                   attend_costs[ai])) >
+                                  bound.floor_cycles(*split, li, ai)) >
                     out.value) {
                 continue;
             }

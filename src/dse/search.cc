@@ -125,6 +125,10 @@ build_sliced_space(const AccelConfig& accel, const AttentionDims& dims,
         space.flag_sets = stage_flag_candidates(cand);
     }
     space.orders = loop_order_candidates(cand);
+    FLAT_CHECK(space.orders.size() <= kMaxLoopOrders,
+               "the search enumerates " << space.orders.size()
+                                        << " loop orders; it takes at most "
+                                        << kMaxLoopOrders);
     const std::vector<Stationarity> stats = stationarity_candidates(cand);
 
     const auto menu = [&](const GemmShape& shape, Stationarity stat)
@@ -206,6 +210,50 @@ build_sliced_space(const AccelConfig& accel, const AttentionDims& dims,
         }
     }
     return space;
+}
+
+void
+bind_order_classes(SlicedSpace& space)
+{
+    static_assert(sizeof(GemmSliceCost) ==
+                      sizeof(GemmComputeCost) + sizeof(StageReuse) &&
+                  sizeof(GemmComputeCost) == 6 * 8 &&
+                  sizeof(StageReuse) == 4 * 8,
+                  "the order classes compare records byte for byte, so "
+                  "GemmSliceCost must have no padding");
+    const std::size_t n = space.orders.size();
+    const auto classes = [&](const std::vector<GemmSliceCost>* whole,
+                             const std::vector<GemmSliceCost>* stage)
+        -> const std::vector<std::uint8_t>* {
+        const auto [it, fresh] =
+            space.order_classes.try_emplace({whole, stage});
+        if (fresh) {
+            const auto same = [&](std::size_t i, std::size_t j) {
+                return std::memcmp(&(*whole)[i], &(*whole)[j],
+                                   sizeof(GemmSliceCost)) == 0 &&
+                       std::memcmp(&(*stage)[i], &(*stage)[j],
+                                   sizeof(GemmSliceCost)) == 0;
+            };
+            std::vector<std::uint8_t>& first = it->second;
+            first.resize(whole->size());
+            for (std::size_t t = 0; t < whole->size(); t += n) {
+                for (std::size_t o = 0; o < n; ++o) {
+                    std::size_t f = 0;
+                    while (!same(t + f, t + o)) {
+                        ++f;
+                    }
+                    first[t + o] = static_cast<std::uint8_t>(f);
+                }
+            }
+        }
+        return &it->second;
+    };
+    for (SearchSlice& slice : space.slices) {
+        slice.logit_order_class =
+            classes(slice.logit_costs, slice.logit_stage_costs);
+        slice.attend_order_class =
+            classes(slice.attend_costs, slice.attend_stage_costs);
+    }
 }
 
 /**
@@ -303,6 +351,39 @@ make_slice_bound(const AccelConfig& accel, const AttentionDims& dims,
     bound.logit_stage_costs = *slice.logit_stage_costs;
     bound.attend_stage_costs = *slice.attend_stage_costs;
     return bound;
+}
+
+std::size_t
+pair_candidates(const SearchSlice& slice, const SliceBound& bound,
+                Objective objective, std::size_t tl, std::size_t ta,
+                std::size_t n_orders, OrderCandidate* out,
+                double& pair_bound)
+{
+    std::size_t n = 0;
+    pair_bound = std::numeric_limits<double>::infinity();
+    for (std::size_t ol = 0; ol < n_orders; ++ol) {
+        const std::size_t li = tl * n_orders + ol;
+        if ((*slice.logit_order_class)[li] != ol) {
+            continue;
+        }
+        for (std::size_t oa = 0; oa < n_orders; ++oa) {
+            const std::size_t ai = ta * n_orders + oa;
+            if ((*slice.attend_order_class)[ai] != oa) {
+                continue;
+            }
+            OrderCandidate& c = out[n++];
+            c.ol = ol;
+            c.oa = oa;
+            c.cycles = bound.compute_cycles(li, ai);
+            c.energy = objective == Objective::kRuntime
+                           ? 0.0
+                           : bound.energy_bound(li, ai);
+            c.bound =
+                SliceBound::objective_bound(objective, c.cycles, c.energy);
+            pair_bound = std::min(pair_bound, c.bound);
+        }
+    }
+    return n;
 }
 
 std::string
@@ -740,22 +821,43 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
     const EnergyTable energy_table = EnergyTable::for_accel(accel);
     SliceSearch search =
         prepare_slice_search(accel, dims, options, energy_table);
+    bind_order_classes(search.space);
     const SlicedSpace& space = search.space;
 
     // Walks slice si. With pruning on, a point is skipped when its
     // bound exceeds the lower of `incumbent` and the slice's own best
     // — strictly, so a skipped point is strictly worse than a value
     // the search has reached and can never win, not even on the tag
-    // tie-break.
+    // tie-break. The test runs at three levels, each exact:
+    //  - a tile pair is skipped when the least compute bound of its
+    //    points exceeds the best at the pair's start: the best only
+    //    falls, so every point would fail its own compute test;
+    //  - a (tiles, flags) block prices its floor once (BlockFloor);
+    //  - a point then costs a comparison and one addition.
+    // Only the first loop order of each order class is priced at all
+    // (pair_candidates()); the later members are counted as pruned.
+    // Unpruned, every loop-order pair of every block is priced.
+    const std::size_t n_orders = space.orders.size();
+    std::vector<OrderCandidate> all_orders;
+    for (std::size_t ol = 0; ol < n_orders; ++ol) {
+        for (std::size_t oa = 0; oa < n_orders; ++oa) {
+            all_orders.push_back({ol, oa});
+        }
+    }
     const auto walk = [&](std::size_t si, double incumbent) {
         const SearchSlice& slice = space.slices[si];
         SliceOutcome& out = search.outcomes[si];
         const SliceBound& bound = search.bounds[si];
-        const std::size_t n_orders = space.orders.size();
+        const std::size_t block_points = n_orders * n_orders;
+        const std::size_t pair_points =
+            space.flag_sets.size() * block_points;
         const std::span<const GemmSliceCost> logit_costs =
             bound.logit_costs;
         const std::span<const GemmSliceCost> attend_costs =
             bound.attend_costs;
+        // The floor bounds cycles, which the energy bound ignores.
+        const bool floors =
+            options.prune && options.objective != Objective::kEnergy;
         // Worker-lifetime evaluation state: the pool threads are
         // persistent, so the batch evaluator reaches allocation-free
         // steady state across slices AND searches. bind_slice() takes
@@ -775,27 +877,27 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
         df.cross = slice.cross;
         df.stat_logit = slice.stat_logit;
         df.stat_attend = slice.stat_attend;
-
-        // The point's bound: the compute bound first (no plan needed),
-        // then — for the objectives with a cycle term — the DRAM floor
-        // of the point's own traffic, read off the block's plan (and
-        // reused by the add() that follows).
-        const auto prunes = [&](std::size_t li, std::size_t ai) {
-            const double best = std::min(incumbent, out.value);
-            if (bound.lower_bound(options.objective, li, ai) > best) {
-                return true;
-            }
-            return options.objective != Objective::kEnergy &&
-                   bound.lower_bound(options.objective, li, ai,
-                                     batch.dram_bytes(logit_costs[li],
-                                                      attend_costs[ai])) >
-                       best;
-        };
+        OrderCandidate pruned_orders[kMaxLoopOrders * kMaxLoopOrders];
+        BlockFloor floor;
 
         for (std::size_t tl = 0; tl < tiles_l.size(); ++tl) {
             df.l2_logit = tiles_l[tl];
             for (std::size_t ta = 0; ta < tiles_a.size(); ++ta) {
                 df.l2_attend = tiles_a[ta];
+                std::span<const OrderCandidate> candidates = all_orders;
+                if (options.prune) {
+                    double pair_bound = 0.0;
+                    candidates = {pruned_orders,
+                                  pair_candidates(slice, bound,
+                                                  options.objective, tl,
+                                                  ta, n_orders,
+                                                  pruned_orders,
+                                                  pair_bound)};
+                    if (pair_bound > std::min(incumbent, out.value)) {
+                        out.pruned += pair_points;
+                        continue;
+                    }
+                }
                 for (const FusedStageFlags& flags : space.flag_sets) {
                     if (options.cancel != nullptr &&
                         options.cancel->cancelled()) {
@@ -805,20 +907,33 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
                         // into CancelledError.
                         return;
                     }
+                    const double best = std::min(incumbent, out.value);
                     df.stage = flags;
                     batch.begin(df);
-                    for (std::size_t ol = 0; ol < n_orders; ++ol) {
-                        for (std::size_t oa = 0; oa < n_orders; ++oa) {
-                            const std::size_t li = tl * n_orders + ol;
-                            const std::size_t ai = ta * n_orders + oa;
-                            if (options.prune && prunes(li, ai)) {
-                                ++out.pruned;
+                    bool floored = false;
+                    for (const OrderCandidate& c : candidates) {
+                        if (options.prune && c.bound > best) {
+                            continue;
+                        }
+                        if (floors) {
+                            if (!floored) {
+                                bound.block_floor(floor, batch.dram_split(),
+                                                  tl, ta, n_orders);
+                                floored = true;
+                            }
+                            if (SliceBound::objective_bound(
+                                    options.objective,
+                                    std::max(c.cycles,
+                                             floor.cycles(c.ol, c.oa)),
+                                    c.energy) > best) {
                                 continue;
                             }
-                            batch.add(space.orders[ol], space.orders[oa],
-                                      logit_costs[li], attend_costs[ai]);
                         }
+                        batch.add(space.orders[c.ol], space.orders[c.oa],
+                                  logit_costs[tl * n_orders + c.ol],
+                                  attend_costs[ta * n_orders + c.oa]);
                     }
+                    out.pruned += block_points - batch.lanes();
                     batch.evaluate();
                     for (std::size_t i = 0; i < batch.lanes(); ++i) {
                         fold_lane(batch, i, options.objective,

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <span>
@@ -70,6 +71,13 @@ struct SearchSlice {
     const std::vector<GemmSliceCost>* attend_costs = nullptr;
     const std::vector<GemmSliceCost>* logit_stage_costs = nullptr;
     const std::vector<GemmSliceCost>* attend_stage_costs = nullptr;
+
+    /** Loop-order classes of each stage, entry [t * n_orders + o]: the
+     *  first order of tile t whose whole-array and stage-array records
+     *  equal order o's bit for bit (SlicedSpace::order_classes; null
+     *  until bind_order_classes()). */
+    const std::vector<std::uint8_t>* logit_order_class = nullptr;
+    const std::vector<std::uint8_t>* attend_order_class = nullptr;
 };
 
 /**
@@ -97,6 +105,21 @@ struct SlicedSpace {
              std::vector<GemmSliceCost>>
         cost_tables;
 
+    /**
+     * Loop-order classes, keyed by a slice's (whole-array, stage-array)
+     * cost tables: entry [t * n_orders + o] is the first order o' <= o
+     * of tile t whose records in both tables equal order o's bit for
+     * bit. The emitters read a lane's orders only through those
+     * records, and a candidate tag names no loop order, so the members
+     * of a class price and tie-break alike within a block: only the
+     * first can pass improves(). Node-stable like the tables. Built by
+     * bind_order_classes(): only the exhaustive walk reads them.
+     */
+    std::map<std::pair<const std::vector<GemmSliceCost>*,
+                       const std::vector<GemmSliceCost>*>,
+             std::vector<std::uint8_t>>
+        order_classes;
+
     /** Design points of one slice: tiles x flags x orders^2. The
      *  audit identity both search modes report against. */
     std::size_t slice_points(const SearchSlice& slice) const
@@ -116,9 +139,37 @@ SlicedSpace build_sliced_space(const AccelConfig& accel,
                                const AttentionDims& dims,
                                const AttentionSearchOptions& options);
 
+/** Fills SlicedSpace::order_classes, once per pair of cost tables, and
+ *  every slice's class pointers. */
+void bind_order_classes(SlicedSpace& space);
+
+/** Most loop orders a space may enumerate (there are six): the
+ *  per-block floors keep one term per order in fixed arrays.
+ *  build_sliced_space() checks it. */
+constexpr std::size_t kMaxLoopOrders = 6;
+
+/**
+ * The cycle floor of one (tiles, flags) block's candidates, split like
+ * the block's DramSplit: candidate (ol, oa) — the block's tiles with
+ * logit order ol and attend order oa — is bounded below by
+ * cycles(ol, oa) = constant + logit[ol] + attend[oa]. The block's
+ * residency fixes every term; SliceBound::block_floor() fills them.
+ */
+struct BlockFloor {
+    double constant = 0.0;
+    double logit[kMaxLoopOrders] = {};
+    double attend[kMaxLoopOrders] = {};
+
+    double cycles(std::size_t ol, std::size_t oa) const
+    {
+        return constant + logit[ol] + attend[oa];
+    }
+};
+
 /**
  * Per-slice ingredients of the pruning lower bound, hoisted out of the
- * point loop. The cycle bound is max(style compute bound, DRAM floor).
+ * point loop. The cycle bound is max(style compute bound, block floor).
+ *
  * The compute bound combines the per-slice GEMM aggregates (scaled by
  * the slice count, column blocks included) through the slice's style —
  * ExecutionStyle::bound_cycles() — so each style keeps its own monotone
@@ -128,12 +179,21 @@ SlicedSpace build_sliced_space(const AccelConfig& accel,
  * concurrent tracks can beat that sum, bounds by its slower track on
  * the half array it runs on plus the softmax serialized between the
  * tracks; flash adds its online-softmax rescale SFU time. All use the
- * exact model_gemm_compute values the phase emitters consume. The DRAM
- * floor is the candidate's own plan_dram_traffic() bytes over the
- * off-chip bandwidth: every style ledgers exactly those bytes in phases
- * that are not pace-only, and every overlap group's latency is at least
- * its off-chip lane, so the floor holds for all four styles and both
- * baseline overlap policies. Neither term exceeds the modeled cycles.
+ * exact model_gemm_compute values the phase emitters consume. It needs
+ * no plan, so a search tests it first.
+ *
+ * The block floor needs the block's residency (BlockFloor). For a
+ * style with one shared window it is the DRAM floor: the candidate's
+ * own DRAM bytes (DramSplit::total()) over the off-chip bandwidth.
+ * Every style ledgers exactly those bytes in phases that are not
+ * pace-only, and every overlap group's latency is at least its
+ * off-chip lane. For a style with sequential windows (the baseline)
+ * it is the window floor: the cold start plus, per window, max(window
+ * compute, window DRAM bytes / bandwidth) — each group's latency is at
+ * least both lanes under either overlap policy, and the groups run one
+ * after another. That floor is at least the compute bound and the DRAM
+ * floor at once. Neither term exceeds the modeled cycles.
+ *
  * The energy bound keeps only the traffic-independent activity (MACs,
  * SL, SFU, rescale ops) plus the guaranteed SG streaming volume — the
  * style hook drops the intermediate round trip when it lives in the
@@ -148,7 +208,7 @@ struct SliceBound {
     double fixed_energy_j = 0.0; ///< traffic-independent energy
     double inter_sg_bytes = 0.0; ///< intermediate SG round trip
     double sg_pj_per_byte = 0.0;
-    double offchip_bytes_per_cycle = 1.0; ///< the DRAM floor's divisor
+    double offchip_bytes_per_cycle = 1.0; ///< the floors' divisor
 
     /** The slice's cost tables (SearchSlice::logit_costs ...). The
      *  batch evaluator prices lanes from these same records, so each
@@ -169,45 +229,146 @@ struct SliceBound {
      *  billion-cycle run is one cycle and costs no pruning power). */
     static constexpr double kAssocSlack = 1.0 - 1e-9;
 
-    /**
-     * Lower bound on the objective of candidate (@p li, @p ai) given
-     * the @p dram_bytes it moves (AttentionBatchEvaluator::dram_bytes);
-     * the default 0 leaves the compute bound alone, which is what the
-     * slice priorities use.
-     */
-    double lower_bound(Objective objective, std::size_t li,
-                       std::size_t ai, double dram_bytes = 0.0) const
+    /** The style's compute bound on the cycles of candidate (@p li,
+     *  @p ai), before slack. */
+    double compute_cycles(std::size_t li, std::size_t ai) const
     {
-        const GemmComputeCost& lc = logit_costs[li].compute;
-        const GemmComputeCost& ac = attend_costs[ai].compute;
-        const double gemm_sum =
-            (lc.total_cycles() + ac.total_cycles()) * slices_count;
+        const double gemm_sum = (logit_costs[li].compute.total_cycles() +
+                                 attend_costs[ai].compute.total_cycles()) *
+                                slices_count;
         const double gemm_max =
             std::max(logit_stage_costs[li].compute.total_cycles(),
                      attend_stage_costs[ai].compute.total_cycles()) *
             slices_count;
-        double cycles = style->bound_cycles(gemm_sum, gemm_max,
-                                            softmax_cycles, cold_cycles,
-                                            rescale_cycles);
-        if (dram_bytes > 0.0) {
-            cycles = std::max(cycles, dram_bytes / offchip_bytes_per_cycle);
-        }
+        return style->bound_cycles(gemm_sum, gemm_max, softmax_cycles,
+                                   cold_cycles, rescale_cycles);
+    }
+
+    /** Traffic-independent energy bound of (@p li, @p ai), slack
+     *  applied. */
+    double energy_bound(std::size_t li, std::size_t ai) const
+    {
+        const double stream_bytes =
+            (logit_costs[li].compute.sg_stream_bytes() +
+             attend_costs[ai].compute.sg_stream_bytes()) *
+                slices_count +
+            inter_sg_bytes;
+        return (fixed_energy_j + stream_bytes * sg_pj_per_byte * 1e-12) *
+               kAssocSlack;
+    }
+
+    /** The bound on @p objective from a cycle bound (slack applied
+     *  here) and an energy bound (read unless @p objective is
+     *  runtime). */
+    static double objective_bound(Objective objective, double cycles,
+                                  double energy_lb)
+    {
         const double cycles_lb = cycles * kAssocSlack;
         if (objective == Objective::kRuntime) {
             return cycles_lb;
         }
-        const double stream_bytes =
-            (lc.sg_stream_bytes() + ac.sg_stream_bytes()) * slices_count +
-            inter_sg_bytes;
-        const double energy_lb =
-            (fixed_energy_j + stream_bytes * sg_pj_per_byte * 1e-12) *
-            kAssocSlack;
         if (objective == Objective::kEnergy) {
             return energy_lb;
         }
         return cycles_lb * energy_lb; // kEdp
     }
+
+    /**
+     * Lower bound on the objective of candidate (@p li, @p ai) given
+     * its block floor @p floor_cycles (BlockFloor::cycles()); the
+     * default 0 leaves the compute bound alone, which is what the
+     * slice priorities use.
+     */
+    double lower_bound(Objective objective, std::size_t li,
+                       std::size_t ai, double floor_cycles = 0.0) const
+    {
+        return objective_bound(
+            objective, std::max(compute_cycles(li, ai), floor_cycles),
+            objective == Objective::kRuntime ? 0.0
+                                             : energy_bound(li, ai));
+    }
+
+    /** The block floor's parts (BlockFloor) for a block whose DRAM
+     *  bytes split as @p split (AttentionBatchEvaluator::dram_split()):
+     *  the constant, the logit term of record @p li and the attend
+     *  term of record @p ai. */
+    double floor_constant(const DramSplit& split) const
+    {
+        const double dram = split.softmax / offchip_bytes_per_cycle;
+        return style->sequential_windows()
+                   ? cold_cycles + std::max(softmax_cycles, dram)
+                   : dram;
+    }
+    double floor_logit(const DramSplit& split, std::size_t li) const
+    {
+        return window_floor(logit_costs[li],
+                            split.logit.bytes(logit_costs[li].reuse));
+    }
+    double floor_attend(const DramSplit& split, std::size_t ai) const
+    {
+        return window_floor(attend_costs[ai],
+                            split.attend.bytes(attend_costs[ai].reuse));
+    }
+
+    /** The block floor of candidate (@p li, @p ai), summed as
+     *  BlockFloor::cycles() sums it. */
+    double floor_cycles(const DramSplit& split, std::size_t li,
+                        std::size_t ai) const
+    {
+        return floor_constant(split) + floor_logit(split, li) +
+               floor_attend(split, ai);
+    }
+
+    /** Fills @p floor for the block of tile pair (@p tl, @p ta), for
+     *  the first @p n_orders loop orders. */
+    void block_floor(BlockFloor& floor, const DramSplit& split,
+                     std::size_t tl, std::size_t ta,
+                     std::size_t n_orders) const
+    {
+        floor.constant = floor_constant(split);
+        for (std::size_t o = 0; o < n_orders; ++o) {
+            floor.logit[o] = floor_logit(split, tl * n_orders + o);
+            floor.attend[o] = floor_attend(split, ta * n_orders + o);
+        }
+    }
+
+  private:
+    /** One GEMM's window: its DRAM bytes over the bandwidth, and for
+     *  sequential windows at least the GEMM's own compute. */
+    double window_floor(const GemmSliceCost& gemm, double dram_bytes) const
+    {
+        const double dram = dram_bytes / offchip_bytes_per_cycle;
+        return style->sequential_windows()
+                   ? std::max(gemm.compute.total_cycles() * slices_count,
+                              dram)
+                   : dram;
+    }
 };
+
+/** A loop-order pair of a tile pair that a pruned walk prices, with
+ *  its compute bound. */
+struct OrderCandidate {
+    std::size_t ol = 0;
+    std::size_t oa = 0;
+    double cycles = 0.0; ///< SliceBound::compute_cycles()
+    double energy = 0.0; ///< SliceBound::energy_bound(); 0 for runtime
+    double bound = 0.0;  ///< SliceBound::objective_bound() of the two
+};
+
+/**
+ * The loop-order pairs of tile pair (@p tl, @p ta) a pruned walk
+ * prices — the first order of each order class on both sides, in
+ * enumeration order — with their compute bounds, written to @p out
+ * (room for kMaxLoopOrders^2). Returns their count. @p pair_bound
+ * receives the least bound, a bound on every point of the pair: the
+ * compute bound ignores the staging flags, and a later member of an
+ * order class bounds like its first.
+ */
+std::size_t pair_candidates(const SearchSlice& slice,
+                            const SliceBound& bound, Objective objective,
+                            std::size_t tl, std::size_t ta,
+                            std::size_t n_orders, OrderCandidate* out,
+                            double& pair_bound);
 
 SliceBound make_slice_bound(const AccelConfig& accel,
                             const AttentionDims& dims,

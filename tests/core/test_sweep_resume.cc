@@ -211,9 +211,12 @@ TEST_F(SweepResume, PreCancelledSweepDrainsWithExitFive)
 
 TEST_F(SweepResume, PreemptiveDeadlineStopsAStuckPointEarly)
 {
-    // One expensive point (full menus, block scope) with a deadline far
-    // below its evaluation time: the per-point token must unwind the
-    // DSE at a poll point and record a timeout diagnostic.
+    // A point stuck far past its deadline: a delay fault at the search
+    // entry holds it for ten deadlines, whatever the search costs, so
+    // the per-point token has expired by the first poll. It must then
+    // unwind the DSE at that poll and record a timeout diagnostic, not
+    // leave the point to the post-hoc "exceeded deadline" backstop,
+    // which would catch it only after the search ran to the end.
     const SweepSpec spec = SweepSpec::from_text(
         "models    = bert\n"
         "platforms = edge\n"
@@ -221,6 +224,11 @@ TEST_F(SweepResume, PreemptiveDeadlineStopsAStuckPointEarly)
         "seq       = 8192\n"
         "batch     = 64\n"
         "scope     = block\n");
+    FaultSpec stuck;
+    stuck.action = FaultAction::kDelay;
+    stuck.seed = 0; // the sweep's first (only) point
+    stuck.delay_ms = 50;
+    arm_fault("dse.search_attention", stuck);
     SweepOptions options;
     options.threads = 1;
     options.deadline_ms = 5.0;
@@ -228,6 +236,8 @@ TEST_F(SweepResume, PreemptiveDeadlineStopsAStuckPointEarly)
     ASSERT_EQ(report.results.size(), 1u);
     EXPECT_FALSE(report.results[0].ok);
     EXPECT_EQ(report.results[0].diag.kind, DiagKind::kTimeout);
+    EXPECT_EQ(report.results[0].diag.message, "deadline exceeded")
+        << "the timeout came from the backstop, not the per-point token";
     EXPECT_EQ(report.exit_code(), 4);
 }
 

@@ -1,18 +1,26 @@
 /**
  * @file
- * Soundness of the exhaustive search's pruning bound over a seeded
- * sample of candidates from every execution style, three attention
- * shapes, three platforms and both baseline overlap policies:
+ * Soundness of the exhaustive search's pruning bounds, level by level,
+ * over a seeded sample of candidates from every execution style, three
+ * attention shapes, three platforms and both baseline overlap policies:
  *
- *  - the DRAM floor's bytes (AttentionBatchEvaluator::dram_bytes),
- *    read off a block plan patched from another candidate as in the
- *    search, are the evaluated timeline's DRAM ledger, so a style
- *    emitter that ledgers other bytes than plan_dram_traffic(), or a
- *    patch that misses a field, fails here;
- *  - the full bound — max(style compute bound, DRAM floor) for the
- *    cycle term, times the energy bound under EDP — never exceeds the
- *    candidate's objective under runtime, energy or EDP. A bound above
- *    the cost would let the search prune its own optimum;
+ *  - the separable DRAM split (split_dram_traffic(), read through
+ *    AttentionBatchEvaluator::dram_split() after another lane of the
+ *    block was priced, as in the search) totals the reference
+ *    plan_dram_traffic() ledger, which is the evaluated timeline's, so
+ *    a style emitter that ledgers other bytes, or a split term that
+ *    misses or misplaces a tensor, fails here;
+ *  - the candidate's own bound — max(style compute bound, block
+ *    floor) for the cycle term, times the energy bound under EDP —
+ *    never exceeds its objective under runtime, energy or EDP, and the
+ *    tile-pair bound (pair_candidates()) and the least bound of the
+ *    block's priced candidates never exceed the objective, nor the own
+ *    bound, of any loop-order pair of its block. A bound above the
+ *    cost would let the search prune its own optimum;
+ *  - the block floor, the baseline's per-window floor included, never
+ *    exceeds the modeled cycles under either overlap policy;
+ *  - every loop-order pair of the sampled block prices bit for bit
+ *    like the first orders of its classes under model_attention();
  *  - the analytic mapper's whole-slice skip, which compares the same
  *    compute bound against its incumbent, never drops a slice whose
  *    exhaustive best beats the mapper's pick.
@@ -24,6 +32,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <string>
@@ -93,12 +102,28 @@ shapes()
 struct Sample {
     std::string what;
     const ExecutionStyle* style = nullptr;
-    double floor_bytes = 0.0;    ///< AttentionBatchEvaluator::dram_bytes
+    double split_bytes = 0.0;    ///< DramSplit::total()
+    double ledger_bytes = 0.0;   ///< plan_dram_traffic().total_dram()
     double timeline_bytes = 0.0; ///< evaluated activity's total_dram()
+    double floor_cycles = 0.0;   ///< BlockFloor::cycles()
+    double point_floor = 0.0;    ///< SliceBound::floor_cycles()
     double cycles = 0.0;
     double energy_j = 0.0;
     double bound[3] = {0.0, 0.0, 0.0}; ///< runtime, energy, EDP
+    double pair_bound[3] = {0.0, 0.0, 0.0};  ///< pair_candidates()
+    double block_bound[3] = {0.0, 0.0, 0.0}; ///< least priced bound
+    /** Least objective over every loop-order pair of the block, and
+     *  least of their own bounds: compute bound alone, then with the
+     *  block floor. */
+    double block_cost[3] = {0.0, 0.0, 0.0};
+    double member_compute_bound[3] = {0.0, 0.0, 0.0};
+    double member_bound[3] = {0.0, 0.0, 0.0};
     bool floor_binds = false; ///< floor above the compute bound
+    /** Loop-order pairs of the block that are not the first of their
+     *  classes, and those of them whose cost under model_attention()
+     *  differs from the first's bit for bit. */
+    int class_members = 0;
+    std::string class_mismatch;
 };
 
 constexpr Objective kObjectives[] = {Objective::kRuntime,
@@ -106,6 +131,28 @@ constexpr Objective kObjectives[] = {Objective::kRuntime,
 
 /** Candidates per (platform, shape, overlap) combination: 18 x 120. */
 constexpr std::size_t kPerCombo = 120;
+
+/** Bit-for-bit equality of two costs' cycles and activity. */
+bool
+same_bits(const OperatorCost& a, const OperatorCost& b)
+{
+    const auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    };
+    const TrafficBytes& ta = a.activity.traffic;
+    const TrafficBytes& tb = b.activity.traffic;
+    return same(a.cycles, b.cycles) &&
+           same(a.activity.macs, b.activity.macs) &&
+           same(a.activity.sl_accesses, b.activity.sl_accesses) &&
+           same(a.activity.sfu_elems, b.activity.sfu_elems) &&
+           same(ta.dram_read, tb.dram_read) &&
+           same(ta.dram_write, tb.dram_write) &&
+           same(ta.sg_read, tb.sg_read) && same(ta.sg_write, tb.sg_write) &&
+           same(ta.sg2_read, tb.sg2_read) &&
+           same(ta.sg2_write, tb.sg2_write) &&
+           a.live_footprint_bytes == b.live_footprint_bytes &&
+           same(a.resident_fraction, b.resident_fraction);
+}
 
 std::vector<Sample>
 draw_samples()
@@ -120,8 +167,9 @@ draw_samples()
         for (const Shape& shape : shapes()) {
             AttentionSearchOptions opt;
             opt.styles = {"all"};
-            const SlicedSpace space = detail::build_sliced_space(
+            SlicedSpace space = detail::build_sliced_space(
                 platform.accel, shape.dims, opt);
+            detail::bind_order_classes(space);
             // Slices grouped by style, so every style is drawn alike
             // whatever its share of the space.
             std::vector<std::vector<std::size_t>> by_style;
@@ -171,27 +219,40 @@ draw_samples()
                     s.what = std::string(platform.name) + '/' +
                              shape.name + '/' +
                              detail::candidate_tag(*slice.style, df) +
+                             '/' + to_string(df.order_logit) + '/' +
+                             to_string(df.order_attend) +
                              (overlap == BaselineOverlap::kFull
                                   ? " full"
                                   : " serialized");
                     s.style = slice.style;
 
-                    // The search binds a block's plan on its first
-                    // candidate and patches the reuse records for every
-                    // later one, so price another order pair of the
-                    // same block first and read the sampled floor off
-                    // the patched plan.
+                    // The search prices a block's lanes after binding
+                    // its plan, so price another order pair of the same
+                    // block first and read the split off that plan.
                     AttentionBatchEvaluator batch;
                     batch.bind_slice(platform.accel, shape.dims, df.cross,
                                      *slice.style, overlap);
                     batch.begin(df);
-                    batch.dram_bytes(
-                        bound.logit_costs[tl * n_orders +
-                                          (ol + 1) % n_orders],
-                        bound.attend_costs[ta * n_orders +
-                                           (oa + 1) % n_orders]);
-                    s.floor_bytes = batch.dram_bytes(bound.logit_costs[li],
-                                                     bound.attend_costs[ai]);
+                    const std::size_t other_l =
+                        tl * n_orders + (ol + 1) % n_orders;
+                    const std::size_t other_a =
+                        ta * n_orders + (oa + 1) % n_orders;
+                    batch.add(space.orders[(ol + 1) % n_orders],
+                              space.orders[(oa + 1) % n_orders],
+                              bound.logit_costs[other_l],
+                              bound.attend_costs[other_a]);
+                    const DramSplit& split = batch.dram_split();
+                    s.split_bytes = split.total(bound.logit_costs[li].reuse,
+                                                bound.attend_costs[ai].reuse);
+                    s.ledger_bytes =
+                        plan_dram_traffic(
+                            make_plan(platform.accel, shape.dims, df),
+                            df.stage)
+                            .total_dram();
+                    detail::BlockFloor floor;
+                    bound.block_floor(floor, split, tl, ta, n_orders);
+                    s.floor_cycles = floor.cycles(ol, oa);
+                    s.point_floor = bound.floor_cycles(split, li, ai);
 
                     // The reference is the plain, unmemoized timeline.
                     const TimelineResult timeline = attention_timeline(
@@ -203,12 +264,86 @@ draw_samples()
                         estimate_energy(table, timeline.activity).total();
                     for (int o = 0; o < 3; ++o) {
                         s.bound[o] = bound.lower_bound(kObjectives[o], li,
-                                                       ai, s.floor_bytes);
+                                                       ai, s.floor_cycles);
+                        detail::OrderCandidate
+                            candidates[detail::kMaxLoopOrders *
+                                       detail::kMaxLoopOrders];
+                        const std::size_t n = detail::pair_candidates(
+                            slice, bound, kObjectives[o], tl, ta, n_orders,
+                            candidates, s.pair_bound[o]);
+                        s.block_bound[o] =
+                            std::numeric_limits<double>::infinity();
+                        for (std::size_t c = 0; c < n; ++c) {
+                            s.block_bound[o] = std::min(
+                                s.block_bound[o],
+                                SliceBound::objective_bound(
+                                    kObjectives[o],
+                                    std::max(candidates[c].cycles,
+                                             floor.cycles(candidates[c].ol,
+                                                          candidates[c].oa)),
+                                    candidates[c].energy));
+                        }
                     }
                     s.floor_binds =
-                        bound.lower_bound(Objective::kRuntime, li, ai,
-                                          s.floor_bytes) >
-                        bound.lower_bound(Objective::kRuntime, li, ai);
+                        s.floor_cycles > bound.compute_cycles(li, ai);
+
+                    // Every loop-order pair of the block: the least
+                    // objective, and each member against the first
+                    // order pair of its classes.
+                    std::vector<OperatorCost> members;
+                    for (std::size_t o = 0; o < 3; ++o) {
+                        s.block_cost[o] =
+                            std::numeric_limits<double>::infinity();
+                        s.member_compute_bound[o] = s.block_cost[o];
+                        s.member_bound[o] = s.block_cost[o];
+                    }
+                    for (std::size_t ml = 0; ml < n_orders; ++ml) {
+                        for (std::size_t ma = 0; ma < n_orders; ++ma) {
+                            FusedDataflow member = df;
+                            member.order_logit = space.orders[ml];
+                            member.order_attend = space.orders[ma];
+                            members.push_back(model_attention(
+                                *slice.style, platform.accel, shape.dims,
+                                member, overlap));
+                            const double energy =
+                                estimate_energy(table,
+                                                members.back().activity)
+                                    .total();
+                            const std::size_t mli = tl * n_orders + ml;
+                            const std::size_t mai = ta * n_orders + ma;
+                            for (int o = 0; o < 3; ++o) {
+                                s.block_cost[o] = std::min(
+                                    s.block_cost[o],
+                                    objective_value(kObjectives[o],
+                                                    members.back().cycles,
+                                                    energy));
+                                s.member_compute_bound[o] = std::min(
+                                    s.member_compute_bound[o],
+                                    bound.lower_bound(kObjectives[o], mli,
+                                                      mai));
+                                s.member_bound[o] = std::min(
+                                    s.member_bound[o],
+                                    bound.lower_bound(
+                                        kObjectives[o], mli, mai,
+                                        floor.cycles(ml, ma)));
+                            }
+                            const std::size_t fl =
+                                (*slice.logit_order_class)[mli];
+                            const std::size_t fa =
+                                (*slice.attend_order_class)[mai];
+                            if (fl == ml && fa == ma) {
+                                continue;
+                            }
+                            ++s.class_members;
+                            if (!same_bits(members.back(),
+                                           members[fl * n_orders + fa]) &&
+                                s.class_mismatch.empty()) {
+                                s.class_mismatch =
+                                    to_string(space.orders[ml]) + '/' +
+                                    to_string(space.orders[ma]);
+                            }
+                        }
+                    }
                     samples.push_back(std::move(s));
                 }
             }
@@ -228,13 +363,27 @@ TEST(PruneBound, SampleCoversEveryStyleAndBindsOften)
 {
     ASSERT_GE(samples().size(), 2000u);
     for (const ExecutionStyle* style : execution_styles()) {
-        const auto n = std::count_if(
-            samples().begin(), samples().end(),
-            [&](const Sample& s) { return s.style == style; });
-        EXPECT_GE(n, 200) << style->id();
+        const auto of_style = [&](auto pred) {
+            return std::count_if(samples().begin(), samples().end(),
+                                 [&](const Sample& s) {
+                                     return s.style == style && pred(s);
+                                 });
+        };
+        EXPECT_GE(of_style([](const Sample&) { return true; }), 200)
+            << style->id();
+        // The floor must actually be the binding term on some of every
+        // style's sample, or the checks below would not test it; the
+        // same goes for the order classes.
+        EXPECT_GE(of_style([](const Sample& s) { return s.floor_binds; }),
+                  10)
+            << style->id();
+        EXPECT_GE(of_style([](const Sample& s) {
+                      return s.class_members > 0;
+                  }),
+                  40)
+            << style->id();
     }
-    // The floor must actually be the binding term on a good share of
-    // the sample, or the bound-vs-cost check below would not test it.
+    // ... and on a good share of the whole sample.
     const auto binds =
         std::count_if(samples().begin(), samples().end(),
                       [](const Sample& s) { return s.floor_binds; });
@@ -244,24 +393,74 @@ TEST(PruneBound, SampleCoversEveryStyleAndBindsOften)
 TEST(PruneBound, FloorBytesAreTheTimelineDramLedger)
 {
     for (const Sample& s : samples()) {
-        EXPECT_LE(std::abs(s.floor_bytes - s.timeline_bytes),
+        EXPECT_LE(std::abs(s.split_bytes - s.ledger_bytes),
+                  1e-12 * std::max(1.0, s.ledger_bytes))
+            << s.what << ": split " << s.split_bytes << " B, ledger "
+            << s.ledger_bytes << " B";
+        EXPECT_LE(std::abs(s.ledger_bytes - s.timeline_bytes),
                   1e-12 * std::max(1.0, s.timeline_bytes))
-            << s.what << ": floor " << s.floor_bytes << " B, timeline "
+            << s.what << ": ledger " << s.ledger_bytes << " B, timeline "
             << s.timeline_bytes << " B";
     }
 }
 
 TEST(PruneBound, NeverExceedsTheObjectiveForEveryStyle)
 {
+    static const char* const kLevels[] = {"point", "tile pair", "block"};
     for (const Sample& s : samples()) {
         for (int o = 0; o < 3; ++o) {
             const double cost = objective_value(kObjectives[o], s.cycles,
                                                 s.energy_j);
-            EXPECT_LE(s.bound[o], cost)
-                << s.what << " objective " << o << ": bound "
-                << s.bound[o] << " > cost " << cost
-                << (s.floor_binds ? " (DRAM floor binds)" : "");
+            // The point's own bound against its cost; the tile-pair
+            // and block bounds against every order pair of the block.
+            const double bounds[] = {s.bound[o], s.pair_bound[o],
+                                     s.block_bound[o]};
+            const double costs[] = {cost, s.block_cost[o],
+                                    s.block_cost[o]};
+            for (int level = 0; level < 3; ++level) {
+                EXPECT_LE(bounds[level], costs[level])
+                    << s.what << " objective " << o << ", "
+                    << kLevels[level] << " bound " << bounds[level]
+                    << " > cost " << costs[level]
+                    << (s.floor_binds ? " (floor binds)" : "");
+            }
         }
+    }
+}
+
+TEST(PruneBound, PairAndBlockBoundsAreAtMostEveryMembersOwn)
+{
+    // The tile-pair skip and the block's least bound stand for every
+    // point they cover: each is at most every member's own bound, so
+    // a skip drops only points that would each fail their own test.
+    for (const Sample& s : samples()) {
+        for (int o = 0; o < 3; ++o) {
+            EXPECT_LE(s.pair_bound[o], s.member_compute_bound[o])
+                << s.what << " objective " << o;
+            EXPECT_LE(s.block_bound[o], s.member_bound[o])
+                << s.what << " objective " << o;
+        }
+    }
+}
+
+TEST(PruneBound, BlockFloorNeverExceedsTheModeledCycles)
+{
+    // For the baseline this is the per-window floor, sampled under both
+    // overlap policies; the search applies the same slack. The mapper
+    // prices the same floor one point at a time.
+    for (const Sample& s : samples()) {
+        EXPECT_LE(s.floor_cycles * SliceBound::kAssocSlack, s.cycles)
+            << s.what << ": floor " << s.floor_cycles << " cycles";
+        EXPECT_EQ(s.point_floor, s.floor_cycles) << s.what;
+    }
+}
+
+TEST(PruneBound, OrderClassMembersPriceLikeTheirFirst)
+{
+    for (const Sample& s : samples()) {
+        EXPECT_TRUE(s.class_mismatch.empty())
+            << s.what << ": orders " << s.class_mismatch
+            << " price unlike the first orders of their classes";
     }
 }
 

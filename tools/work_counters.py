@@ -38,7 +38,9 @@ THREADS = (1, 4)
 
 # name -> flatsim argv (without --threads / --json). Off-chip-BW-bound
 # and compute-bound runs, every style, base-opt and both specs, a
-# --block, a --kv-seq model scope and a --devices 2 scale-out.
+# --block, a --kv-seq model scope, a --devices 2 scale-out, and a short
+# block-scope request whose loop orders mostly price alike (the order
+# classes skip all but the first of each).
 REQUESTS = [
     ("xlm-edge-32k-style-all",
      "--model xlm --platform edge --seq 32768 --batch 8 "
@@ -64,6 +66,9 @@ REQUESTS = [
     ("flaubert-edge-2k-base-opt-block-scope",
      "--model flaubert --platform edge --seq 2048 --batch 1 "
      "--policy base-opt --scope block --buffer 1MiB --offchip-bw 25GB/s"),
+    ("xlm-edge-512-block-scope-style-all",
+     "--model xlm --platform edge --seq 512 --batch 1 "
+     "--policy flat-opt --scope block --style all"),
 ]
 
 # The mapper at one thread: a GQA model, an off-chip-bound accelerator
