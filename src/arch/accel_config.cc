@@ -1,5 +1,7 @@
 #include "arch/accel_config.h"
 
+#include <sstream>
+
 #include "common/status.h"
 #include "common/units.h"
 
@@ -97,6 +99,23 @@ AccelConfig::validate() const
                    bytes_per_element == 4,
                name << ": unsupported element width "
                     << bytes_per_element);
+}
+
+std::string
+AccelConfig::canonical() const
+{
+    std::ostringstream text;
+    text << "accel " << name << ' ' << pe_rows << 'x' << pe_cols
+         << " sl=" << sl_bytes << " sg=" << sg_bytes
+         << " sg2=" << sg2_bytes << '@' << sg2_bw << " rf=" << rf_bytes
+         << " dram=" << dram_bytes << " on=" << onchip_bw
+         << " off=" << offchip_bw << " clk=" << clock_hz
+         << " sfu=" << sfu_lanes << " bpe=" << bytes_per_element
+         << " noc=" << static_cast<int>(distribution_noc) << '/'
+         << static_cast<int>(reduction_noc)
+         << " caps=" << caps.flexible_intra_dataflow << caps.l3_tiling
+         << caps.fused_execution << '\n';
+    return text.str();
 }
 
 AccelConfig

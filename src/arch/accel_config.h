@@ -129,6 +129,11 @@ struct AccelConfig {
 
     /** Throws flat::Error if the configuration is inconsistent. */
     void validate() const;
+
+    /** Every field as one '\n'-terminated line: the accelerator part
+     *  of the search scope and serve journal hashes, so a change to any
+     *  field makes their journals stale. */
+    std::string canonical() const;
 };
 
 /** Edge preset of Figure 7(a): 32x32 PEs, 512KB SG, 1TB/s / 50GB/s. */

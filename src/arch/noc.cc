@@ -54,19 +54,4 @@ NocModel::drain_latency() const
     return 0;
 }
 
-double
-NocModel::injection_rate() const
-{
-    switch (kind_) {
-      case NocKind::kSystolic:
-        // One element per boundary row and per boundary column per cycle.
-        return static_cast<double>(rows_) + static_cast<double>(cols_);
-      case NocKind::kTree:
-      case NocKind::kCrossbar:
-        // Multicast-capable: a full array row per cycle.
-        return static_cast<double>(rows_) * cols_;
-    }
-    return 0.0;
-}
-
 } // namespace flat

@@ -53,13 +53,6 @@ class NocModel
     /** Cycles to drain the last outputs after the final MAC (tail). */
     std::uint64_t drain_latency() const;
 
-    /**
-     * Peak operand-injection rate in elements/cycle. Systolic arrays
-     * inject one element per edge row/column per cycle; trees and
-     * crossbars can broadcast/multicast a full tile row per cycle.
-     */
-    double injection_rate() const;
-
   private:
     NocKind kind_;
     std::uint32_t rows_;

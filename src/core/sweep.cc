@@ -686,6 +686,11 @@ sweep_journal_header(const SweepSpec& spec, const SimOptions& sim)
          << " objective=" << static_cast<int>(spec.objective)
          << " quick=" << spec.quick
          << " overlap=" << static_cast<int>(sim.baseline_overlap);
+    if (!sim.styles.empty()) {
+        // Every point's search enumerates these. Appended only when
+        // set, so journals written without --style keep their hash.
+        text << " styles=" << join(sim.styles, ",");
+    }
 
     RunJournalHeader header;
     header.mode = "sweep";

@@ -177,7 +177,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options);
 /**
  * Journal identity of @p spec under @p sim: mode "sweep", a hash over
  * every result-shaping knob (axes, scope, objective, quick, overlap
- * model — NOT threads/prune) and the expanded point count.
+ * model, execution styles — NOT threads/prune) and the expanded point
+ * count.
  * flatsim uses this to create fresh journals and to reject stale ones
  * on --resume.
  */

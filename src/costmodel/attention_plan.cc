@@ -4,7 +4,6 @@
 
 #include "common/math_util.h"
 #include "common/status.h"
-#include "costmodel/operator_cost.h"
 #include "dataflow/reuse.h"
 
 namespace flat {

@@ -30,12 +30,6 @@ ExecutionStyle::bound_cycles(double gemm_sum_cycles,
     return gemm_sum_cycles + (softmax_cycles + cold_cycles);
 }
 
-bool
-ExecutionStyle::sequential_windows() const
-{
-    return false;
-}
-
 double
 ExecutionStyle::inter_sg_round_trip_bytes(double inter_bytes) const
 {
@@ -202,8 +196,6 @@ class BaselineStyle : public ExecutionStyle
                    ? OverlapKind::kOverlapped
                    : OverlapKind::kSerialTransfers;
     }
-
-    bool sequential_windows() const override { return true; }
 
     void emit_skeleton(std::vector<Phase>& phases, const AccelConfig&,
                        const AttentionDims& dims,

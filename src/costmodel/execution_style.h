@@ -63,7 +63,10 @@ class ExecutionStyle
     virtual const char* cost_name() const = 0;
 
     /** True when the style interleaves L and A inside one shared
-     *  overlap window (the historical fused/sequential search split). */
+     *  overlap window (the historical fused/sequential search split).
+     *  False means L, softmax and A run in windows one after another,
+     *  each overlapping only its own transfers: the DSE then bounds the
+     *  style by the cold start plus a per-window floor (SliceBound). */
     virtual bool fused() const = 0;
 
     /** Legal-granularity constraint: can this style execute @p cross on
@@ -138,17 +141,6 @@ class ExecutionStyle
                                 double gemm_max_cycles,
                                 double softmax_cycles, double cold_cycles,
                                 double rescale_cycles) const;
-
-    /**
-     * True when L, softmax and A run in windows one after another, each
-     * overlapping only its own transfers (the baseline). Every window
-     * then costs at least max(its compute, its DRAM bytes / off-chip
-     * bandwidth) under either overlap policy, and the DSE bounds the
-     * style by the cold start plus that per-window floor, summed over
-     * the windows of DramSplit. False for the styles that run one
-     * shared window.
-     */
-    virtual bool sequential_windows() const;
 
     /** SG bytes the intermediate tensor round-trips (energy lower
      *  bound): 2x its size for SG-staged styles, 0 when it lives in

@@ -1,16 +1,19 @@
 /**
  * @file
- * Cost model for a single (non-fused) operator: a GEMM with its
- * OperatorDataflow, or the standalone softmax of the baseline dataflow
- * (which round-trips the logits tensor through DRAM).
+ * Cost model for a single (non-fused) GEMM operator with its
+ * OperatorDataflow: a fixed four-phase skeleton plus a values pass,
+ * the same contract the L-A execution styles follow.
  */
 #ifndef FLAT_COSTMODEL_OPERATOR_COST_H
 #define FLAT_COSTMODEL_OPERATOR_COST_H
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "arch/accel_config.h"
 #include "costmodel/cost_types.h"
+#include "costmodel/gemm_engine.h"
 #include "costmodel/timeline.h"
 #include "dataflow/operator_dataflow.h"
 #include "workload/operator.h"
@@ -19,9 +22,10 @@ namespace flat {
 
 /**
  * Models one GEMM operator (all its instances) on @p accel with
- * @p dataflow: gemm_operator_phases() evaluated by evaluate_timeline().
- * This is the reference search_operator's batched lanes are tested
- * against, and the pricer of its winner.
+ * @p dataflow: gemm_operator_skeleton(), then the dataflow's
+ * GemmSliceCost record and gemm_operator_values(), evaluated by
+ * evaluate_timeline(). This is the reference search_operator's lanes
+ * are tested against, and the pricer of its winner.
  *
  * Runtime = max(compute + array fill/drain, off-chip transfer time,
  * on-chip transfer time) + cold-start, i.e. compute and double-buffered
@@ -35,39 +39,37 @@ OperatorCost model_gemm_operator(const AccelConfig& accel,
                                  const OperatorDataflow& dataflow);
 
 /**
- * The phase emitter of model_gemm_operator: overwrites @p phases with
- * the operator's timeline — an exposed cold-start fetch (group 0), then
- * prefetch, GEMM and writeback overlapped in group 1; the same four-
- * phase skeleton for every dataflow — and returns the cost fields the
- * timeline does not decide (name, ideal cycles, live footprint,
- * resident fraction). @p accel must already be validated.
+ * The operator timeline's skeleton, written into @p phases in place
+ * (reusing capacity, see next_phase()): an exposed cold-start fetch
+ * (group 0, pace-only), then prefetch, @p op's GEMM and writeback
+ * overlapped in group 1, every value zero. A search takes it once.
  */
-OperatorCost gemm_operator_phases(const AccelConfig& accel,
-                                  const Operator& op,
-                                  const OperatorDataflow& dataflow,
-                                  std::vector<Phase>& phases);
+void gemm_operator_skeleton(std::vector<Phase>& phases, const Operator& op);
 
 /**
- * Models the baseline softmax: reads the logits tensor from DRAM,
- * processes it on the SFU, writes it back. @p resident_fraction of the
- * tensor may be served from SG instead (used when a Base-X dataflow
- * managed to stage part of the intermediate on-chip).
+ * The values pass: writes the numbers of the skeleton's phases, in
+ * skeleton order, into @p out (four of them).
+ * @p record must be {model_gemm_compute(), stage_reuse()} of
+ * @p dataflow's (tile, order, stationarity) on @p op's shape, and
+ * @p resident_fraction the dataflow's gemm_resident_fraction(). Reads
+ * only the tile and the L3 flags of @p dataflow; unchecked —
+ * model_gemm_operator() validates, a search at its entry.
  */
-OperatorCost model_baseline_softmax(const AccelConfig& accel,
-                                    const Operator& op,
-                                    double resident_fraction = 0.0);
+void gemm_operator_values(PhaseValues* out, const AccelConfig& accel,
+                          const Operator& op,
+                          const OperatorDataflow& dataflow,
+                          const GemmSliceCost& record,
+                          double resident_fraction);
 
-/**
- * Spill-adjusted number of DRAM fetch events for a tensor.
- *
- * @param staged true if the dataflow stages this tensor on-chip.
- * @param resident_fraction fraction of the staged working set that fits.
- * @param unstaged_fetches fetch events if the tensor streams at L2
- *        granularity (reuse-analysis repeats).
- * @return expected fetch events per full tensor pass.
- */
-double effective_fetches(bool staged, double resident_fraction,
-                         double unstaged_fetches);
+/** Fraction of a @p footprint_bytes working set the SG holds, in
+ *  [0, 1]. */
+inline double
+gemm_resident_fraction(const AccelConfig& accel,
+                       std::uint64_t footprint_bytes)
+{
+    return std::min(1.0, static_cast<double>(accel.sg_bytes) /
+                             static_cast<double>(footprint_bytes));
+}
 
 } // namespace flat
 

@@ -1,8 +1,5 @@
 #include "dataflow/reuse.h"
 
-#include <array>
-#include <limits>
-
 #include "common/status.h"
 
 namespace flat {
@@ -84,30 +81,6 @@ analyze_reuse(LoopOrder order, std::uint64_t trips_m, std::uint64_t trips_k,
     // zero-initialized accumulators, so only later periods re-read.
     counts.c_reads = c_fetches - counts.c_tiles;
     return counts;
-}
-
-LoopOrder
-best_loop_order(std::uint64_t trips_m, std::uint64_t trips_k,
-                std::uint64_t trips_n, std::uint64_t a_tile_bytes,
-                std::uint64_t b_tile_bytes, std::uint64_t c_tile_bytes)
-{
-    LoopOrder best = LoopOrder::kMKN;
-    auto traffic = [&](LoopOrder order) {
-        const ReuseCounts c = analyze_reuse(order, trips_m, trips_k,
-                                            trips_n);
-        return static_cast<double>(c.a_fetches) * a_tile_bytes +
-               static_cast<double>(c.b_fetches) * b_tile_bytes +
-               static_cast<double>(c.c_writes + c.c_reads) * c_tile_bytes;
-    };
-    double best_traffic = std::numeric_limits<double>::infinity();
-    for (LoopOrder order : kAllLoopOrders) {
-        const double t = traffic(order);
-        if (t < best_traffic) {
-            best_traffic = t;
-            best = order;
-        }
-    }
-    return best;
 }
 
 } // namespace flat

@@ -43,15 +43,6 @@ struct ReuseCounts {
 ReuseCounts analyze_reuse(LoopOrder order, std::uint64_t trips_m,
                           std::uint64_t trips_k, std::uint64_t trips_n);
 
-/**
- * The loop order minimizing total off-chip traffic for the given tile
- * byte sizes (used by Base-opt style greedy seeds before full DSE).
- */
-LoopOrder best_loop_order(std::uint64_t trips_m, std::uint64_t trips_k,
-                          std::uint64_t trips_n, std::uint64_t a_tile_bytes,
-                          std::uint64_t b_tile_bytes,
-                          std::uint64_t c_tile_bytes);
-
 } // namespace flat
 
 #endif // FLAT_DATAFLOW_REUSE_H

@@ -392,21 +392,9 @@ search_space_canonical(const AccelConfig& accel,
                        const AttentionSearchOptions& options)
 {
     std::ostringstream text;
-    text << "accel " << accel.name << ' ' << accel.pe_rows << 'x'
-         << accel.pe_cols << " sl=" << accel.sl_bytes
-         << " sg=" << accel.sg_bytes << " sg2=" << accel.sg2_bytes
-         << '@' << accel.sg2_bw << " rf=" << accel.rf_bytes
-         << " dram=" << accel.dram_bytes << " on=" << accel.onchip_bw
-         << " off=" << accel.offchip_bw << " clk=" << accel.clock_hz
-         << " sfu=" << accel.sfu_lanes
-         << " bpe=" << accel.bytes_per_element
-         << " noc=" << static_cast<int>(accel.distribution_noc) << '/'
-         << static_cast<int>(accel.reduction_noc)
-         << " caps=" << accel.caps.flexible_intra_dataflow
-         << accel.caps.l3_tiling << accel.caps.fused_execution << '\n';
-    text << "dims " << dims.batch << ' ' << dims.heads << ' '
-         << dims.q_len << ' ' << dims.kv_len << ' ' << dims.head_dim
-         << " kvh=" << dims.kv_heads_eff()
+    text << accel.canonical() << "dims " << dims.batch << ' '
+         << dims.heads << ' ' << dims.q_len << ' ' << dims.kv_len << ' '
+         << dims.head_dim << " kvh=" << dims.kv_heads_eff()
          << " decode=" << dims.decode << '\n';
     text << "opt obj=" << static_cast<int>(options.objective)
          << " fused=" << options.fused << " cross="
@@ -725,6 +713,74 @@ finish_slice_search(const SliceSearch& search,
     }
     FLAT_CHECK(result.found, "attention DSE evaluated an empty space");
     return result;
+}
+
+void
+price_operator_lanes(const AccelConfig& accel, const Operator& op,
+                     const OperatorSearchOptions& options,
+                     std::vector<OperatorDataflow>& candidates,
+                     TimelineBatch& batch)
+{
+    const CandidateOptions cand =
+        effective_candidates(options.candidates, options.quick);
+    const std::vector<LoopOrder> orders = loop_order_candidates(cand);
+    const GemmShape& shape = op.gemm;
+
+    // L3 staging combinations for a single operator: none, or any of the
+    // 8 per-tensor subsets (only meaningful when allowed).
+    std::vector<L3StageFlags> l3_sets;
+    l3_sets.push_back(L3StageFlags{});
+    if (options.allow_l3) {
+        for (std::uint32_t code = 1; code < 8; ++code) {
+            l3_sets.push_back(L3StageFlags{(code & 1) != 0,
+                                           (code & 2) != 0,
+                                           (code & 4) != 0});
+        }
+    }
+
+    // Every candidate's timeline has the same four-phase skeleton, so
+    // all of them are lanes of one batch.
+    thread_local std::vector<Phase> skeleton;
+    gemm_operator_skeleton(skeleton, op);
+    batch.configure(skeleton, OverlapKind::kOverlapped);
+    candidates.clear();
+
+    OperatorDataflow df;
+    df.cross = {Granularity::kMulti, 0};
+    std::vector<double> resident(l3_sets.size());
+    for (const Stationarity stat : stationarity_candidates(cand)) {
+        df.stationarity = stat;
+        for (const L2Tile& tile :
+             tile_candidates(accel, shape, cand, stat)) {
+            if (options.cancel != nullptr) {
+                options.cancel->poll();
+            }
+            df.l2 = tile;
+            // The live footprint depends on the tile and the L3 subset,
+            // not on the loop order.
+            for (std::size_t s = 0; s < l3_sets.size(); ++s) {
+                df.l3 = l3_sets[s];
+                resident[s] = gemm_resident_fraction(
+                    accel, operator_live_footprint(df, shape,
+                                                   accel.bytes_per_element));
+            }
+            for (const LoopOrder order : orders) {
+                df.order = order;
+                // One record per (stationarity, tile, order) serves
+                // every L3 subset.
+                const GemmSliceCost record{
+                    model_gemm_compute(accel, shape, tile, order, stat),
+                    stage_reuse(shape, tile, order)};
+                for (std::size_t s = 0; s < l3_sets.size(); ++s) {
+                    df.l3 = l3_sets[s];
+                    candidates.push_back(df);
+                    gemm_operator_values(batch.add_lane(), accel, op, df,
+                                         record, resident[s]);
+                }
+            }
+        }
+    }
+    batch.evaluate(accel);
 }
 
 } // namespace detail
@@ -1067,63 +1123,16 @@ search_operator(const AccelConfig& accel, const Operator& op,
     accel.validate();
     FLAT_CHECK(op.kind == OpKind::kGemm,
                op.name << ": operator DSE only covers GEMMs");
-    const CandidateOptions cand =
-        effective_candidates(options.candidates, options.quick);
-    const EnergyTable energy_table = EnergyTable::for_accel(accel);
 
-    const std::vector<LoopOrder> orders = loop_order_candidates(cand);
-    const std::vector<Stationarity> stats = stationarity_candidates(cand);
-
-    // L3 staging combinations for a single operator: none, or any of the
-    // 8 per-tensor subsets (only meaningful when allowed).
-    std::vector<L3StageFlags> l3_sets;
-    l3_sets.push_back(L3StageFlags{});
-    if (options.allow_l3) {
-        for (std::uint32_t code = 1; code < 8; ++code) {
-            l3_sets.push_back(L3StageFlags{(code & 1) != 0,
-                                           (code & 2) != 0,
-                                           (code & 4) != 0});
-        }
-    }
-
-    std::vector<OperatorDataflow> candidates;
-    for (Stationarity stat : stats) {
-        for (const L2Tile& tile :
-             tile_candidates(accel, op.gemm, cand, stat)) {
-            if (options.cancel != nullptr) {
-                options.cancel->poll();
-            }
-            for (LoopOrder order : orders) {
-                for (const L3StageFlags& l3 : l3_sets) {
-                    OperatorDataflow df;
-                    df.l2 = tile;
-                    df.order = order;
-                    df.stationarity = stat;
-                    df.l3 = l3;
-                    df.cross = {Granularity::kMulti, 0};
-                    candidates.push_back(df);
-                }
-            }
-        }
-    }
-    FLAT_CHECK(!candidates.empty(), "operator DSE evaluated an empty space");
-
-    // Every candidate's timeline has the same four-phase skeleton, so
-    // all of them are lanes of one batch. The batch and the phase buffer
-    // live as long as the worker, as in the L-A walk.
+    // The batch and the candidate list live as long as the worker, as
+    // in the L-A walk.
     thread_local TimelineBatch batch;
-    thread_local std::vector<Phase> phases;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        gemm_operator_phases(accel, op, candidates[i], phases);
-        if (i == 0) {
-            batch.configure(phases, OverlapKind::kOverlapped);
-        }
-        std::copy(phases.begin(), phases.end(), batch.add_lane());
-    }
-    batch.evaluate(accel);
+    thread_local std::vector<OperatorDataflow> candidates;
+    detail::price_operator_lanes(accel, op, options, candidates, batch);
 
     // Enumeration order under the strict <: the first candidate with
     // the lowest objective wins.
+    const EnergyTable energy_table = EnergyTable::for_accel(accel);
     OperatorSearchResult result;
     result.evaluated = candidates.size();
     double best_value = std::numeric_limits<double>::infinity();
@@ -1140,8 +1149,9 @@ search_operator(const AccelConfig& accel, const Operator& op,
         }
     }
     FLAT_CHECK(result.found, "operator DSE evaluated an empty space");
-    // The reference model prices the winner: the same phases through
-    // evaluate_timeline(), so its numbers are the lane's bit for bit.
+    // The reference model prices the winner: the same skeleton and
+    // values pass through evaluate_timeline(), so its numbers are the
+    // lane's bit for bit.
     result.dataflow = candidates[best];
     result.cost = model_gemm_operator(accel, op, result.dataflow);
     result.energy_j =

@@ -187,12 +187,13 @@ struct BlockFloor {
  * own DRAM bytes (DramSplit::total()) over the off-chip bandwidth.
  * Every style ledgers exactly those bytes in phases that are not
  * pace-only, and every overlap group's latency is at least its
- * off-chip lane. For a style with sequential windows (the baseline)
- * it is the window floor: the cold start plus, per window, max(window
- * compute, window DRAM bytes / bandwidth) — each group's latency is at
- * least both lanes under either overlap policy, and the groups run one
- * after another. That floor is at least the compute bound and the DRAM
- * floor at once. Neither term exceeds the modeled cycles.
+ * off-chip lane. For an unfused style (the baseline, whose L,
+ * softmax and A windows run one after another) it is the window floor:
+ * the cold start plus, per window, max(window compute, window DRAM
+ * bytes / bandwidth) — each group's latency is at least both lanes
+ * under either overlap policy, and the groups run one after another.
+ * That floor is at least the compute bound and the DRAM floor at
+ * once. Neither term exceeds the modeled cycles.
  *
  * The energy bound keeps only the traffic-independent activity (MACs,
  * SL, SFU, rescale ops) plus the guaranteed SG streaming volume — the
@@ -295,9 +296,9 @@ struct SliceBound {
     double floor_constant(const DramSplit& split) const
     {
         const double dram = split.softmax / offchip_bytes_per_cycle;
-        return style->sequential_windows()
-                   ? cold_cycles + std::max(softmax_cycles, dram)
-                   : dram;
+        return style->fused()
+                   ? dram
+                   : cold_cycles + std::max(softmax_cycles, dram);
     }
     double floor_logit(const DramSplit& split, std::size_t li) const
     {
@@ -334,14 +335,14 @@ struct SliceBound {
 
   private:
     /** One GEMM's window: its DRAM bytes over the bandwidth, and for
-     *  sequential windows at least the GEMM's own compute. */
+     *  an unfused style's own window at least the GEMM's compute. */
     double window_floor(const GemmSliceCost& gemm, double dram_bytes) const
     {
         const double dram = dram_bytes / offchip_bytes_per_cycle;
-        return style->sequential_windows()
-                   ? std::max(gemm.compute.total_cycles() * slices_count,
-                              dram)
-                   : dram;
+        return style->fused()
+                   ? dram
+                   : std::max(gemm.compute.total_cycles() * slices_count,
+                              dram);
     }
 };
 
@@ -556,6 +557,22 @@ update_shared_best(std::atomic<double>& shared_best, double value)
                current, value, std::memory_order_relaxed)) {
     }
 }
+
+/**
+ * search_operator()'s pricing pass: clears @p candidates, configures
+ * @p batch from gemm_operator_skeleton(), then appends every candidate
+ * of @p op in enumeration order — stationarity, tile, loop order, L3
+ * subset (none, then the seven flagged ones when options.allow_l3) —
+ * to @p candidates and its values (gemm_operator_values()) as one lane,
+ * and evaluates the batch. One GemmSliceCost record per (stationarity,
+ * tile, order) serves its L3 subsets, and one live footprint per
+ * (tile, L3 subset) its orders. @p accel must be valid and @p op a
+ * GEMM; search_operator() checks both at its entry.
+ */
+void price_operator_lanes(const AccelConfig& accel, const Operator& op,
+                          const OperatorSearchOptions& options,
+                          std::vector<OperatorDataflow>& candidates,
+                          TimelineBatch& batch);
 
 } // namespace detail
 } // namespace flat

@@ -157,13 +157,7 @@ serving_space_canonical(const AccelConfig& accel,
                         const ServeOptions& options)
 {
     std::ostringstream text;
-    text << "serve accel=" << accel.name << ' ' << accel.pe_rows << 'x'
-         << accel.pe_cols << " sl=" << accel.sl_bytes
-         << " sg=" << accel.sg_bytes << " sg2=" << accel.sg2_bytes
-         << " rf=" << accel.rf_bytes << " dram=" << accel.dram_bytes
-         << " on=" << accel.onchip_bw << " off=" << accel.offchip_bw
-         << " clk=" << accel.clock_hz << " sfu=" << accel.sfu_lanes
-         << " bpe=" << accel.bytes_per_element << '\n';
+    text << "serve " << accel.canonical();
     text << "model " << model.name << ' ' << model.num_blocks << ' '
          << model.hidden_dim << ' ' << model.num_heads << ' '
          << model.ff_dim << ' ' << model.kv_heads() << '\n';

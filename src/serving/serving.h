@@ -110,10 +110,12 @@ struct ServeReport {
 
 /**
  * Canonical description of a serving run: every knob that changes the
- * report (accel, model, the full arrival trace, scheduler policy and
- * cap, dataflow policy, style menu, quick flag, ctx bucket) and none
- * of the execution knobs (threads, prune). fnv1a64 of this is
- * the journal space hash — the policy axis is folded in here.
+ * report (every accel field — AccelConfig::canonical(), the line
+ * search scope keys hash too — model, the full arrival trace,
+ * scheduler policy and cap, dataflow policy, style menu, quick flag,
+ * ctx bucket) and none of the execution knobs (threads, prune).
+ * fnv1a64 of this is the journal space hash — the policy axis is
+ * folded in here.
  */
 std::string serving_space_canonical(const AccelConfig& accel,
                                     const ModelConfig& model,

@@ -29,16 +29,6 @@ TEST(Noc, CrossbarIsConstant)
     EXPECT_EQ(noc.drain_latency(), 2u);
 }
 
-TEST(Noc, InjectionRateOrdering)
-{
-    // Multicast-capable NoCs inject at least as fast as systolic edges.
-    const NocModel systolic(NocKind::kSystolic, 32, 32);
-    const NocModel tree(NocKind::kTree, 32, 32);
-    const NocModel xbar(NocKind::kCrossbar, 32, 32);
-    EXPECT_LT(systolic.injection_rate(), tree.injection_rate());
-    EXPECT_DOUBLE_EQ(tree.injection_rate(), xbar.injection_rate());
-}
-
 TEST(Noc, LargerArrayLargerSystolicSkew)
 {
     const NocModel small(NocKind::kSystolic, 32, 32);

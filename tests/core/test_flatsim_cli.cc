@@ -460,6 +460,34 @@ TEST(FlatsimCli, StaleJournalExitsOneWithConfigDiagnostic)
     EXPECT_NE(result.stderr_text.find("stale"), std::string::npos);
 }
 
+TEST(FlatsimCli, SweepResumeUnderOtherStylesIsStale)
+{
+    // Every point's search enumerates the styles: a journal written
+    // under --style all must not replay its picks into a default run.
+    const std::string spec = "flatsim_cli_styles.sweep";
+    {
+        std::ofstream out(spec);
+        out << "models = bert\nplatforms = edge\npolicies = flat-opt\n"
+            << "seq = 256, 512\nbatch = 2\nscope = la\nquick = true\n";
+    }
+    const std::string journal = "flatsim_cli_styles_journal.jsonl";
+    std::remove(journal.c_str());
+    ASSERT_EQ(run_flatsim_stdout("--sweep " + spec + " --style all "
+                                 "--journal " + journal)
+                  .exit_code,
+              0);
+    const CliResult other =
+        run_flatsim("--sweep " + spec + " --resume " + journal);
+    const CliOutput same = run_flatsim_stdout(
+        "--sweep " + spec + " --style all --resume " + journal);
+    std::remove(spec.c_str());
+    std::remove(journal.c_str());
+    EXPECT_EQ(other.exit_code, 1);
+    expect_json_diagnostic(other, "config");
+    EXPECT_NE(other.stderr_text.find("stale"), std::string::npos);
+    EXPECT_EQ(same.exit_code, 0);
+}
+
 TEST(FlatsimCli, JournalAndResumeAreMutuallyExclusive)
 {
     const CliResult result =

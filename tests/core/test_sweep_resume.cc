@@ -110,6 +110,17 @@ TEST_F(SweepResume, JournalHeaderTracksResultShapingKnobsOnly)
     serialized.baseline_overlap = BaselineOverlap::kSerialized;
     EXPECT_NE(sweep_journal_header(spec, serialized).space_hash,
               base.space_hash);
+    // Every point searches the styles, so they shape the results too.
+    SimOptions styled = sim;
+    styled.styles = {"all"};
+    const RunJournalHeader all = sweep_journal_header(spec, styled);
+    EXPECT_NE(all.space_hash, base.space_hash);
+    styled.styles = {"flat", "flash"};
+    EXPECT_NE(sweep_journal_header(spec, styled).space_hash,
+              all.space_hash);
+    styled.styles = {"all"};
+    EXPECT_EQ(sweep_journal_header(spec, styled).space_hash,
+              all.space_hash);
 }
 
 TEST_F(SweepResume, ResumedSweepMatchesFreshAcrossThreadsAndPrune)

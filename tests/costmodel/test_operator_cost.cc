@@ -4,6 +4,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "costmodel/attention_plan.h"
 #include "workload/attention.h"
 #include "workload/model_config.h"
 
@@ -99,14 +100,19 @@ TEST(OperatorCost, SpillPenaltyWhenFootprintExceedsSg)
               plain_cost.activity.traffic.total_dram());
 }
 
-TEST(OperatorCost, EffectiveFetchesBlendsWithResidency)
+TEST(OperatorCost, SplitFetchesBlendsWithResidency)
 {
-    EXPECT_DOUBLE_EQ(effective_fetches(false, 1.0, 7.0), 7.0);
-    EXPECT_DOUBLE_EQ(effective_fetches(true, 1.0, 7.0), 1.0);
+    // The operator model's fetch events per tensor: split_fetches()
+    // without an SG2 level.
+    const auto dram = [](bool staged, double rho, double unstaged) {
+        return split_fetches(staged, rho, 0.0, unstaged).dram;
+    };
+    EXPECT_DOUBLE_EQ(dram(false, 1.0, 7.0), 7.0);
+    EXPECT_DOUBLE_EQ(dram(true, 1.0, 7.0), 1.0);
     // Fully spilled staging costs one extra pass.
-    EXPECT_DOUBLE_EQ(effective_fetches(true, 0.0, 7.0), 8.0);
+    EXPECT_DOUBLE_EQ(dram(true, 0.0, 7.0), 8.0);
     // Half resident: average of the two regimes.
-    EXPECT_DOUBLE_EQ(effective_fetches(true, 0.5, 7.0), 0.5 + 4.0);
+    EXPECT_DOUBLE_EQ(dram(true, 0.5, 7.0), 0.5 + 4.0);
 }
 
 TEST(OperatorCost, DramTrafficAtLeastCompulsory)
@@ -129,35 +135,6 @@ TEST(OperatorCost, RejectsSoftmaxNode)
     const Workload w = make_workload(bert_base(), 1, 128);
     EXPECT_THROW(model_gemm_operator(edge_accel(), w.softmax_op(),
                                      default_dataflow()),
-                 Error);
-}
-
-TEST(BaselineSoftmax, RoundTripsThroughDram)
-{
-    const Workload w = make_workload(bert_base(), 4, 1024);
-    const OperatorCost cost =
-        model_baseline_softmax(edge_accel(), w.softmax_op());
-    const double bytes =
-        static_cast<double>(w.softmax_op().output_elems()) * 2.0;
-    EXPECT_DOUBLE_EQ(cost.activity.traffic.dram_read, bytes);
-    EXPECT_DOUBLE_EQ(cost.activity.traffic.dram_write, bytes);
-    EXPECT_GT(cost.cycles, 0.0);
-}
-
-TEST(BaselineSoftmax, ResidentFractionRemovesDramTraffic)
-{
-    const Workload w = make_workload(bert_base(), 4, 1024);
-    const OperatorCost off =
-        model_baseline_softmax(edge_accel(), w.softmax_op(), 0.0);
-    const OperatorCost on =
-        model_baseline_softmax(edge_accel(), w.softmax_op(), 1.0);
-    EXPECT_DOUBLE_EQ(on.activity.traffic.total_dram(), 0.0);
-    EXPECT_LT(on.cycles, off.cycles);
-}
-
-TEST(BaselineSoftmax, RejectsGemmNode)
-{
-    EXPECT_THROW(model_baseline_softmax(edge_accel(), projection_op()),
                  Error);
 }
 

@@ -61,16 +61,6 @@ TEST(Reuse, RejectsZeroTrips)
     EXPECT_THROW(analyze_reuse(LoopOrder::kMKN, 0, 1, 1), Error);
 }
 
-TEST(Reuse, BestLoopOrderPrefersKeepingLargeTensorResident)
-{
-    // A tiles are huge: the best order should avoid refetching A.
-    const LoopOrder order = best_loop_order(8, 8, 8,
-                                            /*a=*/1 << 20,
-                                            /*b=*/1, /*c=*/1);
-    const ReuseCounts c = analyze_reuse(order, 8, 8, 8);
-    EXPECT_EQ(c.a_fetches, 64u); // minimal: one fetch per A tile
-}
-
 /**
  * Property: for every loop order, fetch counts are bounded below by the
  * distinct-tile count and above by the total trip count, and at least

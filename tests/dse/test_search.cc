@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -258,11 +259,12 @@ reference_operator_search(const AccelConfig& accel, const Operator& op,
     return result;
 }
 
-TEST(OperatorSearch, BatchedLanesMatchTheReferenceLoop)
+/** Prefill projections/FCs and the batched L/A GEMMs of an MHA model,
+ *  plus a GQA decode step's (narrow K/V projections, one query row per
+ *  sequence). */
+std::vector<Operator>
+searched_gemms()
 {
-    // Prefill projections/FCs and the batched L/A GEMMs of an MHA
-    // model, plus a GQA decode step's (narrow K/V projections, one
-    // query row per sequence).
     std::vector<Operator> ops;
     for (const Workload& w :
          {make_workload(bert_base(), 8, 512),
@@ -273,8 +275,81 @@ TEST(OperatorSearch, BatchedLanesMatchTheReferenceLoop)
             }
         }
     }
+    return ops;
+}
+
+TEST(OperatorSearch, BatchedLanesMatchTheReferenceLoop)
+{
     for (const AccelConfig& accel : {edge_accel(), cloud_accel()}) {
-        for (const Operator& op : ops) {
+        for (const Operator& op : searched_gemms()) {
+            for (const bool allow_l3 : {false, true}) {
+                for (const bool quick : {true, false}) {
+                    for (const Objective objective :
+                         {Objective::kRuntime, Objective::kEnergy,
+                          Objective::kEdp}) {
+                        SCOPED_TRACE(accel.name + " " + op.name + " m=" +
+                                     std::to_string(op.gemm.m) +
+                                     " l3=" + std::to_string(allow_l3) +
+                                     " quick=" + std::to_string(quick) +
+                                     " objective=" +
+                                     std::to_string(
+                                         static_cast<int>(objective)));
+                        OperatorSearchOptions opt;
+                        opt.allow_l3 = allow_l3;
+                        opt.quick = quick;
+                        opt.objective = objective;
+                        const OperatorSearchResult want =
+                            reference_operator_search(accel, op, opt);
+                        const OperatorSearchResult got =
+                            search_operator(accel, op, opt);
+                        ASSERT_TRUE(got.found);
+                        EXPECT_EQ(got.dataflow.tag(), want.dataflow.tag());
+                        EXPECT_EQ(got.cost.cycles, want.cost.cycles);
+                        EXPECT_EQ(got.energy_j, want.energy_j);
+                        EXPECT_EQ(got.evaluated, want.evaluated);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** A lane's cycles and every activity field equal @p cost's, bit for
+ *  bit. */
+bool
+lane_matches(const TimelineBatch::LaneSummary& lane,
+             const OperatorCost& cost)
+{
+    const auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    };
+    const ActivityCounts& a = lane.activity;
+    const ActivityCounts& b = cost.activity;
+    return same(lane.cycles, cost.cycles) && same(a.macs, b.macs) &&
+           same(a.sl_accesses, b.sl_accesses) &&
+           same(a.sfu_elems, b.sfu_elems) &&
+           same(a.traffic.dram_read, b.traffic.dram_read) &&
+           same(a.traffic.dram_write, b.traffic.dram_write) &&
+           same(a.traffic.sg_read, b.traffic.sg_read) &&
+           same(a.traffic.sg_write, b.traffic.sg_write) &&
+           same(a.traffic.sg2_read, b.traffic.sg2_read) &&
+           same(a.traffic.sg2_write, b.traffic.sg2_write) &&
+           same(a.traffic.link_in, b.traffic.link_in) &&
+           same(a.traffic.link_out, b.traffic.link_out);
+}
+
+TEST(OperatorSearch, EveryLaneMatchesTheReference)
+{
+    // Every candidate's lane, not only the winner, prices as
+    // model_gemm_operator() does: a lane reading another candidate's
+    // record or resident fraction could hide behind an unchanged
+    // winner.
+    TimelineBatch batch;
+    std::vector<OperatorDataflow> candidates;
+    std::size_t lanes = 0;
+    std::size_t spilled = 0;
+    for (const AccelConfig& accel : {edge_accel(), cloud_accel()}) {
+        for (const Operator& op : searched_gemms()) {
             for (const bool allow_l3 : {false, true}) {
                 for (const bool quick : {true, false}) {
                     SCOPED_TRACE(accel.name + " " + op.name + " m=" +
@@ -284,19 +359,29 @@ TEST(OperatorSearch, BatchedLanesMatchTheReferenceLoop)
                     OperatorSearchOptions opt;
                     opt.allow_l3 = allow_l3;
                     opt.quick = quick;
-                    const OperatorSearchResult want =
-                        reference_operator_search(accel, op, opt);
-                    const OperatorSearchResult got =
-                        search_operator(accel, op, opt);
-                    ASSERT_TRUE(got.found);
-                    EXPECT_EQ(got.dataflow.tag(), want.dataflow.tag());
-                    EXPECT_EQ(got.cost.cycles, want.cost.cycles);
-                    EXPECT_EQ(got.energy_j, want.energy_j);
-                    EXPECT_EQ(got.evaluated, want.evaluated);
+                    detail::price_operator_lanes(accel, op, opt,
+                                                 candidates, batch);
+                    ASSERT_EQ(batch.lanes(), candidates.size());
+                    std::size_t mismatched = 0;
+                    std::string first;
+                    for (std::size_t i = 0; i < candidates.size(); ++i) {
+                        const OperatorCost want =
+                            model_gemm_operator(accel, op, candidates[i]);
+                        spilled += want.resident_fraction < 1.0 ? 1 : 0;
+                        if (!lane_matches(batch.summary(i), want) &&
+                            mismatched++ == 0) {
+                            first = candidates[i].tag();
+                        }
+                    }
+                    EXPECT_EQ(mismatched, 0u) << "first: " << first;
+                    lanes += candidates.size();
                 }
             }
         }
     }
+    // Staged candidates must spill often, or lanes that mix up the L3
+    // subsets' resident fractions would price alike.
+    EXPECT_GT(spilled, lanes / 4) << spilled << " of " << lanes;
 }
 
 TEST(OperatorSearch, RejectsSoftmax)

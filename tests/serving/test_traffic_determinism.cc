@@ -15,11 +15,14 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/run_journal.h"
 #include "common/status.h"
 #include "costmodel/execution_style.h"
+#include "dse/search_internal.h"
+#include "workload/attention.h"
 #include "workload/model_config.h"
 
 namespace flat {
@@ -79,6 +82,69 @@ serve_header(const AccelConfig& accel, const ModelConfig& model,
     header.space_hash = fnv1a64(
         serving_space_canonical(accel, model, requests, options));
     return header;
+}
+
+TEST(TrafficDeterminism, EveryAccelFieldChangesBothJournalHashes)
+{
+    // A serve journal replays step costs and a search journal slice
+    // winners, so each must go stale when any accelerator field moves
+    // — the serve line once missed the SG2 bandwidth, the NoC kinds
+    // and the capability bits.
+    const AccelConfig base = edge_accel();
+    const ModelConfig model = model_by_name("bert");
+    const std::vector<Request> requests = small_trace();
+    const ServeOptions options = serve_options(1);
+    const AttentionDims dims =
+        AttentionDims::from_workload(make_workload(bert_base(), 2, 256));
+    const AttentionSearchOptions search;
+    const std::string serve_text =
+        serving_space_canonical(base, model, requests, options);
+    const std::string search_text =
+        detail::search_space_canonical(base, dims, search);
+
+    const std::vector<std::pair<const char*, void (*)(AccelConfig&)>>
+        edits = {
+            {"name", [](AccelConfig& a) { a.name = "other"; }},
+            {"pe_rows", [](AccelConfig& a) { a.pe_rows = 16; }},
+            {"pe_cols", [](AccelConfig& a) { a.pe_cols = 16; }},
+            {"sl_bytes", [](AccelConfig& a) { a.sl_bytes *= 2; }},
+            {"sg_bytes", [](AccelConfig& a) { a.sg_bytes *= 2; }},
+            {"sg2_bytes", [](AccelConfig& a) { a.sg2_bytes = 1 << 26; }},
+            {"rf_bytes", [](AccelConfig& a) { a.rf_bytes = 4096; }},
+            {"dram_bytes", [](AccelConfig& a) { a.dram_bytes = 1 << 30; }},
+            {"sg2_bw", [](AccelConfig& a) { a.sg2_bw = 60e9; }},
+            {"onchip_bw", [](AccelConfig& a) { a.onchip_bw *= 2; }},
+            {"offchip_bw", [](AccelConfig& a) { a.offchip_bw *= 2; }},
+            {"clock_hz", [](AccelConfig& a) { a.clock_hz *= 2; }},
+            {"sfu_lanes", [](AccelConfig& a) { a.sfu_lanes *= 2; }},
+            {"bytes_per_element",
+             [](AccelConfig& a) { a.bytes_per_element = 1; }},
+            {"distribution_noc",
+             [](AccelConfig& a) { a.distribution_noc = NocKind::kTree; }},
+            {"reduction_noc",
+             [](AccelConfig& a) { a.reduction_noc = NocKind::kTree; }},
+            {"flexible_intra_dataflow",
+             [](AccelConfig& a) {
+                 a.caps.flexible_intra_dataflow =
+                     !a.caps.flexible_intra_dataflow;
+             }},
+            {"l3_tiling",
+             [](AccelConfig& a) { a.caps.l3_tiling = !a.caps.l3_tiling; }},
+            {"fused_execution",
+             [](AccelConfig& a) {
+                 a.caps.fused_execution = !a.caps.fused_execution;
+             }},
+        };
+    for (const auto& [field, edit] : edits) {
+        AccelConfig accel = base;
+        edit(accel);
+        EXPECT_NE(serving_space_canonical(accel, model, requests, options),
+                  serve_text)
+            << field;
+        EXPECT_NE(detail::search_space_canonical(accel, dims, search),
+                  search_text)
+            << field;
+    }
 }
 
 TEST(TrafficDeterminism, ReportIsThreadAndBatchWidthInvariant)
