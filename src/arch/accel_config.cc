@@ -1,8 +1,7 @@
 #include "arch/accel_config.h"
 
-#include <sstream>
-
 #include "common/status.h"
+#include "common/string_util.h"
 #include "common/units.h"
 
 namespace flat {
@@ -104,18 +103,21 @@ AccelConfig::validate() const
 std::string
 AccelConfig::canonical() const
 {
-    std::ostringstream text;
-    text << "accel " << name << ' ' << pe_rows << 'x' << pe_cols
-         << " sl=" << sl_bytes << " sg=" << sg_bytes
-         << " sg2=" << sg2_bytes << '@' << sg2_bw << " rf=" << rf_bytes
-         << " dram=" << dram_bytes << " on=" << onchip_bw
-         << " off=" << offchip_bw << " clk=" << clock_hz
-         << " sfu=" << sfu_lanes << " bpe=" << bytes_per_element
-         << " noc=" << static_cast<int>(distribution_noc) << '/'
-         << static_cast<int>(reduction_noc)
-         << " caps=" << caps.flexible_intra_dataflow << caps.l3_tiling
-         << caps.fused_execution << '\n';
-    return text.str();
+    return strprintf(
+        "accel %s %ux%u sl=%llu sg=%llu sg2=%llu@%.17g rf=%llu dram=%llu "
+        "on=%.17g off=%.17g clk=%.17g sfu=%.17g bpe=%u noc=%d/%d "
+        "caps=%d%d%d\n",
+        name.c_str(), pe_rows, pe_cols,
+        static_cast<unsigned long long>(sl_bytes),
+        static_cast<unsigned long long>(sg_bytes),
+        static_cast<unsigned long long>(sg2_bytes), sg2_bw,
+        static_cast<unsigned long long>(rf_bytes),
+        static_cast<unsigned long long>(dram_bytes), onchip_bw, offchip_bw,
+        clock_hz, sfu_lanes, bytes_per_element,
+        static_cast<int>(distribution_noc), static_cast<int>(reduction_noc),
+        static_cast<int>(caps.flexible_intra_dataflow),
+        static_cast<int>(caps.l3_tiling),
+        static_cast<int>(caps.fused_execution));
 }
 
 AccelConfig
@@ -150,6 +152,19 @@ cloud_accel()
     cfg.sfu_lanes = 4096.0;
     cfg.dram_bytes = 80 * kGiB;
     return cfg;
+}
+
+AccelConfig
+accel_preset(const std::string& name)
+{
+    const std::string key = to_lower(name);
+    if (key == "edge") {
+        return edge_accel();
+    }
+    if (key == "cloud") {
+        return cloud_accel();
+    }
+    FLAT_FAIL("unknown platform '" << name << "' (edge | cloud)");
 }
 
 } // namespace flat

@@ -130,9 +130,9 @@ struct AccelConfig {
     /** Throws flat::Error if the configuration is inconsistent. */
     void validate() const;
 
-    /** Every field as one '\n'-terminated line: the accelerator part
-     *  of the search scope and serve journal hashes, so a change to any
-     *  field makes their journals stale. */
+    /** Every field as one '\n'-terminated line, doubles at round-trip
+     *  precision: the accelerator part of every journal hash, so a
+     *  change to any field makes the journal stale. */
     std::string canonical() const;
 };
 
@@ -141,6 +141,10 @@ AccelConfig edge_accel();
 
 /** Cloud preset of Figure 7(a): 256x256 PEs, 32MB SG, 8TB/s / 400GB/s. */
 AccelConfig cloud_accel();
+
+/** The Figure 7(a) preset named @p name ("edge" | "cloud", any case);
+ *  throws flat::Error for any other name. */
+AccelConfig accel_preset(const std::string& name);
 
 } // namespace flat
 

@@ -1,13 +1,11 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace flat {
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
 std::mutex g_mutex;
 
 const char*
@@ -27,13 +25,7 @@ level_tag(LogLevel level)
 LogLevel
 log_level()
 {
-    return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-void
-set_log_level(LogLevel level)
-{
-    g_level.store(static_cast<int>(level), std::memory_order_relaxed);
+    return LogLevel::kInfo;
 }
 
 void

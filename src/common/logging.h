@@ -13,9 +13,8 @@ namespace flat {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/** Global log threshold; messages below it are dropped. */
+/** Log threshold (kInfo); messages below it are dropped. */
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 /** Emits one log line to stderr (thread-safe at line granularity). */
 void log_message(LogLevel level, const std::string& msg);

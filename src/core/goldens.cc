@@ -11,26 +11,20 @@
 namespace flat {
 namespace {
 
+/** The golden's accelerator: a Figure 7(a) preset, or edge-sg2. */
 AccelConfig
 accel_for_preset(const std::string& preset)
 {
-    if (preset == "edge") {
-        return edge_accel();
+    if (preset != "edge-sg2") {
+        return accel_preset(preset);
     }
-    if (preset == "cloud") {
-        return cloud_accel();
-    }
-    if (preset == "edge-sg2") {
-        // Edge array with a 4 MiB second-level buffer: keeps the SG2
-        // lane and its trace columns pinned by a golden.
-        AccelConfig accel = edge_accel();
-        accel.name = "edge-sg2";
-        accel.sg2_bytes = 4 * kMiB;
-        accel.sg2_bw = 200e9;
-        return accel;
-    }
-    FLAT_FAIL("unknown golden preset '" << preset
-                                        << "' (edge | cloud | edge-sg2)");
+    // Edge array with a 4 MiB second-level buffer: keeps the SG2 lane
+    // and its trace columns pinned by a golden.
+    AccelConfig accel = edge_accel();
+    accel.name = "edge-sg2";
+    accel.sg2_bytes = 4 * kMiB;
+    accel.sg2_bw = 200e9;
+    return accel;
 }
 
 AttentionDims

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/status.h"
+#include "common/string_util.h"
 #include "costmodel/attention_cost.h"
 #include "costmodel/execution_style.h"
 #include "costmodel/timeline.h"
@@ -39,6 +40,17 @@ fold_la_stages(const TimelineResult& timeline)
 }
 
 } // namespace
+
+std::string
+SimOptions::canonical() const
+{
+    return strprintf("sim objective=%d mode=%s quick=%d overlap=%d "
+                     "styles=%s\n",
+                     static_cast<int>(objective), to_string(search_mode),
+                     static_cast<int>(quick),
+                     static_cast<int>(baseline_overlap),
+                     join(styles, ",").c_str());
+}
 
 CandidateOptions
 fixed_policy_candidates()

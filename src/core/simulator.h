@@ -59,6 +59,13 @@ struct SimOptions {
      *  BlockSearchOptions::gemm_memo); null = one memo per run. The
      *  serving layer lends one per serving call. Not owned. */
     GemmSearchMemo* gemm_memo = nullptr;
+
+    /** The options that shape results (objective, search mode, quick,
+     *  styles, baseline overlap) as one '\n'-terminated line: the
+     *  options part of every journal hash. The execution knobs
+     *  (threads, prune, journal, cancel, gemm_memo) never change a
+     *  result and stay out, so a journal resumes under any of them. */
+    std::string canonical() const;
 };
 
 /** Per-category cycle/energy decomposition (Figure 11). */

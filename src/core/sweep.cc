@@ -78,17 +78,13 @@ parse_bool(const std::string& key, const std::string& value)
                             << value << "'");
 }
 
-AccelConfig
-platform_accel(const std::string& name)
+/** @p sim with the objective and quick menus the spec owns. */
+SimOptions
+spec_sim_options(const SweepSpec& spec, SimOptions sim)
 {
-    const std::string key = to_lower(name);
-    if (key == "edge") {
-        return edge_accel();
-    }
-    if (key == "cloud") {
-        return cloud_accel();
-    }
-    FLAT_FAIL("unknown platform '" << name << "' (edge | cloud)");
+    sim.objective = spec.objective;
+    sim.quick = spec.quick;
+    return sim;
 }
 
 /** Evaluates one point; throws on any failure (isolated by the caller). */
@@ -99,13 +95,11 @@ evaluate_point(const SweepPoint& point, const SweepSpec& spec,
 {
     FLAT_FAULT_POINT("sweep.point");
     const ModelConfig model = model_by_name(point.model);
-    const AccelConfig accel = platform_accel(point.platform);
+    const AccelConfig accel = accel_preset(point.platform);
     const Workload workload =
         make_workload(model, point.batch, point.seq);
 
-    SimOptions sim = options.sim;
-    sim.objective = spec.objective;
-    sim.quick = spec.quick;
+    SimOptions sim = spec_sim_options(spec, options.sim);
     // The sweep-level journal also flows into the per-point DSE, so a
     // crash mid-point resumes from completed search slices, not from
     // scratch. The per-point deadline token makes --deadline preemptive.
@@ -288,7 +282,7 @@ SweepSpec::expand() const
         model_by_name(model);
     }
     for (const std::string& platform : platforms) {
-        platform_accel(platform);
+        accel_preset(platform);
     }
     for (const std::string& policy : policies) {
         DataflowPolicy::parse(policy);
@@ -657,24 +651,14 @@ run_sweep(const SweepSpec& spec, const SweepOptions& options)
 RunJournalHeader
 sweep_journal_header(const SweepSpec& spec, const SimOptions& sim)
 {
-    // Canonical text of every knob that shapes the sweep's RESULTS.
-    // Execution knobs (threads, prune, deadlines) are
-    // excluded on purpose: a journal written under one execution
-    // configuration must resume under another.
+    // Every input that shapes the sweep's results: each platform's
+    // accelerator, the options every point runs under and the axes.
+    // Execution knobs (threads, prune, deadlines) stay out, so a
+    // journal written under one execution configuration resumes under
+    // another.
     std::ostringstream text;
-    text << "models=";
-    for (const std::string& m : spec.models) {
-        text << m << ',';
-    }
-    text << " platforms=";
-    for (const std::string& p : spec.platforms) {
-        text << p << ',';
-    }
-    text << " policies=";
-    for (const std::string& p : spec.policies) {
-        text << p << ',';
-    }
-    text << " seq=";
+    text << "sweep models=" << join(spec.models, ",")
+         << " policies=" << join(spec.policies, ",") << " seq=";
     for (const std::uint64_t s : spec.seq_lens) {
         text << s << ',';
     }
@@ -682,14 +666,10 @@ sweep_journal_header(const SweepSpec& spec, const SimOptions& sim)
     for (const std::uint64_t b : spec.batches) {
         text << b << ',';
     }
-    text << " scope=" << static_cast<int>(spec.scope)
-         << " objective=" << static_cast<int>(spec.objective)
-         << " quick=" << spec.quick
-         << " overlap=" << static_cast<int>(sim.baseline_overlap);
-    if (!sim.styles.empty()) {
-        // Every point's search enumerates these. Appended only when
-        // set, so journals written without --style keep their hash.
-        text << " styles=" << join(sim.styles, ",");
+    text << " scope=" << to_string(spec.scope) << '\n'
+         << spec_sim_options(spec, sim).canonical();
+    for (const std::string& platform : spec.platforms) {
+        text << accel_preset(platform).canonical();
     }
 
     RunJournalHeader header;

@@ -122,7 +122,9 @@ struct SweepOptions {
      */
     const CancellationToken* cancel = nullptr;
 
-    /** Forwarded to Simulator::run (threads is overridden to 1). */
+    /** Forwarded to Simulator::run; the spec's objective and quick
+     *  menus replace sim's, and the DSE inside a sweep worker runs
+     *  serially (nested parallel_for). */
     SimOptions sim;
 };
 
@@ -176,9 +178,9 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options);
 
 /**
  * Journal identity of @p spec under @p sim: mode "sweep", a hash over
- * every result-shaping knob (axes, scope, objective, quick, overlap
- * model, execution styles — NOT threads/prune) and the expanded point
- * count.
+ * the axes, each platform's AccelConfig::canonical() and the
+ * SimOptions::canonical() every point runs under (the spec's objective
+ * and quick menus replace @p sim's), plus the expanded point count.
  * flatsim uses this to create fresh journals and to reject stale ones
  * on --resume.
  */

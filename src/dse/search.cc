@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstring>
+#include <iomanip>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -259,8 +260,7 @@ bind_order_classes(SlicedSpace& space)
 /**
  * Visits every design point of @p slice in the deterministic serial
  * order. @p visit receives the dataflow plus the (tile, order) indices
- * of both stages (so callers can address per-slice caches) and returns
- * false to stop the slice early.
+ * of both stages (so callers can address per-slice caches).
  */
 template <typename Visit>
 void
@@ -271,8 +271,7 @@ for_each_slice_point(const SearchSlice& slice,
 {
     // Loop orders vary innermost, as in the search's (tiles, flags)
     // blocks. Enumeration order is otherwise free — the search's total
-    // order on candidates and the capped-explore prefix semantics are
-    // both self-consistent under any fixed order.
+    // order on candidates is self-consistent under any fixed order.
     const std::vector<L2Tile>& tiles_l = *slice.tiles_logit;
     const std::vector<L2Tile>& tiles_a = *slice.tiles_attend;
     for (std::size_t tl = 0; tl < tiles_l.size(); ++tl) {
@@ -289,9 +288,7 @@ for_each_slice_point(const SearchSlice& slice,
                         df.order_attend = orders[oa];
                         df.stat_attend = slice.stat_attend;
                         df.stage = flags;
-                        if (!visit(df, tl, ta, ol, oa)) {
-                            return;
-                        }
+                        visit(df, tl, ta, ol, oa);
                     }
                 }
             }
@@ -392,7 +389,8 @@ search_space_canonical(const AccelConfig& accel,
                        const AttentionSearchOptions& options)
 {
     std::ostringstream text;
-    text << accel.canonical() << "dims " << dims.batch << ' '
+    text << std::setprecision(std::numeric_limits<double>::max_digits10)
+         << accel.canonical() << "dims " << dims.batch << ' '
          << dims.heads << ' ' << dims.q_len << ' ' << dims.kv_len << ' '
          << dims.head_dim << " kvh=" << dims.kv_heads_eff()
          << " decode=" << dims.decode << '\n';
@@ -406,13 +404,8 @@ search_space_canonical(const AccelConfig& accel,
                        FusedStageFlags::encode(*options.fixed_flags))
                  : std::string("*"))
          << " quick=" << options.quick
-         << " overlap=" << static_cast<int>(options.baseline_overlap);
-    if (options.mode != SearchMode::kExhaustive) {
-        // Appended only for the new modes so every exhaustive scope
-        // hash (and thus every pre-existing journal) stays valid.
-        text << " mode=" << to_string(options.mode);
-    }
-    text << " styles=";
+         << " overlap=" << static_cast<int>(options.baseline_overlap)
+         << " mode=" << to_string(options.mode) << " styles=";
     for (const ExecutionStyle* style : resolve_styles(options)) {
         text << style->id() << ',';
     }
@@ -1065,8 +1058,7 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
 
 std::vector<DsePoint>
 explore_attention(const AccelConfig& accel, const AttentionDims& dims,
-                  const AttentionSearchOptions& options,
-                  std::size_t max_points)
+                  const AttentionSearchOptions& options)
 {
     accel.validate();
     dims.validate();
@@ -1074,9 +1066,7 @@ explore_attention(const AccelConfig& accel, const AttentionDims& dims,
     const SlicedSpace space = build_sliced_space(accel, dims, options);
 
     // Per-slice collection preserves the serial enumeration order when
-    // concatenated. Each slice stops once it alone could satisfy the
-    // cap (no slice ever needs more than max_points of its prefix), so
-    // a small cap no longer walks the entire space.
+    // concatenated.
     std::vector<std::vector<DsePoint>> per_slice(space.slices.size());
     parallel_for(
         space.slices.size(), options.threads, [&](std::size_t si) {
@@ -1086,9 +1076,6 @@ explore_attention(const AccelConfig& accel, const AttentionDims& dims,
                 slice, space.orders, space.flag_sets,
                 [&](const FusedDataflow& df, std::size_t, std::size_t,
                     std::size_t, std::size_t) {
-                    if (max_points != 0 && local.size() >= max_points) {
-                        return false; // stop flag: slice satisfied
-                    }
                     DsePoint point;
                     point.dataflow = df;
                     point.style = slice.style;
@@ -1100,16 +1087,12 @@ explore_attention(const AccelConfig& accel, const AttentionDims& dims,
                                         point.cost.activity)
                             .total();
                     local.push_back(std::move(point));
-                    return true;
                 });
         });
 
     std::vector<DsePoint> points;
     for (std::vector<DsePoint>& local : per_slice) {
         for (DsePoint& point : local) {
-            if (max_points != 0 && points.size() >= max_points) {
-                return points;
-            }
             points.push_back(std::move(point));
         }
     }

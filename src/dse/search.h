@@ -206,13 +206,10 @@ AttentionSearchResult search_attention(const AccelConfig& accel,
 /**
  * Evaluates and returns every design point (Figure 10's scatter) in the
  * serial enumeration order regardless of opt.threads.
- * @p max_points caps the output (0 = unlimited; a cap stops the
- * enumeration early instead of walking the whole space).
  */
 std::vector<DsePoint> explore_attention(const AccelConfig& accel,
                                         const AttentionDims& dims,
-                                        const AttentionSearchOptions& opt,
-                                        std::size_t max_points = 0);
+                                        const AttentionSearchOptions& opt);
 
 /** DSE outcome for one non-fused operator. */
 struct OperatorSearchResult {

@@ -66,13 +66,13 @@ shard_attention_dims(const AttentionDims& dims, ShardAxis axis,
 }
 
 ScaleOutCost
-model_scaleout_attention(const ExecutionStyle& style,
-                         const AccelConfig& accel,
+model_scaleout_attention(const AccelConfig& accel,
                          const AttentionDims& dims,
                          const FusedDataflow& dataflow,
                          const ScaleOutConfig& fabric)
 {
     fabric.validate();
+    const ExecutionStyle& style = flat_execution_style();
 
     ScaleOutCost out;
     out.devices = fabric.devices;
@@ -170,16 +170,6 @@ model_scaleout_attention(const ExecutionStyle& style,
         }
     }
     return out;
-}
-
-ScaleOutCost
-model_scaleout_attention(const AccelConfig& accel,
-                         const AttentionDims& dims,
-                         const FusedDataflow& dataflow,
-                         const ScaleOutConfig& fabric)
-{
-    return model_scaleout_attention(flat_execution_style(), accel, dims,
-                                    dataflow, fabric);
 }
 
 } // namespace flat

@@ -77,21 +77,14 @@ struct ScaleOutCost {
 
 /**
  * Models the sharded layer on @p accel devices connected by
- * @p fabric, executing @p dataflow under @p style per device. The
- * style's emitted phases are the seam: collective phases are appended
- * to them and the union runs through the same evaluate_timeline()
- * arbitration the single-device entry points use. @p fabric.axis
- * selects the shard axis and must not be kAuto (the scale-out DSE
- * resolves kAuto). With fabric.devices == 1 the result wraps
- * attention_timeline(style, ...) unchanged.
+ * @p fabric, executing @p dataflow under the FLAT style per device
+ * (scale-out shards the fused execution only). The style's emitted
+ * phases are the seam: collective phases are appended to them and the
+ * union runs through the same evaluate_timeline() arbitration the
+ * single-device entry points use. @p fabric.axis selects the shard
+ * axis and must not be kAuto (the scale-out DSE resolves kAuto). With
+ * fabric.devices == 1 the result wraps attention_timeline() unchanged.
  */
-ScaleOutCost model_scaleout_attention(const ExecutionStyle& style,
-                                      const AccelConfig& accel,
-                                      const AttentionDims& dims,
-                                      const FusedDataflow& dataflow,
-                                      const ScaleOutConfig& fabric);
-
-/** Historical entry point: the FLAT style per device. */
 ScaleOutCost model_scaleout_attention(const AccelConfig& accel,
                                       const AttentionDims& dims,
                                       const FusedDataflow& dataflow,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -157,7 +159,8 @@ serving_space_canonical(const AccelConfig& accel,
                         const ServeOptions& options)
 {
     std::ostringstream text;
-    text << "serve " << accel.canonical();
+    text << std::setprecision(std::numeric_limits<double>::max_digits10)
+         << "serve " << accel.canonical() << options.sim.canonical();
     text << "model " << model.name << ' ' << model.num_blocks << ' '
          << model.hidden_dim << ' ' << model.num_heads << ' '
          << model.ff_dim << ' ' << model.kv_heads() << '\n';
@@ -165,21 +168,7 @@ serving_space_canonical(const AccelConfig& accel,
          << " max_batch=" << options.sched.max_batch
          << " ctx_bucket=" << options.ctx_bucket << '\n';
     text << "dse policy=" << options.policy
-         << " styles=" << style_tag(options.sim)
-         << " quick=" << options.sim.quick << " overlap="
-         << static_cast<int>(options.sim.baseline_overlap);
-    // The search mode prices every step, so a journal written under
-    // one mode is stale under another. Appended only for the new
-    // non-exhaustive modes: a pre-upgrade all-exhaustive journal
-    // keeps its historical hash. The auto-DSE mode is hashed
-    // separately whenever it disagrees with the fixed-path mode.
-    if (options.sim.search_mode != SearchMode::kExhaustive) {
-        text << " mode=" << to_string(options.sim.search_mode);
-    }
-    if (options.dse_mode != options.sim.search_mode) {
-        text << " auto_mode=" << to_string(options.dse_mode);
-    }
-    text << '\n';
+         << " auto_mode=" << to_string(options.dse_mode) << '\n';
     text << "trace n=" << requests.size() << '\n';
     for (const Request& r : requests) {
         text << r.id << ' ' << r.arrival_s << ' ' << r.prompt_tokens

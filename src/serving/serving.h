@@ -109,13 +109,12 @@ struct ServeReport {
 };
 
 /**
- * Canonical description of a serving run: every knob that changes the
- * report (every accel field — AccelConfig::canonical(), the line
- * search scope keys hash too — model, the full arrival trace,
- * scheduler policy and cap, dataflow policy, style menu, quick flag,
- * ctx bucket) and none of the execution knobs (threads, prune).
- * fnv1a64 of this is the journal space hash — the policy axis is
- * folded in here.
+ * Canonical description of a serving run: AccelConfig::canonical(),
+ * SimOptions::canonical() of `options.sim`, then the serving run's own
+ * fields (model, scheduler policy and cap, ctx bucket, dataflow policy,
+ * the auto-DSE search mode and the full arrival trace at round-trip
+ * precision), and none of the execution knobs (threads, prune).
+ * fnv1a64 of this is the journal space hash.
  */
 std::string serving_space_canonical(const AccelConfig& accel,
                                     const ModelConfig& model,

@@ -17,17 +17,6 @@ to_string(OpCategory category)
 }
 
 std::uint64_t
-Operator::compute_ops() const
-{
-    if (kind == OpKind::kGemm) {
-        return gemm.macs();
-    }
-    // Softmax: one exp, one accumulate, one scale per element, plus the
-    // row max for numerical stability — model as 4 ops/element.
-    return 4 * softmax_instances * softmax_rows * softmax_cols;
-}
-
-std::uint64_t
 Operator::output_elems() const
 {
     if (kind == OpKind::kGemm) {

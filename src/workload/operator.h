@@ -48,9 +48,6 @@ struct Operator {
     std::uint64_t softmax_cols = 0;
     std::uint64_t softmax_instances = 0;
 
-    /** MAC count for GEMMs; exp/sum/scale op count for softmax. */
-    std::uint64_t compute_ops() const;
-
     /** Total elements of the operator's output tensor. */
     std::uint64_t output_elems() const;
 

@@ -31,6 +31,14 @@ TEST(AccelConfig, CloudPresetMatchesFigure7a)
     EXPECT_NO_THROW(cloud.validate());
 }
 
+TEST(AccelConfig, PresetByNameIsEdgeOrCloud)
+{
+    EXPECT_EQ(accel_preset("edge").canonical(), edge_accel().canonical());
+    EXPECT_EQ(accel_preset("Cloud").canonical(),
+              cloud_accel().canonical());
+    EXPECT_THROW(accel_preset("edge-sg2"), Error);
+}
+
 TEST(AccelConfig, DerivedQuantities)
 {
     const AccelConfig edge = edge_accel();

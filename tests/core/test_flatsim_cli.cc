@@ -15,9 +15,14 @@
  */
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -119,11 +124,14 @@ run_flatsim_stdout(const std::string& args)
     return result;
 }
 
-/** wall_ms values are the only run-to-run noise in sweep JSON. */
+/** @p text with the value of every "field": key replaced by 0. wall_ms
+ *  is the only run-to-run noise in sweep JSON, and cost_journal_hits
+ *  the only field a resumed serve run may change (costs replay from
+ *  the journal instead of the DSE). */
 std::string
-scrub_wall_ms(const std::string& text)
+scrub(const std::string& text, const std::string& field)
 {
-    const std::string key = "\"wall_ms\":";
+    const std::string key = "\"" + field + "\":";
     std::string out;
     out.reserve(text.size());
     std::size_t pos = 0;
@@ -142,6 +150,40 @@ scrub_wall_ms(const std::string& text)
         }
         pos = end;
     }
+}
+
+/** The raw value of the first "key": field of a JSON report ("" when
+ *  absent). */
+std::string
+json_field(const std::string& text, const std::string& field)
+{
+    const std::string key = "\"" + field + "\":";
+    const std::size_t hit = text.find(key);
+    if (hit == std::string::npos) {
+        return "";
+    }
+    const std::size_t begin = hit + key.size();
+    std::size_t end = begin;
+    while (end < text.size() && text[end] != ',' && text[end] != '}') {
+        ++end;
+    }
+    return text.substr(begin, end - begin);
+}
+
+std::string
+read_file(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+write_file(const std::string& path, const std::string& text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    EXPECT_TRUE(out.is_open()) << path;
+    out << text;
 }
 
 /** Writes the 8-point smoke sweep spec used by the long-run tests. */
@@ -260,6 +302,21 @@ TEST(FlatsimCli, MissingPlatformFileExitsOne)
     expect_json_diagnostic(result, "config");
 }
 
+TEST(FlatsimCli, MissingScaleOutFileFailsBeforeTheSearch)
+{
+    // The fabric resolves with the other inputs, so a bad one stops the
+    // run before its journal, let alone its search, is started.
+    const std::string journal = "flatsim_cli_fabric_journal.jsonl";
+    std::remove(journal.c_str());
+    const CliResult result = run_flatsim(
+        "--model bert --seq 512 --scope la --quick --journal " + journal +
+        " --scaleout-file /nonexistent/fabric.cfg");
+    EXPECT_EQ(result.exit_code, 1);
+    expect_json_diagnostic(result, "config");
+    EXPECT_FALSE(std::ifstream(journal).good());
+    std::remove(journal.c_str());
+}
+
 TEST(FlatsimCli, InfeasibleScaleOutExitsOne)
 {
     // bert has 12 heads: a pinned head shard across 16 devices cannot
@@ -374,8 +431,8 @@ TEST(FlatsimCli, CrashedSweepResumesToTheIdenticalReport)
     std::remove(spec.c_str());
     std::remove(journal.c_str());
     EXPECT_EQ(resumed.exit_code, 0);
-    EXPECT_EQ(scrub_wall_ms(resumed.stdout_text),
-              scrub_wall_ms(fresh.stdout_text));
+    EXPECT_EQ(scrub(resumed.stdout_text, "wall_ms"),
+              scrub(fresh.stdout_text, "wall_ms"));
 }
 
 TEST(FlatsimCli, SigintDrainsGracefullyWithExitFive)
@@ -417,8 +474,8 @@ TEST(FlatsimCli, SigintDrainsGracefullyWithExitFive)
     std::remove(journal.c_str());
     std::remove("flatsim_cli_drain.out");
     EXPECT_EQ(resumed.exit_code, 0);
-    EXPECT_EQ(scrub_wall_ms(resumed.stdout_text),
-              scrub_wall_ms(fresh.stdout_text));
+    EXPECT_EQ(scrub(resumed.stdout_text, "wall_ms"),
+              scrub(fresh.stdout_text, "wall_ms"));
 }
 
 TEST(FlatsimCli, ClosedStdoutPipeKeepsTheRunExitCode)
@@ -498,11 +555,13 @@ TEST(FlatsimCli, JournalAndResumeAreMutuallyExclusive)
 
 TEST(FlatsimCli, MissingResumeJournalExitsOne)
 {
-    const CliResult result = run_flatsim(
-        "--model bert --seq 512 --scope la --quick "
-        "--resume /nonexistent/journal.jsonl");
-    EXPECT_EQ(result.exit_code, 1);
-    expect_json_diagnostic(result, "config");
+    for (const char* mode : {"--scope la", "--block"}) {
+        const CliResult result = run_flatsim(
+            std::string("--model bert --seq 512 --quick ") + mode +
+            " --resume /nonexistent/journal.jsonl");
+        EXPECT_EQ(result.exit_code, 1) << mode;
+        expect_json_diagnostic(result, "config");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -600,23 +659,6 @@ TEST(FlatsimCli, ServeReplayTraceRunsEndToEnd)
               std::string::npos);
 }
 
-/** cost_journal_hits is the only field a resumed serve run may change
- *  (costs replay from the journal instead of the DSE). */
-std::string
-scrub_journal_hits(const std::string& text)
-{
-    const std::string key = "\"cost_journal_hits\":";
-    const std::size_t hit = text.find(key);
-    if (hit == std::string::npos) {
-        return text;
-    }
-    std::size_t end = hit + key.size();
-    while (end < text.size() && text[end] != ',' && text[end] != '}') {
-        ++end;
-    }
-    return text.substr(0, hit + key.size()) + "0" + text.substr(end);
-}
-
 TEST(FlatsimCli, ServeJournalResumeIsBitIdentical)
 {
     const std::string journal = "flatsim_cli_serve_journal.jsonl";
@@ -633,8 +675,8 @@ TEST(FlatsimCli, ServeJournalResumeIsBitIdentical)
     EXPECT_EQ(journaled.exit_code, 0);
     EXPECT_EQ(resumed.exit_code, 0);
     EXPECT_EQ(plain.stdout_text, journaled.stdout_text);
-    EXPECT_EQ(scrub_journal_hits(plain.stdout_text),
-              scrub_journal_hits(resumed.stdout_text));
+    EXPECT_EQ(scrub(plain.stdout_text, "cost_journal_hits"),
+              scrub(resumed.stdout_text, "cost_journal_hits"));
     // The resume actually replayed costs rather than re-searching.
     EXPECT_EQ(resumed.stdout_text.find("\"cost_journal_hits\":0"),
               std::string::npos);
@@ -690,6 +732,315 @@ TEST(FlatsimCli, ServeSigintDrainsToPartialReportWithExitFive)
         << text;
     EXPECT_NE(text.find("\"kind\":\"cancelled\""), std::string::npos)
         << text;
+}
+
+// ---------------------------------------------------------------------
+// The flag table: each flag belongs to the modes that read it, every
+// mode resolves its options and opens its journal one way, and each
+// journal identity covers every input that shapes a result.
+
+/** The two-point spec of the flag-table regressions. */
+std::string
+write_cloud_spec(const std::string& name)
+{
+    write_file(name, "models = bert\nplatforms = cloud\n"
+                     "policies = flat-opt\nseq = 4096, 8192\n"
+                     "batch = 8\nscope = la\nquick = true\n");
+    return name;
+}
+
+/** Every distinct --flag token of @p text, in order. */
+std::vector<std::string>
+flag_tokens(const std::string& text)
+{
+    std::vector<std::string> flags;
+    for (std::size_t at = text.find("--"); at != std::string::npos;
+         at = text.find("--", at + 2)) {
+        std::size_t end = at + 2;
+        while (end < text.size() &&
+               (std::islower(static_cast<unsigned char>(text[end])) ||
+                std::isdigit(static_cast<unsigned char>(text[end])) ||
+                text[end] == '-')) {
+            ++end;
+        }
+        const std::string flag = text.substr(at, end - at);
+        if (flag.size() > 2 &&
+            std::find(flags.begin(), flags.end(), flag) == flags.end()) {
+            flags.push_back(flag);
+        }
+        at = end - 2;
+    }
+    return flags;
+}
+
+TEST(FlatsimCli, EveryHelpFlagIsReadByItsModesAndRefusedByTheRest)
+{
+    // A value the up-front checks accept, per flag ("" = a switch).
+    const std::map<std::string, std::string> values = {
+        {"--model", "bert"}, {"--platform", "cloud"},
+        {"--platform-file", "/nonexistent/walk.cfg"},
+        {"--policy", "flat-opt"}, {"--accel", "attacc"},
+        {"--style", "flat"}, {"--scope", "la"}, {"--seq", "512"},
+        {"--kv-seq", "512"}, {"--window", "64"}, {"--batch", "2"},
+        {"--buffer", "1MiB"}, {"--sg2", "4MiB"}, {"--sg2-bw", "200GB/s"},
+        {"--offchip-bw", "25GB/s"}, {"--objective", "energy"},
+        {"--search-mode", "analytic"}, {"--block", ""},
+        {"--threads", "1"}, {"--no-prune", ""},
+        {"--serialized-baseline", ""}, {"--quick", ""}, {"--json", ""},
+        {"--trace", ""}, {"--trace-json", ""},
+        {"--trace-csv", "/nonexistent/walk.csv"}, {"--devices", "2"},
+        {"--shard-axis", "seq"}, {"--topology", "ring"},
+        {"--link-bw", "300GB/s"}, {"--link-latency", "700ns"},
+        {"--scaleout", "pod-ring"},
+        {"--scaleout-file", "/nonexistent/walk.cfg"}, {"--serve", ""},
+        {"--arrival", "bursty"},
+        {"--arrival-file", "/nonexistent/walk.csv"}, {"--rate", "2"},
+        {"--serve-requests", "4"}, {"--serve-seed", "2"},
+        {"--sched", "auto"}, {"--max-batch", "4"},
+        {"--prompt-tokens", "64"}, {"--output-tokens", "4"},
+        {"--ctx-bucket", "32"}, {"--sweep", "/nonexistent/walk.sweep"},
+        {"--deadline", "100"}, {"--keep-going", ""}, {"--fail-fast", ""},
+        {"--sweep-csv", "/nonexistent/walk.csv"},
+        {"--inject-fault", "dse.search_attention:0"},
+        {"--journal", "/nonexistent/walk.jsonl"},
+        {"--resume", "/nonexistent/walk.jsonl"},
+    };
+    // Each mode's argv ends in a config error (exit 1) once its flags
+    // are accepted; a flag outside the mode exits 2 before any work.
+    const std::pair<std::string, std::string> modes[] = {
+        {"a single run", "--model gpt17"},
+        {"--block", "--block --model gpt17"},
+        {"--serve", "--serve --model gpt17"},
+        {"--sweep", "--sweep /nonexistent/walk.sweep"},
+    };
+    const CliOutput help = run_flatsim_stdout("--help");
+    ASSERT_EQ(help.exit_code, 0);
+    std::size_t walked = 0;
+    for (const std::string& flag : flag_tokens(help.stdout_text)) {
+        if (flag == "--help" || flag == "--list" ||
+            flag == "--list-styles") {
+            continue;
+        }
+        const auto value = values.find(flag);
+        if (value == values.end()) {
+            ADD_FAILURE() << "--help names " << flag
+                          << ", which this walk does not know";
+            continue;
+        }
+        ++walked;
+        const bool picks_mode =
+            flag == "--block" || flag == "--serve" || flag == "--sweep";
+        int accepted = 0;
+        for (const auto& [mode, argv] : modes) {
+            const std::string args = flag + " " + value->second + " " + argv;
+            const CliResult result = run_flatsim(args);
+            if (result.exit_code == 1) {
+                ++accepted;
+                continue;
+            }
+            EXPECT_EQ(result.exit_code, 2) << args;
+            if (!picks_mode) {
+                EXPECT_NE(result.stderr_text.find(flag +
+                                                  " does not apply to " +
+                                                  mode),
+                          std::string::npos)
+                    << args << ":\n" << result.stderr_text;
+            }
+        }
+        EXPECT_GE(accepted, 1) << flag << " is refused by every mode";
+    }
+    EXPECT_EQ(walked, values.size()) << "--help misses a flag";
+}
+
+TEST(FlatsimCli, FlagOutsideItsModeExitsTwoNamingFlagAndMode)
+{
+    // Each of these once exited 0 and dropped the flag.
+    const std::string spec = write_cloud_spec("flatsim_cli_refuse.sweep");
+    const std::string csv = "flatsim_cli_refused.csv";
+    std::remove(csv.c_str());
+    const std::pair<std::string, std::string> cases[] = {
+        {"--serve --accel baseaccel", "--accel does not apply to --serve"},
+        {"--serve --devices 4", "--devices does not apply to --serve"},
+        {"--block --scope la", "--scope does not apply to --block"},
+        {"--sweep " + spec + " --objective energy",
+         "--objective does not apply to --sweep"},
+        {"--scope la --sweep-csv " + csv,
+         "--sweep-csv does not apply to a single run"},
+    };
+    for (const auto& [args, message] : cases) {
+        const CliResult result = run_flatsim(args);
+        EXPECT_EQ(result.exit_code, 2) << args;
+        expect_json_diagnostic(result, "usage");
+        EXPECT_NE(result.stderr_text.find(message), std::string::npos)
+            << result.stderr_text;
+    }
+    EXPECT_FALSE(std::ifstream(csv).good()) << "a refused run wrote "
+                                            << csv;
+    std::remove(spec.c_str());
+}
+
+TEST(FlatsimCli, SweepPointsSearchInTheRequestedMode)
+{
+    // The mapper's probe fires only if the points search analytically.
+    const std::string spec = write_cloud_spec("flatsim_cli_mode.sweep");
+    const CliOutput result = run_flatsim_stdout(
+        "--sweep " + spec + " --search-mode analytic --json "
+        "--inject-fault dse.analytic_search:0");
+    std::remove(spec.c_str());
+    EXPECT_EQ(result.exit_code, 4);
+    EXPECT_NE(result.stdout_text.find(
+                  "\"index\":0,\"tag\":\"bert/cloud/flat-opt/seq=4096/"
+                  "batch=8\",\"model\":\"bert\",\"platform\":\"cloud\","
+                  "\"policy\":\"flat-opt\",\"seq\":4096,\"batch\":8,"
+                  "\"status\":\"failed\""),
+              std::string::npos)
+        << result.stdout_text;
+}
+
+TEST(FlatsimCli, BlockJournalResumesToTheSamePicks)
+{
+    const std::string journal = "flatsim_cli_block_journal.jsonl";
+    std::remove(journal.c_str());
+    const std::string args = "--block --model bert --platform cloud "
+                             "--seq 512 --batch 1 --quick --json";
+    const CliOutput fresh = run_flatsim_stdout(args + " --journal " +
+                                               journal);
+    ASSERT_EQ(fresh.exit_code, 0);
+    const std::string text = read_file(journal);
+    EXPECT_NE(text.find("{\"scope\":\"search:"), std::string::npos)
+        << "no L-A slice records in:\n" << text;
+
+    // A crash halfway through the journal's bytes.
+    write_file(journal, text.substr(0, text.size() / 2));
+    const CliOutput resumed =
+        run_flatsim_stdout(args + " --resume " + journal);
+    std::remove(journal.c_str());
+    EXPECT_EQ(resumed.exit_code, 0);
+    // Same dataflows, cycles and energies; only the split of points
+    // evaluated / pruned may differ.
+    EXPECT_EQ(scrub(scrub(resumed.stdout_text, "evaluated"), "pruned"),
+              scrub(scrub(fresh.stdout_text, "evaluated"), "pruned"));
+}
+
+TEST(FlatsimCli, ServeJournalIsStaleUnderAnotherObjectiveOrBandwidth)
+{
+    // Both resumes once replayed the journal's step costs.
+    const std::string journal = "flatsim_cli_serve_identity.jsonl";
+    const std::string base =
+        "--serve --model bert --platform edge --serve-requests 4 "
+        "--prompt-tokens 1024 --output-tokens 4 ";
+    const std::pair<std::string, std::string> cases[] = {
+        {"", "--objective energy"},
+        {"--offchip-bw 25GB/s", "--offchip-bw 25.00001GB/s"},
+    };
+    for (const auto& [written, resumed] : cases) {
+        std::remove(journal.c_str());
+        ASSERT_EQ(run_flatsim_stdout(base + written + " --journal " +
+                                     journal)
+                      .exit_code,
+                  0);
+        const CliResult result =
+            run_flatsim(base + resumed + " --resume " + journal);
+        EXPECT_EQ(result.exit_code, 1) << resumed;
+        expect_json_diagnostic(result, "config");
+        EXPECT_NE(result.stderr_text.find("stale"), std::string::npos);
+    }
+    std::remove(journal.c_str());
+}
+
+TEST(FlatsimCli, SweepResumeUnderAnotherSearchModeIsStale)
+{
+    const std::string spec = write_cloud_spec("flatsim_cli_stale.sweep");
+    const std::string journal = "flatsim_cli_stale_mode.jsonl";
+    std::remove(journal.c_str());
+    ASSERT_EQ(
+        run_flatsim_stdout("--sweep " + spec + " --journal " + journal)
+            .exit_code,
+        0);
+    const CliResult result = run_flatsim(
+        "--sweep " + spec + " --search-mode analytic --resume " + journal);
+    std::remove(spec.c_str());
+    std::remove(journal.c_str());
+    EXPECT_EQ(result.exit_code, 1);
+    expect_json_diagnostic(result, "config");
+}
+
+TEST(FlatsimCli, ServeFlagsShapeTheReport)
+{
+    const std::string base =
+        "--serve --model bert --serve-requests 4 --quick --json ";
+    const std::string plain = run_flatsim_stdout(base).stdout_text;
+    const auto field = [&](const std::string& flags, const char* key) {
+        const CliOutput out = run_flatsim_stdout(base + flags);
+        EXPECT_EQ(out.exit_code, 0) << flags;
+        return json_field(out.stdout_text, key);
+    };
+    EXPECT_EQ(field("--max-batch 2", "max_batch"), "2");
+    EXPECT_EQ(field("--output-tokens 3", "generated_tokens"), "12");
+    EXPECT_NE(field("--prompt-tokens 64", "prefilled_tokens"),
+              json_field(plain, "prefilled_tokens"));
+    EXPECT_NE(field("--serve-seed 2", "prefilled_tokens"),
+              json_field(plain, "prefilled_tokens"));
+    EXPECT_NE(field("--ctx-bucket 4096", "cost_lookups"),
+              json_field(plain, "cost_lookups"));
+}
+
+TEST(FlatsimCli, RunFlagsShapeTheReport)
+{
+    const std::string base = "--model bert --seq 1024 --scope la --quick "
+                             "--json ";
+    const auto field = [&](const std::string& flags, const char* key) {
+        const CliOutput out = run_flatsim_stdout(base + flags);
+        EXPECT_EQ(out.exit_code, 0) << flags;
+        return json_field(out.stdout_text, key);
+    };
+    EXPECT_NE(field("", "la_points_pruned"), "0");
+    EXPECT_EQ(field("--no-prune", "la_points_pruned"), "0");
+    EXPECT_EQ(field("--devices 4 --link-latency 2us", "link_latency_s"),
+              "2e-06");
+    EXPECT_EQ(field("--devices 4 --scaleout pod-tree", "topology"),
+              "\"tree\"");
+    const std::string fabric = "flatsim_cli_fabric.cfg";
+    write_file(fabric, "topology = tree\ndevices = 4\n");
+    EXPECT_EQ(field("--scaleout-file " + fabric, "topology"), "\"tree\"");
+    std::remove(fabric.c_str());
+    // A small SG spills to the second-level buffer, so its bandwidth
+    // sets the L-A cycles.
+    const std::string spill = "--seq 4096 --buffer 64KiB --sg2 8MiB ";
+    EXPECT_NE(field(spill + "--sg2-bw 60GB/s", "cycles"),
+              field(spill, "cycles"));
+}
+
+TEST(FlatsimCli, SweepFlagsShapeTheReport)
+{
+    const std::string spec = write_cloud_spec("flatsim_cli_knobs.sweep");
+    const std::string base = "--sweep " + spec + " --threads 1 --json ";
+    // Point 0 sleeps well past its deadline.
+    const CliOutput late = run_flatsim_stdout(
+        base + "--deadline 20 --inject-fault sweep.point:0:delay=200");
+    EXPECT_EQ(late.exit_code, 4);
+    EXPECT_NE(late.stdout_text.find("\"kind\":\"timeout\""),
+              std::string::npos);
+    // A failed point 0 stops the sweep under --fail-fast; a later
+    // --keep-going takes it back.
+    const std::string poisoned = base + "--inject-fault sweep.point:0 ";
+    EXPECT_EQ(json_field(run_flatsim_stdout(poisoned + "--fail-fast")
+                             .stdout_text,
+                         "skipped"),
+              "1");
+    EXPECT_EQ(json_field(run_flatsim_stdout(poisoned +
+                                            "--fail-fast --keep-going")
+                             .stdout_text,
+                         "skipped"),
+              "0");
+    const std::string csv = "flatsim_cli_knobs.csv";
+    EXPECT_EQ(run_flatsim_stdout(base + "--sweep-csv " + csv).exit_code,
+              0);
+    const std::string rows = read_file(csv);
+    std::remove(csv.c_str());
+    std::remove(spec.c_str());
+    EXPECT_EQ(rows.rfind("index,tag,status,", 0), 0u) << rows;
+    EXPECT_EQ(std::count(rows.begin(), rows.end(), '\n'), 3) << rows;
 }
 
 } // namespace

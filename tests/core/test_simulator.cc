@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
+#include "common/run_journal.h"
 #include "common/status.h"
 #include "workload/model_config.h"
 
@@ -366,6 +371,46 @@ TEST(Simulator, LentGemmMemoSpansRunsWithoutChangingThem)
         }
         EXPECT_EQ(all_reused, step.all_reused);
     }
+}
+
+TEST(Simulator, CanonicalOptionsWriteWhatShapesResultsOnly)
+{
+    // The options line of every journal hash: a journal must go stale
+    // under another objective, mode, menu, style set or overlap model,
+    // and must resume under any execution knob.
+    const SimOptions base;
+    const std::vector<std::pair<const char*, void (*)(SimOptions&)>>
+        shaping = {
+            {"objective",
+             [](SimOptions& o) { o.objective = Objective::kEnergy; }},
+            {"search_mode",
+             [](SimOptions& o) { o.search_mode = SearchMode::kAnalytic; }},
+            {"quick", [](SimOptions& o) { o.quick = true; }},
+            {"styles", [](SimOptions& o) { o.styles = {"flash"}; }},
+            {"baseline_overlap",
+             [](SimOptions& o) {
+                 o.baseline_overlap = BaselineOverlap::kSerialized;
+             }},
+        };
+    for (const auto& [field, edit] : shaping) {
+        SimOptions options = base;
+        edit(options);
+        EXPECT_NE(options.canonical(), base.canonical()) << field;
+    }
+
+    const std::string path = ::testing::TempDir() + "flat_canonical.jsonl";
+    const std::unique_ptr<RunJournal> journal =
+        RunJournal::create(path, RunJournalHeader{});
+    const CancellationToken cancel;
+    GemmSearchMemo memo;
+    SimOptions knobs = base;
+    knobs.threads = 8;
+    knobs.prune = false;
+    knobs.journal = journal.get();
+    knobs.cancel = &cancel;
+    knobs.gemm_memo = &memo;
+    EXPECT_EQ(knobs.canonical(), base.canonical());
+    std::remove(path.c_str());
 }
 
 TEST(Simulator, RejectsInvalidAccel)

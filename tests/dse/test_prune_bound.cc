@@ -494,7 +494,7 @@ TEST(PruneBound, MapperSliceSkipKeepsEveryBetterSlice)
             detail::prepare_slice_search(accel, dims, opt, table);
         // Every point, slice by slice in slice order.
         const std::vector<DsePoint> points =
-            explore_attention(accel, dims, opt, 0);
+            explore_attention(accel, dims, opt);
         std::size_t next = 0;
         for (std::size_t si = 0; si < search.space.slices.size(); ++si) {
             const std::size_t n =

@@ -91,15 +91,6 @@ TEST(Search, BaselineSpaceExcludesRowGranularity)
     }
 }
 
-TEST(Search, ExploreRespectsMaxPoints)
-{
-    AttentionSearchOptions opt;
-    opt.quick = true;
-    const auto points =
-        explore_attention(edge_accel(), dims(1024), opt, 10);
-    EXPECT_EQ(points.size(), 10u);
-}
-
 TEST(Search, EnergyObjectivePicksLowerEnergyPoint)
 {
     AttentionSearchOptions runtime_opt;

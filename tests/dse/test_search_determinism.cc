@@ -460,24 +460,5 @@ TEST(ExploreDeterminism, PointOrderIndependentOfThreads)
     }
 }
 
-TEST(ExploreDeterminism, MaxPointsPrefixMatchesFullEnumeration)
-{
-    AttentionSearchOptions opt;
-    opt.quick = true;
-    const AccelConfig accel = edge_accel();
-    const AttentionDims dims = self_attention(1024);
-    opt.threads = 1;
-    const auto full = explore_attention(accel, dims, opt);
-    for (unsigned threads : {1u, 4u}) {
-        opt.threads = threads;
-        const auto capped = explore_attention(accel, dims, opt, 25);
-        ASSERT_EQ(capped.size(), 25u) << threads << " threads";
-        for (std::size_t i = 0; i < capped.size(); ++i) {
-            ASSERT_EQ(capped[i].dataflow.tag(), full[i].dataflow.tag())
-                << threads << " threads, point " << i;
-        }
-    }
-}
-
 } // namespace
 } // namespace flat

@@ -21,6 +21,7 @@
 #include "common/run_journal.h"
 #include "common/status.h"
 #include "costmodel/execution_style.h"
+#include "dse/block_search.h"
 #include "dse/search_internal.h"
 #include "workload/attention.h"
 #include "workload/model_config.h"
@@ -84,13 +85,76 @@ serve_header(const AccelConfig& accel, const ModelConfig& model,
     return header;
 }
 
+/** Edge with an SG2 level, so every double field starts nonzero. */
+AccelConfig
+edit_base()
+{
+    AccelConfig accel = edge_accel();
+    accel.sg2_bytes = 4ull << 20;
+    accel.sg2_bw = 200e9;
+    return accel;
+}
+
+using AccelEdit = std::pair<const char*, void (*)(AccelConfig&)>;
+
+/** One edit per AccelConfig field of edit_base(), plus a relative
+ *  1e-9 nudge of every double field: each must reach every key. */
+const std::vector<AccelEdit>&
+accel_edits()
+{
+    static const std::vector<AccelEdit> edits = {
+        {"name", [](AccelConfig& a) { a.name = "other"; }},
+        {"pe_rows", [](AccelConfig& a) { a.pe_rows = 16; }},
+        {"pe_cols", [](AccelConfig& a) { a.pe_cols = 16; }},
+        {"sl_bytes", [](AccelConfig& a) { a.sl_bytes *= 2; }},
+        {"sg_bytes", [](AccelConfig& a) { a.sg_bytes *= 2; }},
+        {"sg2_bytes", [](AccelConfig& a) { a.sg2_bytes = 1 << 26; }},
+        {"rf_bytes", [](AccelConfig& a) { a.rf_bytes = 4096; }},
+        {"dram_bytes", [](AccelConfig& a) { a.dram_bytes = 1 << 30; }},
+        {"sg2_bw", [](AccelConfig& a) { a.sg2_bw = 60e9; }},
+        {"onchip_bw", [](AccelConfig& a) { a.onchip_bw *= 2; }},
+        {"offchip_bw", [](AccelConfig& a) { a.offchip_bw *= 2; }},
+        {"clock_hz", [](AccelConfig& a) { a.clock_hz *= 2; }},
+        {"sfu_lanes", [](AccelConfig& a) { a.sfu_lanes *= 2; }},
+        {"bytes_per_element",
+         [](AccelConfig& a) { a.bytes_per_element = 1; }},
+        {"distribution_noc",
+         [](AccelConfig& a) { a.distribution_noc = NocKind::kTree; }},
+        {"reduction_noc",
+         [](AccelConfig& a) { a.reduction_noc = NocKind::kTree; }},
+        {"flexible_intra_dataflow",
+         [](AccelConfig& a) {
+             a.caps.flexible_intra_dataflow =
+                 !a.caps.flexible_intra_dataflow;
+         }},
+        {"l3_tiling",
+         [](AccelConfig& a) { a.caps.l3_tiling = !a.caps.l3_tiling; }},
+        {"fused_execution",
+         [](AccelConfig& a) {
+             a.caps.fused_execution = !a.caps.fused_execution;
+         }},
+        {"sg2_bw x (1 + 1e-9)",
+         [](AccelConfig& a) { a.sg2_bw *= 1 + 1e-9; }},
+        {"onchip_bw x (1 + 1e-9)",
+         [](AccelConfig& a) { a.onchip_bw *= 1 + 1e-9; }},
+        {"offchip_bw x (1 + 1e-9)",
+         [](AccelConfig& a) { a.offchip_bw *= 1 + 1e-9; }},
+        {"clock_hz x (1 + 1e-9)",
+         [](AccelConfig& a) { a.clock_hz *= 1 + 1e-9; }},
+        {"sfu_lanes x (1 + 1e-9)",
+         [](AccelConfig& a) { a.sfu_lanes *= 1 + 1e-9; }},
+    };
+    return edits;
+}
+
 TEST(TrafficDeterminism, EveryAccelFieldChangesBothJournalHashes)
 {
     // A serve journal replays step costs and a search journal slice
     // winners, so each must go stale when any accelerator field moves
     // — the serve line once missed the SG2 bandwidth, the NoC kinds
-    // and the capability bits.
-    const AccelConfig base = edge_accel();
+    // and the capability bits, and both once printed doubles to 6
+    // digits, so 25GB/s and 25.00001GB/s shared a journal.
+    const AccelConfig base = edit_base();
     const ModelConfig model = model_by_name("bert");
     const std::vector<Request> requests = small_trace();
     const ServeOptions options = serve_options(1);
@@ -101,41 +165,7 @@ TEST(TrafficDeterminism, EveryAccelFieldChangesBothJournalHashes)
         serving_space_canonical(base, model, requests, options);
     const std::string search_text =
         detail::search_space_canonical(base, dims, search);
-
-    const std::vector<std::pair<const char*, void (*)(AccelConfig&)>>
-        edits = {
-            {"name", [](AccelConfig& a) { a.name = "other"; }},
-            {"pe_rows", [](AccelConfig& a) { a.pe_rows = 16; }},
-            {"pe_cols", [](AccelConfig& a) { a.pe_cols = 16; }},
-            {"sl_bytes", [](AccelConfig& a) { a.sl_bytes *= 2; }},
-            {"sg_bytes", [](AccelConfig& a) { a.sg_bytes *= 2; }},
-            {"sg2_bytes", [](AccelConfig& a) { a.sg2_bytes = 1 << 26; }},
-            {"rf_bytes", [](AccelConfig& a) { a.rf_bytes = 4096; }},
-            {"dram_bytes", [](AccelConfig& a) { a.dram_bytes = 1 << 30; }},
-            {"sg2_bw", [](AccelConfig& a) { a.sg2_bw = 60e9; }},
-            {"onchip_bw", [](AccelConfig& a) { a.onchip_bw *= 2; }},
-            {"offchip_bw", [](AccelConfig& a) { a.offchip_bw *= 2; }},
-            {"clock_hz", [](AccelConfig& a) { a.clock_hz *= 2; }},
-            {"sfu_lanes", [](AccelConfig& a) { a.sfu_lanes *= 2; }},
-            {"bytes_per_element",
-             [](AccelConfig& a) { a.bytes_per_element = 1; }},
-            {"distribution_noc",
-             [](AccelConfig& a) { a.distribution_noc = NocKind::kTree; }},
-            {"reduction_noc",
-             [](AccelConfig& a) { a.reduction_noc = NocKind::kTree; }},
-            {"flexible_intra_dataflow",
-             [](AccelConfig& a) {
-                 a.caps.flexible_intra_dataflow =
-                     !a.caps.flexible_intra_dataflow;
-             }},
-            {"l3_tiling",
-             [](AccelConfig& a) { a.caps.l3_tiling = !a.caps.l3_tiling; }},
-            {"fused_execution",
-             [](AccelConfig& a) {
-                 a.caps.fused_execution = !a.caps.fused_execution;
-             }},
-        };
-    for (const auto& [field, edit] : edits) {
+    for (const auto& [field, edit] : accel_edits()) {
         AccelConfig accel = base;
         edit(accel);
         EXPECT_NE(serving_space_canonical(accel, model, requests, options),
@@ -144,6 +174,33 @@ TEST(TrafficDeterminism, EveryAccelFieldChangesBothJournalHashes)
         EXPECT_NE(detail::search_space_canonical(accel, dims, search),
                   search_text)
             << field;
+    }
+}
+
+TEST(TrafficDeterminism, EveryAccelFieldEditMissesTheGemmMemo)
+{
+    // The memo keys on raw bytes, not on canonical text, because every
+    // serve step looks it up; an edit of any field must still search
+    // afresh (`flatsim --offchip-bw` keeps the preset's name).
+    GemmShape shape;
+    shape.m = 256;
+    shape.k = 768;
+    shape.n = 768;
+    const Operator op =
+        make_gemm_op("Q", OpCategory::kProjection, shape);
+    OperatorSearchOptions options;
+    options.quick = true;
+    for (const auto& [field, edit] : accel_edits()) {
+        AccelConfig accel = edit_base();
+        edit(accel);
+        GemmSearchMemo memo;
+        bool reused = true;
+        memo.search(edit_base(), op, options, reused);
+        EXPECT_FALSE(reused) << field;
+        memo.search(accel, op, options, reused);
+        EXPECT_FALSE(reused) << field;
+        memo.search(accel, op, options, reused);
+        EXPECT_TRUE(reused) << field;
     }
 }
 

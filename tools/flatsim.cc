@@ -11,11 +11,11 @@
  */
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "arch/accel_config_io.h"
@@ -47,7 +47,19 @@ print_usage()
 {
     std::printf(R"(flatsim — FLAT/ATTACC attention dataflow simulator
 
-usage: flatsim [options]
+usage: flatsim [options]                 a single run
+       flatsim --block [options]         per-layer view of a model run
+       flatsim --serve [options]         serving simulation
+       flatsim --sweep FILE [options]    fault-isolated batch sweep
+
+Each flag belongs to the modes that read it, and any other mode refuses
+it (exit 2): the scale-out flags, --scope and the --trace flags belong
+to a single run; --accel, --seq, --kv-seq, --window and --batch to a
+single run and --block; --model, --platform, --platform-file, --policy,
+--buffer, --sg2, --sg2-bw, --offchip-bw, --objective and --quick to
+every mode but --sweep, whose spec owns them; the serving and sweep
+sections' flags to their mode; the rest to every mode.
+
   --model NAME       bert | trxl | flaubert | t5 | xlm      (default bert)
   --platform NAME    edge | cloud                           (default edge)
   --platform-file F  load a custom platform (key = value; see
@@ -84,7 +96,7 @@ usage: flatsim [options]
                      independent search per layer (QKV projections,
                      the fused L-A pipeline, the FCs), identical GEMM
                      shapes searched once; prints each layer's mapping
-                     (composes with --search-mode analytic)
+                     (journals as the --scope model run it views)
   --threads N        DSE worker threads (default: FLAT_THREADS env,
                      else all hardware threads; the result and the
                      exhaustive search's points evaluated / pruned are
@@ -159,9 +171,11 @@ long runs (crash-safe checkpoints; see common/run_journal.h):
   --journal FILE     checkpoint completed DSE slices and sweep points
                      to a fresh append-only JSONL journal at FILE
   --resume FILE      resume from an earlier journal: completed work is
-                     restored instead of re-evaluated, new work is
-                     appended, and the final output is bit-identical to
-                     an uninterrupted run; a journal written by a
+                     restored instead of re-evaluated and new work is
+                     appended. The picks and every simulated number are
+                     bit-identical to an uninterrupted run; a search
+                     resumed mid-way may split its points evaluated /
+                     pruned differently. A journal written by a
                      different configuration is rejected as stale
 
 signals: the first SIGINT/SIGTERM drains gracefully (running work
@@ -216,7 +230,24 @@ print_styles()
 /** Upper bound for dimension-like flags (seq, batch, window). */
 constexpr std::uint64_t kMaxDim = 1ull << 32;
 
+/** The request modes. The parser picks one from the mode flags
+ *  (--block, then --serve, then --sweep, else a single run), and each
+ *  flag row names the modes that read it. */
+enum Mode : unsigned {
+    kRun = 1u << 0,
+    kBlock = 1u << 1,
+    kServe = 1u << 2,
+    kSweep = 1u << 3,
+};
+constexpr unsigned kRunBlock = kRun | kBlock;
+/** Every mode but --sweep, whose spec owns the model, the platform,
+ *  the policy, the objective and the menus. */
+constexpr unsigned kNotSweep = kRun | kBlock | kServe;
+constexpr unsigned kEvery = kNotSweep | kSweep;
+
 struct Args {
+    Mode mode = kRun;
+
     std::string model = "bert";
     std::string platform = "edge";
     std::string platform_file;
@@ -233,8 +264,7 @@ struct Args {
     std::string sg2_bw = "200GB/s";
     std::string offchip_bw;
     std::string objective = "runtime";
-    std::string search_mode; ///< "" = mode default (run: exhaustive,
-                             ///< serve: analytic)
+    std::string search_mode; ///< "" = the mode's default
     bool block = false;      ///< --block: per-layer model view
     std::uint64_t threads = 0;
     bool no_prune = false;
@@ -275,6 +305,264 @@ struct Args {
     std::uint64_t ctx_bucket = 64;
 };
 
+/** A flag without a value: it sets a switch to `to`. */
+struct Switch {
+    bool Args::*field;
+    bool to = true;
+};
+
+/** A flag whose value is an integer in [min, max]. */
+struct Count {
+    std::uint64_t Args::*field;
+    std::uint64_t min = 0;
+    std::uint64_t max = std::uint64_t(-1);
+};
+
+/** One flag: its name, the modes that read it, and where its value
+ *  lands — a field that keeps the text, a switch, an integer, a
+ *  positive number, or a setter for what needs more. */
+struct FlagRow {
+    const char* name;
+    unsigned modes;
+    std::variant<std::string Args::*, Switch, Count, double Args::*,
+                 void (*)(Args&, std::string)>
+        lands;
+};
+
+/** Every flag but --help, --list and --list-styles, each declared once
+ *  (README's flag x mode table mirrors it). */
+const FlagRow kFlags[] = {
+    // A single run: its scope, the per-phase trace and the scale-out
+    // fabric.
+    {"--scope", kRun, &Args::scope},
+    {"--trace", kRun, Switch{&Args::trace}},
+    {"--trace-json", kRun, Switch{&Args::trace_json}},
+    {"--trace-csv", kRun, &Args::trace_csv},
+    {"--devices", kRun, Count{&Args::devices, 1, 4096}},
+    {"--shard-axis", kRun, &Args::shard_axis},
+    {"--topology", kRun, &Args::topology},
+    {"--link-bw", kRun, &Args::link_bw},
+    {"--link-latency", kRun, &Args::link_latency},
+    {"--scaleout", kRun, &Args::scaleout_preset},
+    {"--scaleout-file", kRun, &Args::scaleout_file},
+    // --block: the per-layer view of a model-scope run.
+    {"--block", kBlock, Switch{&Args::block}},
+    // A single run and --block: the workload and the accelerator spec.
+    {"--accel", kRunBlock, &Args::accel},
+    {"--seq", kRunBlock, Count{&Args::seq, 1, kMaxDim}},
+    {"--kv-seq", kRunBlock, Count{&Args::kv_seq, 1, kMaxDim}},
+    {"--window", kRunBlock, Count{&Args::window, 1, kMaxDim}},
+    {"--batch", kRunBlock, Count{&Args::batch, 1, kMaxDim}},
+    // Every mode but --sweep: the model, the platform, the policy, the
+    // objective and the menus.
+    {"--model", kNotSweep, &Args::model},
+    {"--platform", kNotSweep, &Args::platform},
+    {"--platform-file", kNotSweep, &Args::platform_file},
+    {"--policy", kNotSweep, &Args::policy},
+    {"--buffer", kNotSweep, &Args::buffer},
+    {"--sg2", kNotSweep, &Args::sg2},
+    {"--sg2-bw", kNotSweep, &Args::sg2_bw},
+    {"--offchip-bw", kNotSweep, &Args::offchip_bw},
+    {"--objective", kNotSweep, &Args::objective},
+    {"--quick", kNotSweep, Switch{&Args::quick}},
+    // --serve: the arrival trace and the scheduler.
+    {"--serve", kServe, Switch{&Args::serve}},
+    {"--arrival", kServe, &Args::arrival},
+    {"--arrival-file", kServe, &Args::arrival_file},
+    {"--rate", kServe, &Args::rate},
+    {"--serve-requests", kServe, Count{&Args::serve_requests, 1, 1 << 20}},
+    {"--serve-seed", kServe, Count{&Args::serve_seed}},
+    {"--sched", kServe,
+     [](Args& a, std::string v) { a.sched = to_lower(v); }},
+    {"--max-batch", kServe, Count{&Args::max_batch, 1, 4096}},
+    {"--prompt-tokens", kServe, Count{&Args::prompt_tokens, 1, kMaxDim}},
+    {"--output-tokens", kServe, Count{&Args::output_tokens, 1, kMaxDim}},
+    {"--ctx-bucket", kServe, Count{&Args::ctx_bucket, 1, kMaxDim}},
+    // --sweep: the spec, its CSV and the per-point isolation knobs.
+    {"--sweep", kSweep, &Args::sweep_file},
+    {"--sweep-csv", kSweep, &Args::sweep_csv},
+    {"--deadline", kSweep, Count{&Args::deadline_ms}},
+    {"--keep-going", kSweep, Switch{&Args::fail_fast, false}},
+    {"--fail-fast", kSweep, Switch{&Args::fail_fast}},
+    // Every mode: the search, the report, faults and journals.
+    {"--style", kEvery,
+     [](Args& a, std::string v) {
+         for (const std::string& part : split(v, ',')) {
+             const std::string id = to_lower(trim(part));
+             if (!id.empty()) {
+                 a.styles.push_back(id);
+             }
+         }
+     }},
+    {"--search-mode", kEvery, &Args::search_mode},
+    {"--threads", kEvery, Count{&Args::threads, 0, 4096}},
+    {"--no-prune", kEvery, Switch{&Args::no_prune}},
+    {"--serialized-baseline", kEvery, Switch{&Args::serialized_baseline}},
+    {"--json", kEvery, Switch{&Args::json}},
+    {"--inject-fault", kEvery,
+     [](Args& a, std::string v) { a.inject_faults.push_back(std::move(v)); }},
+    {"--journal", kEvery, &Args::journal_file},
+    {"--resume", kEvery, &Args::resume_file},
+};
+
+/**
+ * Lands one flag's value in Args: visits the flag row's target and
+ * reads, when the target needs one, the next argv token. A missing or
+ * malformed value is a usage error (exit 2).
+ */
+class FlagParser
+{
+  public:
+    FlagParser(Args& args, int argc, char** argv, int& i)
+        : args_(args), argc_(argc), argv_(argv), i_(i), flag_(argv[i])
+    {
+    }
+
+    void operator()(std::string Args::*field) { args_.*field = text(); }
+
+    void operator()(const Switch& s) { args_.*s.field = s.to; }
+
+    /** A non-negative integer in [min, max]: letters, trailing
+     *  garbage, a sign or overflow are refused. */
+    void
+    operator()(const Count& c)
+    {
+        const std::string value = text();
+        std::size_t pos = 0;
+        unsigned long long n = 0;
+        if (!value.empty() && value[0] != '-' && value[0] != '+') {
+            try {
+                n = std::stoull(value, &pos);
+            } catch (const std::exception&) {
+                pos = 0;
+            }
+        }
+        if (pos == 0 || pos != value.size()) {
+            throw UsageError(flag_ + " expects a non-negative integer, "
+                                     "got '" + value + "'");
+        }
+        if (n < c.min || n > c.max) {
+            throw UsageError(flag_ + " value " + value +
+                             " is out of range [" +
+                             std::to_string(c.min) + ", " +
+                             std::to_string(c.max) + "]");
+        }
+        args_.*c.field = n;
+    }
+
+    /** A decimal in (0, 1e12]. */
+    void
+    operator()(double Args::*field)
+    {
+        const std::string value = text();
+        std::size_t pos = 0;
+        double x = 0.0;
+        try {
+            x = std::stod(value, &pos);
+        } catch (const std::exception&) {
+            pos = 0;
+        }
+        if (pos == 0 || pos != value.size() || !(x > 0.0) || x > 1e12) {
+            throw UsageError(flag_ + " expects a positive number, got '" +
+                             value + "'");
+        }
+        args_.*field = x;
+    }
+
+    void operator()(void (*set)(Args&, std::string)) { set(args_, text()); }
+
+  private:
+    /** The next argv token. */
+    std::string
+    text()
+    {
+        if (i_ + 1 >= argc_) {
+            throw UsageError(flag_ + " needs a value");
+        }
+        return argv_[++i_];
+    }
+
+    Args& args_;
+    int argc_;
+    char** argv_;
+    int& i_;
+    std::string flag_;
+};
+
+/** How a diagnostic names @p modes. */
+std::string
+mode_names(unsigned modes)
+{
+    std::vector<std::string> names;
+    for (const auto& [mode, name] :
+         {std::pair{kRun, "a single run"}, std::pair{kBlock, "--block"},
+          std::pair{kServe, "--serve"}, std::pair{kSweep, "--sweep"}}) {
+        if ((modes & mode) != 0) {
+            names.emplace_back(name);
+        }
+    }
+    return join(names, ", ");
+}
+
+/**
+ * Checks, before any work starts, every flag value the library parses:
+ * a bad one is CLI misuse (exit 2), while a bad model, platform, policy
+ * or config file stays a config error (exit 1). Arms the --inject-fault
+ * probes on the way.
+ */
+void
+check_flag_values(const Args& args)
+{
+    for (const std::string& id : args.styles) {
+        if (id != "all" && find_execution_style(id) == nullptr) {
+            throw UsageError("unknown execution style '" + id +
+                             "' (run 'flatsim --list-styles' for the "
+                             "registered ids)");
+        }
+    }
+    if (!args.journal_file.empty() && !args.resume_file.empty()) {
+        throw UsageError("--journal and --resume are mutually exclusive "
+                         "(--resume keeps appending to the journal it "
+                         "resumes)");
+    }
+    try {
+        if (!args.search_mode.empty()) {
+            parse_search_mode(args.search_mode);
+        }
+        if (!args.scaleout_preset.empty()) {
+            scaleout_preset(args.scaleout_preset);
+        }
+        if (!args.shard_axis.empty()) {
+            parse_shard_axis(args.shard_axis);
+        }
+        if (!args.topology.empty()) {
+            parse_topology(args.topology);
+        }
+        if (!args.link_bw.empty()) {
+            parse_bandwidth(args.link_bw);
+        }
+        if (!args.link_latency.empty()) {
+            parse_time(args.link_latency);
+        }
+        if (args.mode == kServe) {
+            if (parse_arrival_kind(args.arrival) == ArrivalKind::kReplay &&
+                args.arrival_file.empty()) {
+                throw UsageError(
+                    "--arrival replay needs --arrival-file FILE");
+            }
+            if (args.sched != "auto") {
+                parse_sched_policy(args.sched);
+            }
+        }
+        for (const std::string& spec : args.inject_faults) {
+            const auto [site, fault] = parse_fault_spec(spec);
+            arm_fault(site, fault);
+        }
+    } catch (const Error& e) {
+        throw UsageError(e.what());
+    }
+}
+
 /**
  * Process-wide cancellation token for the SIGINT/SIGTERM graceful
  * drain; handed to install_signal_cancellation() once the flags are
@@ -283,135 +571,59 @@ struct Args {
 CancellationToken g_signal_cancel;
 
 /** Opens the checkpoint journal requested by --journal / --resume
- *  (nullptr when neither flag is present). */
+ *  (nullptr when neither flag is present, and then @p header, which
+ *  hashes the request's whole identity, is never called). */
+template <typename Header>
 std::unique_ptr<RunJournal>
-open_journal(const Args& args, const RunJournalHeader& header)
+open_journal(const Args& args, const Header& header)
 {
     if (!args.resume_file.empty()) {
-        return RunJournal::open_resume(args.resume_file, header);
+        return RunJournal::open_resume(args.resume_file, header());
     }
     if (!args.journal_file.empty()) {
-        return RunJournal::create(args.journal_file, header);
+        return RunJournal::create(args.journal_file, header());
     }
     return nullptr;
 }
 
-/**
- * Parses a numeric flag value strictly: the whole token must be a
- * non-negative integer in [min, max]. Anything else (letters, trailing
- * garbage, a sign, overflow) is a usage error, exit code 2.
- */
-std::uint64_t
-parse_u64_flag(const std::string& flag, const std::string& text,
-               std::uint64_t min = 0,
-               std::uint64_t max = std::uint64_t(-1))
-{
-    std::size_t pos = 0;
-    unsigned long long value = 0;
-    if (text.empty() || text[0] == '-' || text[0] == '+') {
-        throw UsageError(flag + " expects a non-negative integer, got '" +
-                         text + "'");
-    }
-    try {
-        value = std::stoull(text, &pos);
-    } catch (const std::exception&) {
-        pos = 0;
-    }
-    if (pos == 0 || pos != text.size()) {
-        throw UsageError(flag + " expects a non-negative integer, got '" +
-                         text + "'");
-    }
-    if (value < min || value > max) {
-        throw UsageError(flag + " value " + text + " is out of range [" +
-                         std::to_string(min) + ", " +
-                         std::to_string(max) + "]");
-    }
-    return value;
-}
-
-/**
- * Parses a positive decimal flag value (e.g. --rate): the whole token
- * must parse and land in (0, max]. Anything else is a usage error.
- */
-double
-parse_positive_double_flag(const std::string& flag,
-                           const std::string& text, double max = 1e12)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception&) {
-        pos = 0;
-    }
-    if (pos == 0 || pos != text.size() || !(value > 0.0) ||
-        value > max) {
-        throw UsageError(flag + " expects a positive number, got '" +
-                         text + "'");
-    }
-    return value;
-}
-
-/**
- * Builds the scale-out fabric: preset / file base first, then
- * individual flag overrides. Bad flag VALUES are usage errors (exit
- * 2); an inconsistent resulting fabric is a config error (exit 1).
- */
+/** Builds the scale-out fabric: preset / file base first, then
+ *  individual flag overrides. An inconsistent fabric is a config error
+ *  (exit 1). */
 ScaleOutConfig
 fabric_from_args(const Args& args)
 {
     ScaleOutConfig fabric;
     if (!args.scaleout_preset.empty()) {
-        try {
-            fabric = scaleout_preset(args.scaleout_preset);
-        } catch (const InternalError&) {
-            throw;
-        } catch (const Error& e) {
-            throw UsageError(e.what());
-        }
+        fabric = scaleout_preset(args.scaleout_preset);
     }
-    // File CONTENT problems are config errors, like --platform-file.
     if (!args.scaleout_file.empty()) {
         fabric = scaleout_from_config_file(args.scaleout_file, fabric);
     }
-    try {
-        if (args.devices != 0) {
-            fabric.devices = static_cast<std::uint32_t>(args.devices);
-        }
-        if (!args.shard_axis.empty()) {
-            fabric.axis = parse_shard_axis(args.shard_axis);
-        }
-        if (!args.topology.empty()) {
-            fabric.topology = parse_topology(args.topology);
-        }
-        if (!args.link_bw.empty()) {
-            fabric.link_bw = parse_bandwidth(args.link_bw);
-        }
-        if (!args.link_latency.empty()) {
-            fabric.link_latency_s = parse_time(args.link_latency);
-        }
-    } catch (const InternalError&) {
-        throw;
-    } catch (const Error& e) {
-        // Only flag-VALUE parsing runs inside this try: misuse.
-        throw UsageError(e.what());
+    if (args.devices != 0) {
+        fabric.devices = static_cast<std::uint32_t>(args.devices);
+    }
+    if (!args.shard_axis.empty()) {
+        fabric.axis = parse_shard_axis(args.shard_axis);
+    }
+    if (!args.topology.empty()) {
+        fabric.topology = parse_topology(args.topology);
+    }
+    if (!args.link_bw.empty()) {
+        fabric.link_bw = parse_bandwidth(args.link_bw);
+    }
+    if (!args.link_latency.empty()) {
+        fabric.link_latency_s = parse_time(args.link_latency);
     }
     fabric.validate();
     return fabric;
 }
 
 /** Builds the platform from --platform/--platform-file plus the
- *  buffer/bandwidth override flags (shared by every mode). */
+ *  buffer/bandwidth override flags. */
 AccelConfig
 accel_from_args(const Args& args)
 {
-    FLAT_CHECK(to_lower(args.platform) == "cloud" ||
-                   to_lower(args.platform) == "edge",
-               "unknown platform '" << args.platform
-                                    << "' (edge | cloud)");
-    AccelConfig accel = (to_lower(args.platform) == "cloud")
-                            ? cloud_accel()
-                            : edge_accel();
+    AccelConfig accel = accel_preset(args.platform);
     if (!args.platform_file.empty()) {
         accel = accel_from_config_file(args.platform_file, accel);
     }
@@ -446,22 +658,19 @@ workload_from_args(const Args& args, const ModelConfig& model)
     return make_workload(model, args.batch, args.seq);
 }
 
-/** The L-A search mode a mode's flags resolve to. */
-SearchMode
-search_mode_from_args(const Args& args, SearchMode fallback)
-{
-    return args.search_mode.empty() ? fallback
-                                    : parse_search_mode(args.search_mode);
-}
-
-/** Evaluation options from the DSE flags (run, block and serve modes);
- *  @p mode is the search mode when --search-mode is absent. */
+/** Evaluation options of every mode. Serving prices hundreds of small
+ *  per-step searches, so --serve defaults to the analytic mapper and
+ *  every other mode to the exhaustive sweep. */
 SimOptions
-sim_options_from_args(const Args& args, SearchMode mode)
+sim_options_from_args(const Args& args)
 {
     SimOptions options;
     options.objective = parse_objective(args.objective);
-    options.search_mode = search_mode_from_args(args, mode);
+    if (!args.search_mode.empty()) {
+        options.search_mode = parse_search_mode(args.search_mode);
+    } else if (args.mode == kServe) {
+        options.search_mode = SearchMode::kAnalytic;
+    }
     options.quick = args.quick;
     options.threads = static_cast<unsigned>(args.threads);
     options.prune = !args.no_prune;
@@ -471,6 +680,31 @@ sim_options_from_args(const Args& args, SearchMode mode)
     options.styles = args.styles;
     options.cancel = &g_signal_cancel;
     return options;
+}
+
+/** Journal identity of a single run, and of --block as the --scope
+ *  model run it views (both call the same Simulator::run). */
+RunJournalHeader
+run_journal_header(const Args& args, const ModelConfig& model,
+                   const AccelConfig& accel, Scope scope,
+                   const SimOptions& options)
+{
+    RunJournalHeader header;
+    header.mode = "run";
+    header.space_hash = fnv1a64(
+        accel.canonical() + options.canonical() +
+        strprintf("run model=%s batch=%llu seq=%llu kv_seq=%llu "
+                  "window=%llu scope=%s %s=%s\n",
+                  model.name.c_str(),
+                  static_cast<unsigned long long>(args.batch),
+                  static_cast<unsigned long long>(args.seq),
+                  static_cast<unsigned long long>(args.kv_seq),
+                  static_cast<unsigned long long>(args.window),
+                  to_string(scope).c_str(),
+                  args.accel.empty() ? "policy" : "accel",
+                  (args.accel.empty() ? args.policy : args.accel)
+                      .c_str()));
+    return header;
 }
 
 /** Simulator::run under --accel when given, else under --policy. */
@@ -494,40 +728,11 @@ run(const Args& args)
     const AccelConfig accel = accel_from_args(args);
     const Workload workload = workload_from_args(args, model);
     const Scope scope = parse_scope(args.scope);
-    SimOptions options = sim_options_from_args(args, SearchMode::kExhaustive);
-
-    // Journal identity of a single-run DSE: a coarse hash over the
-    // result-shaping CLI surface. The fine-grained staleness guard is
-    // the per-search scope key search_attention journals under (a hash
-    // of accelerator + dims + search options) — a record from a
-    // different space simply never matches at restore time. The search
-    // mode is folded in only when non-exhaustive, so pre-existing
-    // exhaustive journals keep their historical hash.
-    RunJournalHeader journal_header;
-    journal_header.mode = "run";
-    std::string space_text = strprintf(
-        "run|%s|%llu|%llu|%.17g|%s|%llu|%llu|%llu|%llu|%s|%s|%d|%d|%d|%s",
-        accel.name.c_str(),
-        static_cast<unsigned long long>(accel.sg_bytes),
-        static_cast<unsigned long long>(accel.sg2_bytes),
-        accel.offchip_bw, model.name.c_str(),
-        static_cast<unsigned long long>(args.batch),
-        static_cast<unsigned long long>(args.seq),
-        static_cast<unsigned long long>(args.kv_seq),
-        static_cast<unsigned long long>(args.window),
-        to_string(scope).c_str(),
-        (args.accel.empty() ? args.policy : args.accel).c_str(),
-        static_cast<int>(options.objective),
-        static_cast<int>(options.quick),
-        static_cast<int>(options.baseline_overlap),
-        join(args.styles, ",").c_str());
-    if (options.search_mode != SearchMode::kExhaustive) {
-        space_text += strprintf("|mode=%s",
-                                to_string(options.search_mode));
-    }
-    journal_header.space_hash = fnv1a64(space_text);
-    const std::unique_ptr<RunJournal> journal =
-        open_journal(args, journal_header);
+    const ScaleOutConfig fabric = fabric_from_args(args);
+    SimOptions options = sim_options_from_args(args);
+    const std::unique_ptr<RunJournal> journal = open_journal(args, [&] {
+        return run_journal_header(args, model, accel, scope, options);
+    });
     options.journal = journal.get();
 
     const ScopeReport report =
@@ -536,7 +741,6 @@ run(const Args& args)
     // Multi-device scale-out of the L-A layer: two-level DSE (axis x
     // devices outer, per-device dataflow inner) plus a D=1 reference
     // point for the speedup row. Single-device runs skip all of this.
-    const ScaleOutConfig fabric = fabric_from_args(args);
     ScaleOutSearchResult scaleout;
     double single_device_cycles = 0.0;
     if (!fabric.single_device()) {
@@ -907,26 +1111,6 @@ print_serve_report(const Args& args, const AccelConfig& accel,
     table.print(std::cout);
 }
 
-/** --block excludes the serve/sweep/trace/scale-out surfaces. */
-void
-throw_if_block_conflicts(const Args& args)
-{
-    if (args.serve) {
-        throw UsageError("--block and --serve are mutually exclusive");
-    }
-    if (!args.sweep_file.empty()) {
-        throw UsageError("--block and --sweep are mutually exclusive");
-    }
-    if (args.trace || args.trace_json || !args.trace_csv.empty()) {
-        throw UsageError("--block has no per-phase trace; drop the "
-                         "--trace flags");
-    }
-    if (args.devices > 1) {
-        throw UsageError("--block searches a single device; drop "
-                         "--devices");
-    }
-}
-
 /** The report-facing tag of a block layer's picked mapping. */
 std::string
 block_layer_tag(const BlockLayerPlan& layer)
@@ -947,8 +1131,12 @@ run_block_mode(const Args& args)
     const ModelConfig model = model_by_name(args.model);
     const AccelConfig accel = accel_from_args(args);
     const Workload workload = workload_from_args(args, model);
-    const SimOptions options =
-        sim_options_from_args(args, SearchMode::kExhaustive);
+    SimOptions options = sim_options_from_args(args);
+    const std::unique_ptr<RunJournal> journal = open_journal(args, [&] {
+        return run_journal_header(args, model, accel, Scope::kModel,
+                                  options);
+    });
+    options.journal = journal.get();
 
     // The per-layer view of a model-scope run: the same search_block
     // call Simulator::run folds into its report.
@@ -1029,46 +1217,14 @@ run_block_mode(const Args& args)
     return 0;
 }
 
-/** --serve excludes the single-run/sweep-only surfaces. */
-void
-throw_if_serve_conflicts(const Args& args)
-{
-    if (!args.sweep_file.empty()) {
-        throw UsageError("--serve and --sweep are mutually exclusive");
-    }
-    if (args.trace || args.trace_json || !args.trace_csv.empty()) {
-        throw UsageError("--serve has no per-phase trace; drop the "
-                         "--trace flags");
-    }
-}
-
 int
 run_serve_mode(const Args& args)
 {
     const ModelConfig model = model_by_name(args.model);
     const AccelConfig accel = accel_from_args(args);
 
-    // Flag-VALUE validation: unknown arrival kinds / scheduling
-    // policies and a missing or unreadable replay trace are CLI
-    // misuse (exit 2), like every other bad flag value.
     ArrivalOptions trace_options;
-    const bool auto_sched = args.sched == "auto";
-    SchedPolicy fixed_policy = SchedPolicy::kPrefillFirst;
-    try {
-        trace_options.kind = parse_arrival_kind(args.arrival);
-        if (!auto_sched) {
-            fixed_policy = parse_sched_policy(args.sched);
-        }
-    } catch (const InternalError&) {
-        throw;
-    } catch (const Error& e) {
-        throw UsageError(std::string(e.what()) +
-                         " (--sched also accepts 'auto')");
-    }
-    if (trace_options.kind == ArrivalKind::kReplay &&
-        args.arrival_file.empty()) {
-        throw UsageError("--arrival replay needs --arrival-file FILE");
-    }
+    trace_options.kind = parse_arrival_kind(args.arrival);
     trace_options.seed = args.serve_seed;
     trace_options.rate_rps = args.rate;
     trace_options.requests = args.serve_requests;
@@ -1078,35 +1234,34 @@ run_serve_mode(const Args& args)
     std::vector<Request> requests;
     try {
         requests = generate_arrivals(trace_options);
-    } catch (const InternalError&) {
-        throw;
     } catch (const Error& e) {
         // The trace comes straight from flag values; a bad one is
         // misuse, not a config error.
         throw UsageError(e.what());
     }
 
+    const bool auto_sched = args.sched == "auto";
     ServeOptions options;
-    options.sched.policy = fixed_policy;
+    if (!auto_sched) {
+        options.sched.policy = parse_sched_policy(args.sched);
+    }
     options.sched.max_batch = args.max_batch;
     options.policy = args.policy;
     options.ctx_bucket = args.ctx_bucket;
-    // Serving prices hundreds of small per-step searches, so the
-    // analytic mapper is the default; --search-mode exhaustive is the
-    // fallback. Both paths (fixed --sched and the auto DSE) use it.
-    options.sim = sim_options_from_args(args, SearchMode::kAnalytic);
+    // Both paths (fixed --sched and the auto DSE) search in one mode.
+    options.sim = sim_options_from_args(args);
     options.dse_mode = options.sim.search_mode;
 
-    // Journal identity: the full serving space (accel, model, the
-    // whole trace, scheduler + DSE knobs) plus the sched-mode string,
+    // Journal identity: the serving space plus the sched-mode string,
     // so an `auto` search never resumes a fixed-policy journal.
-    RunJournalHeader journal_header;
-    journal_header.mode = "serve";
-    journal_header.space_hash = fnv1a64(
-        args.sched + '|' +
-        serving_space_canonical(accel, model, requests, options));
-    const std::unique_ptr<RunJournal> journal =
-        open_journal(args, journal_header);
+    const std::unique_ptr<RunJournal> journal = open_journal(args, [&] {
+        RunJournalHeader header;
+        header.mode = "serve";
+        header.space_hash = fnv1a64(
+            args.sched + '|' +
+            serving_space_canonical(accel, model, requests, options));
+        return header;
+    });
     options.journal = journal.get();
 
     ServeReport report;
@@ -1145,15 +1300,11 @@ run_sweep_mode(const Args& args)
     options.threads = static_cast<unsigned>(args.threads);
     options.deadline_ms = static_cast<double>(args.deadline_ms);
     options.fail_fast = args.fail_fast;
-    options.sim.prune = !args.no_prune;
-    options.sim.baseline_overlap = args.serialized_baseline
-                                       ? BaselineOverlap::kSerialized
-                                       : BaselineOverlap::kFull;
-    options.sim.styles = args.styles;
+    options.sim = sim_options_from_args(args);
     options.cancel = &g_signal_cancel;
 
-    const std::unique_ptr<RunJournal> journal =
-        open_journal(args, sweep_journal_header(spec, options.sim));
+    const std::unique_ptr<RunJournal> journal = open_journal(
+        args, [&] { return sweep_journal_header(spec, options.sim); });
     options.journal = journal.get();
 
     const SweepReport report = run_sweep(spec, options);
@@ -1185,192 +1336,62 @@ main(int argc, char** argv)
 #endif
     Args args;
     try {
+        std::vector<const FlagRow*> given;
         for (int i = 1; i < argc; ++i) {
             const std::string flag = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    throw UsageError(flag + " needs a value");
-                }
-                return argv[++i];
-            };
             if (flag == "--help" || flag == "-h") {
                 print_usage();
                 return 0;
-            } else if (flag == "--list") {
+            }
+            if (flag == "--list") {
                 print_catalog();
                 return 0;
-            } else if (flag == "--model") {
-                args.model = next();
-            } else if (flag == "--platform") {
-                args.platform = next();
-            } else if (flag == "--platform-file") {
-                args.platform_file = next();
-            } else if (flag == "--policy") {
-                args.policy = next();
-            } else if (flag == "--accel") {
-                args.accel = next();
-            } else if (flag == "--style") {
-                for (const std::string& part :
-                     flat::split(next(), ',')) {
-                    const std::string id = flat::to_lower(flat::trim(part));
-                    if (!id.empty()) {
-                        args.styles.push_back(id);
-                    }
-                }
-            } else if (flag == "--list-styles") {
+            }
+            if (flag == "--list-styles") {
                 print_styles();
                 return 0;
-            } else if (flag == "--scope") {
-                args.scope = next();
-            } else if (flag == "--seq") {
-                args.seq = parse_u64_flag(flag, next(), 1, kMaxDim);
-            } else if (flag == "--kv-seq") {
-                args.kv_seq = parse_u64_flag(flag, next(), 1, kMaxDim);
-            } else if (flag == "--window") {
-                args.window = parse_u64_flag(flag, next(), 1, kMaxDim);
-            } else if (flag == "--batch") {
-                args.batch = parse_u64_flag(flag, next(), 1, kMaxDim);
-            } else if (flag == "--buffer") {
-                args.buffer = next();
-            } else if (flag == "--sg2") {
-                args.sg2 = next();
-            } else if (flag == "--sg2-bw") {
-                args.sg2_bw = next();
-            } else if (flag == "--offchip-bw") {
-                args.offchip_bw = next();
-            } else if (flag == "--objective") {
-                args.objective = next();
-            } else if (flag == "--search-mode") {
-                args.search_mode = flat::to_lower(next());
-            } else if (flag == "--block") {
-                args.block = true;
-            } else if (flag == "--threads") {
-                args.threads = parse_u64_flag(flag, next(), 0, 4096);
-            } else if (flag == "--sweep") {
-                args.sweep_file = next();
-            } else if (flag == "--sweep-csv") {
-                args.sweep_csv = next();
-            } else if (flag == "--deadline") {
-                args.deadline_ms = parse_u64_flag(flag, next());
-            } else if (flag == "--keep-going") {
-                args.fail_fast = false;
-            } else if (flag == "--fail-fast") {
-                args.fail_fast = true;
-            } else if (flag == "--journal") {
-                args.journal_file = next();
-            } else if (flag == "--resume") {
-                args.resume_file = next();
-            } else if (flag == "--inject-fault") {
-                args.inject_faults.push_back(next());
-            } else if (flag == "--no-prune") {
-                args.no_prune = true;
-            } else if (flag == "--serialized-baseline") {
-                args.serialized_baseline = true;
-            } else if (flag == "--quick") {
-                args.quick = true;
-            } else if (flag == "--json") {
-                args.json = true;
-            } else if (flag == "--trace") {
-                args.trace = true;
-            } else if (flag == "--trace-json") {
-                args.trace_json = true;
-            } else if (flag == "--trace-csv") {
-                args.trace_csv = next();
-            } else if (flag == "--devices") {
-                args.devices = parse_u64_flag(flag, next(), 1, 4096);
-            } else if (flag == "--shard-axis") {
-                args.shard_axis = next();
-            } else if (flag == "--topology") {
-                args.topology = next();
-            } else if (flag == "--link-bw") {
-                args.link_bw = next();
-            } else if (flag == "--link-latency") {
-                args.link_latency = next();
-            } else if (flag == "--scaleout") {
-                args.scaleout_preset = next();
-            } else if (flag == "--scaleout-file") {
-                args.scaleout_file = next();
-            } else if (flag == "--serve") {
-                args.serve = true;
-            } else if (flag == "--arrival") {
-                args.arrival = next();
-            } else if (flag == "--arrival-file") {
-                args.arrival_file = next();
-            } else if (flag == "--rate") {
-                args.rate = parse_positive_double_flag(flag, next());
-            } else if (flag == "--serve-requests") {
-                args.serve_requests =
-                    parse_u64_flag(flag, next(), 1, 1 << 20);
-            } else if (flag == "--serve-seed") {
-                args.serve_seed = parse_u64_flag(flag, next());
-            } else if (flag == "--sched") {
-                args.sched = flat::to_lower(next());
-            } else if (flag == "--max-batch") {
-                args.max_batch = parse_u64_flag(flag, next(), 1, 4096);
-            } else if (flag == "--prompt-tokens") {
-                args.prompt_tokens =
-                    parse_u64_flag(flag, next(), 1, kMaxDim);
-            } else if (flag == "--output-tokens") {
-                args.output_tokens =
-                    parse_u64_flag(flag, next(), 1, kMaxDim);
-            } else if (flag == "--ctx-bucket") {
-                args.ctx_bucket =
-                    parse_u64_flag(flag, next(), 1, kMaxDim);
-            } else {
+            }
+            const FlagRow* row = nullptr;
+            for (const FlagRow& candidate : kFlags) {
+                if (flag == candidate.name) {
+                    row = &candidate;
+                    break;
+                }
+            }
+            if (row == nullptr) {
                 std::fprintf(stderr, "unknown flag: %s\n\n",
                              flag.c_str());
                 print_usage();
                 return 2;
             }
+            std::visit(FlagParser(args, argc, argv, i), row->lands);
+            given.push_back(row);
         }
-        // Unknown --style values are CLI misuse (exit 2), caught here
-        // before any work starts; the DSE re-checks defensively.
-        for (const std::string& id : args.styles) {
-            if (id != "all" &&
-                flat::find_execution_style(id) == nullptr) {
-                throw flat::UsageError(
-                    "unknown execution style '" + id +
-                    "' (run 'flatsim --list-styles' for the "
-                    "registered ids)");
+        // Pick the mode, then refuse every flag it does not read.
+        args.mode = args.block               ? kBlock
+                    : args.serve             ? kServe
+                    : args.sweep_file.empty() ? kRun
+                                              : kSweep;
+        for (const FlagRow* row : given) {
+            if ((row->modes & args.mode) == 0) {
+                throw UsageError(std::string(row->name) +
+                                 " does not apply to " +
+                                 mode_names(args.mode) +
+                                 " (it applies to " +
+                                 mode_names(row->modes) + ")");
             }
         }
-        // Bad --search-mode values are CLI misuse too (exit 2).
-        if (!args.search_mode.empty()) {
-            try {
-                flat::parse_search_mode(args.search_mode);
-            } catch (const flat::InternalError&) {
-                throw;
-            } catch (const flat::Error& e) {
-                throw flat::UsageError(e.what());
-            }
-        }
-        if (!args.journal_file.empty() && !args.resume_file.empty()) {
-            throw flat::UsageError(
-                "--journal and --resume are mutually exclusive "
-                "(--resume keeps appending to the journal it resumes)");
-        }
-        for (const std::string& spec : args.inject_faults) {
-            // A malformed fault spec is CLI misuse, not a config error.
-            try {
-                const auto [site, fault] = flat::parse_fault_spec(spec);
-                flat::arm_fault(site, fault);
-            } catch (const flat::Error& e) {
-                throw flat::UsageError(e.what());
-            }
-        }
+        check_flag_values(args);
         // Arm the graceful SIGINT/SIGTERM drain only once real work
         // starts; a second signal hard-exits with 128+signo.
-        flat::install_signal_cancellation(&g_signal_cancel);
-        if (args.block) {
-            throw_if_block_conflicts(args);
-            return run_block_mode(args);
+        install_signal_cancellation(&g_signal_cancel);
+        switch (args.mode) {
+          case kBlock: return run_block_mode(args);
+          case kServe: return run_serve_mode(args);
+          case kSweep: return run_sweep_mode(args);
+          case kRun: break;
         }
-        if (args.serve) {
-            throw_if_serve_conflicts(args);
-            return run_serve_mode(args);
-        }
-        return args.sweep_file.empty() ? run(args)
-                                       : run_sweep_mode(args);
+        return run(args);
     } catch (const std::exception& e) {
         // Map the taxonomy onto the exit-code contract: usage -> 2,
         // config/infeasible -> 1, internal/oom -> 3 (see diagnostics.h).

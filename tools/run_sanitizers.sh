@@ -9,12 +9,14 @@
 #    refinement, where a data race would silently break the
 #    bit-identical-results contract.
 #  - AddressSanitizer + UndefinedBehaviorSanitizer (default build-asan):
-#    the timeline-, style-, mapper- and serving-labeled tests plus
-#    test_dse — the batch evaluators write flat (lane, phase) value
-#    arrays, and the searches index per-slice tables and bitmaps, none
-#    of which TSan bounds-checks. UBSan halts on its first report, so a
-#    report fails the test that triggered it, and libstdc++'s assertions
-#    bounds-check every container index on the way.
+#    the timeline-, style-, mapper-, serving- and robustness-labeled
+#    tests plus test_dse — the batch evaluators write flat (lane, phase)
+#    value arrays, and the searches index per-slice tables and bitmaps,
+#    none of which TSan bounds-checks; the robustness tests drive the
+#    CLI's flag parser, the journals and the fault-injected paths with
+#    hostile input. UBSan halts on its first report, so a report fails
+#    the test that triggered it, and libstdc++'s assertions bounds-check
+#    every container index on the way.
 #
 # Usage: tools/run_sanitizers.sh [TSAN_BUILD_DIR [ASAN_BUILD_DIR]]
 set -eu
@@ -39,6 +41,6 @@ ctest --test-dir "$tsan" -L 'concurrency|robustness|mapper' \
 
 build "$asan" address,undefined -D_GLIBCXX_ASSERTIONS
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
-ctest --test-dir "$asan" -L 'timeline|style|mapper|serving' \
+ctest --test-dir "$asan" -L 'timeline|style|mapper|serving|robustness' \
     --output-on-failure -j "$jobs"
 "$asan/tests/test_dse"
