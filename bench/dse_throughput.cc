@@ -11,6 +11,8 @@
  *      block (the exhaustive walk's shape) and one 1-lane block (the
  *      analytic mapper's usual shape) of the same (tiles, flags)
  *      through the AttentionBatchEvaluator the searches price with;
+ *      the block is bound again each iteration, so these legs time a
+ *      repeated block: a block-part table read plus the lanes;
  *   3. heap allocations per evaluated point, via a replaced global
  *      operator new that counts every allocation in the process.
  *
@@ -214,7 +216,9 @@ main(int argc, char** argv)
     // One (tiles, flags) block as the searches price it: the slice is
     // bound once, each block pays its begin() and its lanes. The
     // exhaustive walk prices whole 9-lane order blocks; the analytic
-    // mapper mostly one-lane blocks.
+    // mapper mostly one-lane blocks. Every iteration begins the same
+    // block, so after the first its block part is a read from the
+    // evaluator's table, as for a block a search binds again.
     AttentionBatchEvaluator batch;
     batch.bind_slice(accel, dims, dataflow.cross, flat,
                      BaselineOverlap::kFull);

@@ -31,6 +31,8 @@ struct Capabilities {
     bool l3_tiling = true;
     /** Supports fused, interleaved execution of L-A (ATTACC only). */
     bool fused_execution = true;
+
+    bool operator==(const Capabilities&) const = default;
 };
 
 /** Physical resources of one accelerator instance. */
@@ -134,6 +136,10 @@ struct AccelConfig {
      *  precision: the accelerator part of every journal hash, so a
      *  change to any field makes the journal stale. */
     std::string canonical() const;
+
+    /** Field by field: an evaluator's block-part table is valid for
+     *  one accelerator by value (attention_cost.h). */
+    bool operator==(const AccelConfig&) const = default;
 };
 
 /** Edge preset of Figure 7(a): 32x32 PEs, 512KB SG, 1TB/s / 50GB/s. */

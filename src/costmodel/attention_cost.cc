@@ -70,43 +70,125 @@ AttentionBatchEvaluator::bind_slice(const AccelConfig& accel,
         make_slice_plan(accel, dims, cross);
     style.emit_skeleton(skeleton_, accel, dims, cross);
     batch_.configure(skeleton_, overlap_);
-    block_bound_ = false;
+    // By value, not by address: a caller may edit its accel or dims in
+    // place between searches.
+    if (accel != table_accel_ || dims != table_dims_) {
+        drop_table();
+        table_accel_ = accel;
+        table_dims_ = dims;
+    }
+    part_ = nullptr;
+    plan_bound_ = false;
     traffic_valid_ = false;
-    split_valid_ = false;
     lane_orders_.clear();
+}
+
+void
+AttentionBatchEvaluator::drop_table()
+{
+    pairs_.clear();
+    parts_.clear();
+    std::fill(pair_slots_.begin(), pair_slots_.end(), 0u);
+    pair_ = kNoPair;
+}
+
+namespace {
+
+/** Hash of a tile pair's key. */
+std::uint64_t
+pair_hash(const CrossLoop& cross, const L2Tile& logit, const L2Tile& attend)
+{
+    const std::uint64_t fields[] = {
+        static_cast<std::uint64_t>(cross.granularity),
+        cross.rows, cross.cols, logit.m, logit.k, logit.n,
+        attend.m, attend.k, attend.n};
+    std::uint64_t h = 0;
+    for (const std::uint64_t field : fields) {
+        h = (h ^ field) * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+} // namespace
+
+std::size_t
+AttentionBatchEvaluator::find_pair(const FusedDataflow& block)
+{
+    constexpr std::size_t mask = kPairSlots - 1;
+    const std::size_t home =
+        pair_hash(block.cross, block.l2_logit, block.l2_attend) & mask;
+    std::size_t slot = home;
+    for (; pair_slots_[slot] != 0; slot = (slot + 1) & mask) {
+        if (pairs_[pair_slots_[slot] - 1].keys(block)) {
+            return pair_slots_[slot] - 1;
+        }
+    }
+    // A new pair. The table starts afresh when full, so the index is
+    // never more than half full and a probe always ends.
+    if (pairs_.size() == kMaxTilePairs) {
+        drop_table();
+        slot = home;
+    }
+    pairs_.push_back({block.cross, block.l2_logit, block.l2_attend});
+    pair_slots_[slot] = static_cast<std::uint32_t>(pairs_.size());
+    return pairs_.size() - 1;
 }
 
 void
 AttentionBatchEvaluator::begin(const FusedDataflow& block)
 {
-    // The block part is bound on first use: a block whose candidates
-    // all fall to the compute bound never needs it.
+    // The pair changes once per 32 flag sets in the exhaustive walk and
+    // once per tile move in the mapper's climb.
+    if (pair_ == kNoPair || !pairs_[pair_].keys(block)) {
+        pair_ = find_pair(block);
+    }
+    flags_ = FusedStageFlags::encode(block.stage);
     base_ = block;
-    block_bound_ = false;
+    // The block part is bound on first use: a block whose candidates
+    // all fall to the compute bound never needs it, and one whose
+    // candidates all fall to its floor reads only its split.
+    part_ = nullptr;
+    plan_bound_ = false;
     traffic_valid_ = false;
-    split_valid_ = false;
     batch_.clear_lanes();
     lane_orders_.clear();
+}
+
+const AttentionBatchEvaluator::BlockPart&
+AttentionBatchEvaluator::block_part()
+{
+    if (part_ == nullptr) {
+        std::uint32_t& index = pairs_[pair_].part[flags_];
+        if (index == 0) {
+            bind_block_plan(plan_, *accel_, *dims_, base_);
+            parts_.push_back({plan_.footprint, plan_.res,
+                              split_dram_traffic(plan_, base_.stage)});
+            index = static_cast<std::uint32_t>(parts_.size());
+            plan_bound_ = true;
+            ++counts_.computed;
+        }
+        part_ = &parts_[index - 1];
+        ++counts_.binds;
+    }
+    return *part_;
 }
 
 void
 AttentionBatchEvaluator::bind_block()
 {
-    if (!block_bound_) {
-        bind_block_plan(plan_, *accel_, *dims_, base_);
-        block_bound_ = true;
+    if (!plan_bound_) {
+        const BlockPart& part = block_part();
+        plan_.footprint = part.footprint;
+        plan_.res = part.res;
+        plan_bound_ = true;
     }
 }
 
 const DramSplit&
 AttentionBatchEvaluator::dram_split()
 {
-    if (!split_valid_) {
-        bind_block();
-        split_ = split_dram_traffic(plan_, base_.stage);
-        split_valid_ = true;
-    }
-    return split_;
+    return block_part().split;
 }
 
 const TrafficBytes&

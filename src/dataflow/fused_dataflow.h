@@ -61,6 +61,8 @@ struct AttentionDims {
     static AttentionDims from_workload(const Workload& workload);
 
     void validate() const;
+
+    bool operator==(const AttentionDims&) const = default;
 };
 
 /**

@@ -52,6 +52,8 @@ struct CrossLoop {
     /** Throws flat::Error if the granularity is none of the five
      *  enumerators or R/C-Gran lack positive tile sizes. */
     void validate() const;
+
+    bool operator==(const CrossLoop&) const = default;
 };
 
 /**

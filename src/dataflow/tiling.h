@@ -71,6 +71,8 @@ struct L2Tile {
 
     /** Throws flat::Error on zero dimensions. */
     void validate() const;
+
+    bool operator==(const L2Tile&) const = default;
 };
 
 } // namespace flat

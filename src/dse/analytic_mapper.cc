@@ -264,8 +264,10 @@ refine_slice(const AccelConfig& accel, const AttentionDims& dims,
 
     // Worker-lifetime state, shared with the exhaustive sweep's
     // contract: persistent pool threads reach allocation-free steady
-    // state. The visited set is a bitmap over the slice's point index.
-    thread_local AttentionBatchEvaluator batch;
+    // state. The evaluator is the sweep's own, so the climb reads the
+    // block parts any slice of this search bound before. The visited
+    // set is a bitmap over the slice's point index.
+    AttentionBatchEvaluator& batch = worker_evaluator();
     thread_local std::vector<std::uint64_t> visited;
     thread_local std::vector<PointCoords> lane_coords;
     thread_local std::vector<PointCoords> order_points;

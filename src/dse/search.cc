@@ -708,6 +708,13 @@ finish_slice_search(const SliceSearch& search,
     return result;
 }
 
+AttentionBatchEvaluator&
+worker_evaluator()
+{
+    thread_local AttentionBatchEvaluator batch;
+    return batch;
+}
+
 void
 price_operator_lanes(const AccelConfig& accel, const Operator& op,
                      const OperatorSearchOptions& options,
@@ -910,8 +917,9 @@ search_attention(const AccelConfig& accel, const AttentionDims& dims,
         // Worker-lifetime evaluation state: the pool threads are
         // persistent, so the batch evaluator reaches allocation-free
         // steady state across slices AND searches. bind_slice() takes
-        // the slice part of every plan; begin() only names a block.
-        thread_local AttentionBatchEvaluator batch;
+        // the slice part of every plan; begin() names a block, whose
+        // part the table holds once any slice has bound it.
+        AttentionBatchEvaluator& batch = worker_evaluator();
         batch.bind_slice(accel, dims, slice.cross, *slice.style,
                          options.baseline_overlap);
 

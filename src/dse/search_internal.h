@@ -546,6 +546,16 @@ fold_lane(const AttentionBatchEvaluator& batch, std::size_t lane,
     return true;
 }
 
+/**
+ * The calling thread's batch evaluator. Both L-A pricers — the
+ * exhaustive walk and the mapper's climb — bind their slices on it, so
+ * each worker keeps one block-part table, valid while its searches run
+ * on one (accel, dims), and no table is shared across threads. A walk
+ * or climb never starts a search, so the evaluator serves one slice at
+ * a time.
+ */
+AttentionBatchEvaluator& worker_evaluator();
+
 /** Monotonically lowers @p shared_best to @p value (relaxed is enough:
  *  the bound is only a hint; correctness never depends on freshness). */
 inline void

@@ -45,13 +45,26 @@ flatsim_path()
 #endif
 }
 
+/** The shell command running `flatsim <args>` with @p redirect. Built
+ *  by appends: GCC 12's -Wrestrict misreads `"'" + std::string` as an
+ *  overlapping copy. */
+std::string
+flatsim_command(const std::string& args, const char* redirect)
+{
+    std::string command = "'";
+    command += flatsim_path();
+    command += "' ";
+    command += args;
+    command += redirect;
+    return command;
+}
+
 /** Runs `flatsim <args>`, capturing exit code and stderr. */
 CliResult
 run_flatsim(const std::string& args)
 {
     // 2>&1 1>/dev/null: the pipe sees stderr only; stdout is dropped.
-    const std::string command =
-        "'" + flatsim_path() + "' " + args + " 2>&1 1>/dev/null";
+    const std::string command = flatsim_command(args, " 2>&1 1>/dev/null");
     std::FILE* pipe = popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << "popen failed for: " << command;
     CliResult result;
@@ -106,8 +119,7 @@ struct CliOutput {
 CliOutput
 run_flatsim_stdout(const std::string& args)
 {
-    const std::string command =
-        "'" + flatsim_path() + "' " + args + " 2>/dev/null";
+    const std::string command = flatsim_command(args, " 2>/dev/null");
     std::FILE* pipe = popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << "popen failed for: " << command;
     CliOutput result;
@@ -794,7 +806,8 @@ TEST(FlatsimCli, EveryHelpFlagIsReadByItsModesAndRefusedByTheRest)
         {"--scaleout", "pod-ring"},
         {"--scaleout-file", "/nonexistent/walk.cfg"}, {"--serve", ""},
         {"--arrival", "bursty"},
-        {"--arrival-file", "/nonexistent/walk.csv"}, {"--rate", "2"},
+        {"--arrival-file", "/nonexistent/walk.csv --arrival replay"},
+        {"--rate", "2"},
         {"--serve-requests", "4"}, {"--serve-seed", "2"},
         {"--sched", "auto"}, {"--max-batch", "4"},
         {"--prompt-tokens", "64"}, {"--output-tokens", "4"},
@@ -1009,6 +1022,51 @@ TEST(FlatsimCli, RunFlagsShapeTheReport)
     const std::string spill = "--seq 4096 --buffer 64KiB --sg2 8MiB ";
     EXPECT_NE(field(spill + "--sg2-bw 60GB/s", "cycles"),
               field(spill, "cycles"));
+}
+
+TEST(FlatsimCli, MootFlagsAreAppliedOrRefused)
+{
+    // Each of these once exited 0 and dropped the flag: another flag's
+    // value made it moot, or a platform file gave the level it sets.
+    const std::string base = "--model bert --platform edge --seq 4096 "
+                             "--batch 8 --scope la --quick --buffer 64KiB ";
+    const auto cycles = [&](const std::string& flags) {
+        const CliOutput out = run_flatsim_stdout(base + "--json " + flags);
+        EXPECT_EQ(out.exit_code, 0) << flags;
+        return json_field(out.stdout_text, "cycles");
+    };
+    const std::string platform = "flatsim_cli_sg2.cfg";
+    write_file(platform, "sg2 = 8MiB\nsg2_bw = 200GB/s\n");
+    const std::string from_file = "--platform-file " + platform + " ";
+    EXPECT_EQ(cycles(from_file + "--sg2-bw 60GB/s"),
+              cycles("--sg2 8MiB --sg2-bw 60GB/s"));
+    EXPECT_NE(cycles(from_file + "--sg2-bw 60GB/s"), cycles(from_file));
+    std::remove(platform.c_str());
+
+    const std::string trace = "flatsim_cli_unread_trace.csv";
+    std::remove(trace.c_str());
+    const std::pair<std::string, std::string> refused[] = {
+        {base + "--sg2-bw 60GB/s", "--sg2-bw needs an SG2 level"},
+        {"--serve --arrival poisson --arrival-file " + trace,
+         "--arrival-file is read only by --arrival replay"},
+        {"--serve --arrival bursty --arrival-file " + trace,
+         "--arrival-file is read only by --arrival replay"},
+        {base + "--devices 1 --topology tree",
+         "--topology needs a fabric of more than one device"},
+        {base + "--shard-axis seq",
+         "--shard-axis needs a fabric of more than one device"},
+        {base + "--link-bw 300GB/s",
+         "--link-bw needs a fabric of more than one device"},
+        {base + "--scaleout single --link-latency 2us",
+         "--link-latency needs a fabric of more than one device"},
+    };
+    for (const auto& [args, message] : refused) {
+        const CliResult result = run_flatsim(args);
+        EXPECT_EQ(result.exit_code, 2) << args;
+        expect_json_diagnostic(result, "usage");
+        EXPECT_NE(result.stderr_text.find(message), std::string::npos)
+            << args << ":\n" << result.stderr_text;
+    }
 }
 
 TEST(FlatsimCli, SweepFlagsShapeTheReport)

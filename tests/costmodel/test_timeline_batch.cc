@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,8 @@
 #include "costmodel/attention_cost.h"
 #include "costmodel/gemm_engine.h"
 #include "dataflow/granularity.h"
+#include "dse/search_internal.h"
+#include "support/accel_edits.h"
 
 namespace flat {
 namespace {
@@ -30,6 +34,9 @@ const ExecutionStyle& kBaseline = baseline_execution_style();
 const ExecutionStyle& kFlat = flat_execution_style();
 const ExecutionStyle& kPipelined = pipelined_execution_style();
 const ExecutionStyle& kFlash = flash_execution_style();
+const Stationarity kStationarities[] = {Stationarity::kWeightStationary,
+                                        Stationarity::kInputStationary,
+                                        Stationarity::kOutputStationary};
 
 /** Every field of the activity ledger, bit for bit. */
 void
@@ -301,6 +308,22 @@ expect_same_cost(const OperatorCost& got, const OperatorCost& want,
     expect_same_activity(got.activity, want.activity, what);
 }
 
+/** Every term of a DRAM split, bit for bit. */
+void
+expect_same_split(const DramSplit& got, const DramSplit& want,
+                  const char* what)
+{
+    for (const auto& [g, w] : {std::pair{&got.logit, &want.logit},
+                               std::pair{&got.attend, &want.attend}}) {
+        EXPECT_EQ(g->base, w->base) << what;
+        EXPECT_EQ(g->a, w->a) << what;
+        EXPECT_EQ(g->b, w->b) << what;
+        EXPECT_EQ(g->c_write, w->c_write) << what;
+        EXPECT_EQ(g->c_read, w->c_read) << what;
+    }
+    EXPECT_EQ(got.softmax, want.softmax) << what;
+}
+
 /** The lane's GEMM cost records under the PlannedGemmCosts contract. */
 GemmSliceCost
 slice_cost(const AccelConfig& accel, const GemmShape& shape,
@@ -315,7 +338,7 @@ slice_cost(const AccelConfig& accel, const GemmShape& shape,
  * Binds @p batch to @p base's slice, evaluates every (order_logit,
  * order_attend) lane of @p base through it, @p width lanes per begin()
  * block, and checks each lane field by field against the reference
- * model.
+ * model, and each block's dram_split() against a fresh make_plan()'s.
  */
 void
 check_evaluator_parity(AttentionBatchEvaluator& batch,
@@ -346,6 +369,10 @@ check_evaluator_parity(AttentionBatchEvaluator& batch,
 
     std::vector<FusedDataflow> lane_df;
     const auto evaluate_and_check = [&]() {
+        expect_same_split(batch.dram_split(),
+                          split_dram_traffic(make_plan(accel, dims, base),
+                                             base.stage),
+                          what);
         batch.evaluate();
         ASSERT_EQ(batch.lanes(), lane_df.size());
         for (std::size_t i = 0; i < batch.lanes(); ++i) {
@@ -478,13 +505,15 @@ TEST(AttentionBatchEvaluator, RebindsSlicesChangedInPlace)
     // A search reuses one worker-lifetime evaluator for every slice,
     // and a caller may edit its accel or dims between searches at the
     // same address. Every bind_slice() must rebuild what it takes from
-    // them: a slice part kept from an earlier binding prices the lanes
-    // of another configuration.
-    AccelConfig accel = edge_accel();
+    // them, and the block-part table must start afresh once either
+    // differs by value: a part kept from an earlier binding prices the
+    // lanes of another configuration.
+    AccelConfig accel = edit_base();
     AttentionDims dims = attention(8, 1024, 1024);
     FusedDataflow head = dataflow_for(kBaseline); // flat runs H-Gran too
     head.stage = FusedStageFlags::decode(27u);
     const FusedDataflow row = dataflow_for(kFlat);
+    const FusedDataflow col = dataflow_for(kFlash);
     AttentionBatchEvaluator batch;
     const auto check_widths = [&](const FusedDataflow& df,
                                   const ExecutionStyle& style,
@@ -497,16 +526,84 @@ TEST(AttentionBatchEvaluator, RebindsSlicesChangedInPlace)
                                    what);
         }
     };
+    // Binds an H-Gran and a C-Gran block, at two flag sets each, from
+    // the slice of every style that admits it and every stationarity
+    // pair. Only the first slice to bind a block may compute its part,
+    // and only when the table started afresh; every later slice reads
+    // it, and every lane and split still equals the reference.
+    const auto rebind_blocks = [&](bool fresh, const char* what) {
+        SCOPED_TRACE(what);
+        const std::uint64_t computed = batch.block_part_counts().computed;
+        std::uint64_t blocks = 0;
+        for (FusedDataflow df : {head, col}) {
+            for (const std::uint32_t staged : {27u, 0u}) {
+                df.stage = FusedStageFlags::decode(staged);
+                bool bound = false;
+                for (const ExecutionStyle* style : execution_styles()) {
+                    if (!style->admits(accel, dims, df.cross)) {
+                        continue;
+                    }
+                    bound = true;
+                    for (const Stationarity logit : kStationarities) {
+                        for (const Stationarity attend : kStationarities) {
+                            df.stat_logit = logit;
+                            df.stat_attend = attend;
+                            check_evaluator_parity(
+                                batch, accel, dims, df, *style,
+                                BaselineOverlap::kSerialized, 9, what);
+                        }
+                    }
+                }
+                blocks += bound ? 1 : 0;
+            }
+        }
+        EXPECT_GT(blocks, 0u) << what;
+        EXPECT_EQ(batch.block_part_counts().computed - computed,
+                  fresh ? blocks : 0u)
+            << what;
+    };
 
+    rebind_blocks(true, "first binds");
+    rebind_blocks(false, "every part from the table");
     check_widths(head, kFlat, "flat");
     check_widths(head, kBaseline, "flat -> baseline");
     check_widths(head, kFlat, "baseline -> flat");
+
+    for (const auto& [field, edit] : accel_edits()) {
+        accel = edit_base();
+        edit(accel);
+        rebind_blocks(true, field);
+    }
+    accel = edit_base();
+    rebind_blocks(true, "accel restored in place");
+    rebind_blocks(false, "accel unchanged");
 
     accel.offchip_bw /= 4.0;
     accel.sg_bytes /= 8;
     accel.sfu_lanes *= 2.0;
     check_widths(head, kFlat, "accel changed in place");
 
+    using DimsEdit = std::pair<const char*, void (*)(AttentionDims&)>;
+    const DimsEdit dims_edits[] = {
+        {"batch", [](AttentionDims& d) { d.batch = 2; }},
+        {"heads", [](AttentionDims& d) { d.heads = 16; }},
+        {"q_len", [](AttentionDims& d) { d.q_len = 512; }},
+        {"kv_len", [](AttentionDims& d) { d.kv_len = 4096; }},
+        {"head_dim", [](AttentionDims& d) { d.head_dim = 128; }},
+        {"kv_heads", [](AttentionDims& d) { d.kv_heads = 2; }},
+        {"decode",
+         [](AttentionDims& d) {
+             d.q_len = 1;
+             d.decode = true;
+         }},
+    };
+    for (const auto& [field, edit] : dims_edits) {
+        dims = attention(8, 1024, 1024);
+        edit(dims);
+        rebind_blocks(true, field);
+    }
+
+    dims = attention(8, 1024, 1024);
     dims.batch = 2;
     dims.kv_len = 4096;
     check_widths(head, kFlat, "dims changed in place");
@@ -522,6 +619,67 @@ TEST(AttentionBatchEvaluator, RebindsSlicesChangedInPlace)
     dims.decode = true;
     check_widths(head, kFlat, "dims made a GQA decode in place");
     check_widths(head, kBaseline, "decode baseline");
+}
+
+TEST(AttentionBatchEvaluator, StyleAllSearchComputesEachBlockPartOnce)
+{
+    // At one thread a search walks its slices on the calling thread's
+    // evaluator. Unpruned, it binds every (tiles, flags) block of every
+    // slice, and a block recurs in the slice of every style and
+    // stationarity pair with its cross loop: each distinct (cross,
+    // tiles, flags) part must be computed once, by its first bind.
+    const AccelConfig accel = edge_accel();
+    AttentionSearchOptions options;
+    options.styles = {"all"};
+    options.quick = true;
+    options.threads = 1;
+    options.prune = false;
+    AttentionBatchEvaluator& batch = detail::worker_evaluator();
+
+    // A search of other dims first: the one below must drop its table
+    // and start on an empty one.
+    search_attention(accel, attention(2, 256, 256), options);
+    const AttentionDims dims = attention(2, 512, 512);
+    const detail::SlicedSpace space =
+        detail::build_sliced_space(accel, dims, options);
+    std::set<std::string> distinct;
+    std::uint64_t blocks = 0;
+    for (const detail::SearchSlice& slice : space.slices) {
+        for (const L2Tile& logit : *slice.tiles_logit) {
+            for (const L2Tile& attend : *slice.tiles_attend) {
+                for (const FusedStageFlags& flags : space.flag_sets) {
+                    distinct.insert(slice.cross.tag() + "/" +
+                                    logit.tag() + "/" + attend.tag() +
+                                    "/" + flags.tag());
+                    ++blocks;
+                }
+            }
+        }
+    }
+
+    const AttentionBatchEvaluator::BlockPartCounts before =
+        batch.block_part_counts();
+    const AttentionSearchResult unpruned =
+        search_attention(accel, dims, options);
+    const AttentionBatchEvaluator::BlockPartCounts after =
+        batch.block_part_counts();
+    EXPECT_EQ(after.binds - before.binds, blocks);
+    EXPECT_EQ(after.computed - before.computed, distinct.size());
+    EXPECT_LT(distinct.size(), blocks) << "no block recurs";
+
+    // Every block either pricer binds on these (accel, dims) is now in
+    // the table: neither the pruned walk nor the mapper's climb
+    // computes one, and the pruned walk still picks what the unpruned
+    // walk picks.
+    options.prune = true;
+    const AttentionSearchResult pruned =
+        search_attention(accel, dims, options);
+    options.mode = SearchMode::kAnalytic;
+    search_attention(accel, dims, options);
+    EXPECT_GT(batch.block_part_counts().binds, after.binds);
+    EXPECT_EQ(batch.block_part_counts().computed, after.computed);
+    EXPECT_EQ(pruned.best.dataflow.tag(), unpruned.best.dataflow.tag());
+    EXPECT_EQ(pruned.best.cost.cycles, unpruned.best.cost.cycles);
 }
 
 } // namespace

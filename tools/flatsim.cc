@@ -80,7 +80,8 @@ sections' flags to their mode; the rest to every mode.
   --batch N          batch size                             (default 64)
   --buffer SIZE      override on-chip buffer, e.g. 2MiB
   --sg2 SIZE         add a second-level on-chip buffer, e.g. 64MiB
-  --sg2-bw BW        SG2 bandwidth (default 200GB/s)
+  --sg2-bw BW        SG2 bandwidth (default 200GB/s with --sg2, else
+                     the platform file's); needs an SG2 level
   --offchip-bw BW    override off-chip bandwidth, e.g. 100GB/s
   --objective NAME   runtime | energy | edp                 (default runtime)
   --search-mode NAME exhaustive | analytic | analytic-verified
@@ -118,6 +119,8 @@ sections' flags to their mode; the rest to every mode.
 
 multi-device scale-out (shards the L-A layer; see src/scaleout/):
   --devices D        number of identical FLAT accelerators (default 1)
+                     (the four flags below need a fabric of more than
+                     one device: with one, they exit 2)
   --shard-axis NAME  batch | head | seq | auto               (default auto)
   --topology NAME    ring | tree                             (default ring)
   --link-bw BW       per-link, per-direction bandwidth, e.g. 300GB/s
@@ -135,6 +138,7 @@ inference serving (request-level traffic simulator; src/serving/):
   --arrival KIND     poisson | bursty | replay               (default poisson)
   --arrival-file F   replay trace: `arrival_s,prompt,output` rows
                      ('#' comments); required with --arrival replay
+                     and refused with any other --arrival
   --rate R           offered load in requests/second         (default 4)
   --serve-requests N requests to generate                    (default 32)
   --serve-seed S     arrival-trace PRNG seed                 (default 1)
@@ -261,7 +265,7 @@ struct Args {
     std::uint64_t batch = 64;
     std::string buffer;
     std::string sg2;
-    std::string sg2_bw = "200GB/s";
+    std::string sg2_bw; ///< "" = 200GB/s with --sg2, else the platform's
     std::string offchip_bw;
     std::string objective = "runtime";
     std::string search_mode; ///< "" = the mode's default
@@ -545,10 +549,16 @@ check_flag_values(const Args& args)
             parse_time(args.link_latency);
         }
         if (args.mode == kServe) {
-            if (parse_arrival_kind(args.arrival) == ArrivalKind::kReplay &&
-                args.arrival_file.empty()) {
+            const bool replay =
+                parse_arrival_kind(args.arrival) == ArrivalKind::kReplay;
+            if (replay && args.arrival_file.empty()) {
                 throw UsageError(
                     "--arrival replay needs --arrival-file FILE");
+            }
+            if (!replay && !args.arrival_file.empty()) {
+                throw UsageError("--arrival-file is read only by "
+                                 "--arrival replay (got --arrival " +
+                                 args.arrival + ")");
             }
             if (args.sched != "auto") {
                 parse_sched_policy(args.sched);
@@ -588,7 +598,8 @@ open_journal(const Args& args, const Header& header)
 
 /** Builds the scale-out fabric: preset / file base first, then
  *  individual flag overrides. An inconsistent fabric is a config error
- *  (exit 1). */
+ *  (exit 1); a link or sharding flag on a one-device fabric, which
+ *  skips scale-out, is misuse (exit 2). */
 ScaleOutConfig
 fabric_from_args(const Args& args)
 {
@@ -615,11 +626,26 @@ fabric_from_args(const Args& args)
         fabric.link_latency_s = parse_time(args.link_latency);
     }
     fabric.validate();
+    if (fabric.single_device()) {
+        for (const auto& [flag, value] :
+             {std::pair{"--shard-axis", &args.shard_axis},
+              std::pair{"--topology", &args.topology},
+              std::pair{"--link-bw", &args.link_bw},
+              std::pair{"--link-latency", &args.link_latency}}) {
+            if (!value->empty()) {
+                throw UsageError(std::string(flag) +
+                                 " needs a fabric of more than one "
+                                 "device (give --devices D > 1 or a "
+                                 "multi-device --scaleout)");
+            }
+        }
+    }
     return fabric;
 }
 
 /** Builds the platform from --platform/--platform-file plus the
- *  buffer/bandwidth override flags. */
+ *  buffer/bandwidth override flags. --sg2-bw on a platform without an
+ *  SG2 level is misuse (exit 2). */
 AccelConfig
 accel_from_args(const Args& args)
 {
@@ -632,6 +658,13 @@ accel_from_args(const Args& args)
     }
     if (!args.sg2.empty()) {
         accel.sg2_bytes = parse_bytes(args.sg2);
+        accel.sg2_bw = 200e9; // --sg2-bw's default
+    }
+    if (!args.sg2_bw.empty()) {
+        if (!accel.has_sg2()) {
+            throw UsageError("--sg2-bw needs an SG2 level (give --sg2 "
+                             "SIZE or a --platform-file with sg2)");
+        }
         accel.sg2_bw = parse_bandwidth(args.sg2_bw);
     }
     if (!args.offchip_bw.empty()) {

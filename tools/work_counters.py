@@ -4,14 +4,15 @@
 Usage: work_counters.py --flatsim PATH [--baseline FILE] [--update]
 
 Runs a pinned set of `flatsim --json` requests drawn from the explore
-benchmark's design (flatbench/workloads.py), each at --threads 1 and at
---threads 4, and reads the search's work counters: la_points_evaluated
-and la_points_pruned, or evaluated and pruned for --block. The counters
-do not depend on the host or the thread count, so they are compared
-with zero tolerance: both thread counts must agree, and both must equal
-the committed baseline (default: BENCH_work.json at the repo root). A
-weakened prune bound, a lost memo or a thread-dependent split then
-fails with no noise at all.
+and serve benchmarks' designs (flatbench/workloads.py), each at
+--threads 1 and at --threads 4, and reads the search's work counters:
+la_points_evaluated and la_points_pruned, evaluated and pruned for
+--block, or the step-cost memo's cost_lookups and cost_memo_hits for
+--serve. The counters do not depend on the host or the thread count, so
+they are compared with zero tolerance: both thread counts must agree,
+and both must equal the committed baseline (default: BENCH_work.json at
+the repo root). A weakened prune bound, a lost memo or a
+thread-dependent split then fails with no noise at all.
 
 The analytic mapper's requests (--search-mode analytic) run at
 --threads 1 only: its whole-slice skip reads a shared atomic incumbent,
@@ -86,6 +87,25 @@ MAPPER_REQUESTS = [
      "--policy flat-opt --scope la --style all --search-mode analytic"),
 ]
 
+# Serving: every step is priced through the step-cost memo, so its
+# lookups and hits count the steps priced and the searches they spared.
+# Both batching policies and one --sched auto search (on cloud, as the
+# serve benchmark runs its auto slice).
+SERVE_REQUESTS = [
+    ("bert-edge-serve-prefill-first",
+     "--serve --model bert --platform edge --arrival poisson --rate 4 "
+     "--serve-requests 16 --serve-seed 3 --prompt-tokens 512 "
+     "--output-tokens 16 --max-batch 8 --sched prefill-first"),
+    ("mistral-edge-serve-decode-first",
+     "--serve --model mistral --platform edge --arrival bursty --rate 8 "
+     "--serve-requests 16 --serve-seed 5 --prompt-tokens 1024 "
+     "--output-tokens 16 --max-batch 4 --sched decode-first"),
+    ("t5-cloud-serve-auto",
+     "--serve --model t5 --platform cloud --arrival poisson --rate 2 "
+     "--serve-requests 16 --serve-seed 7 --prompt-tokens 512 "
+     "--output-tokens 8 --max-batch 8 --sched auto"),
+]
+
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
@@ -107,7 +127,9 @@ def counters(flatsim, argv, threads):
         report = json.loads(proc.stdout)
     except ValueError as err:
         raise GateError(f"{' '.join(cmd)} printed no JSON: {err}")
-    keys = (("evaluated", "pruned") if "--block" in argv.split()
+    flags = argv.split()
+    keys = (("evaluated", "pruned") if "--block" in flags
+            else ("cost_lookups", "cost_memo_hits") if "--serve" in flags
             else ("la_points_evaluated", "la_points_pruned"))
     if not all(isinstance(report.get(k), int) for k in keys):
         raise GateError(f"{' '.join(cmd)} reports no {'/'.join(keys)}")
@@ -120,7 +142,8 @@ def measure(flatsim):
     measured = {}
     failures = []
     pinned = ([(name, argv, THREADS) for name, argv in REQUESTS] +
-              [(name, argv, THREADS[:1]) for name, argv in MAPPER_REQUESTS])
+              [(name, argv, THREADS[:1]) for name, argv in MAPPER_REQUESTS] +
+              [(name, argv, THREADS) for name, argv in SERVE_REQUESTS])
     for name, argv, thread_counts in pinned:
         runs = [counters(flatsim, argv, t) for t in thread_counts]
         for threads, run in zip(thread_counts[1:], runs[1:]):
